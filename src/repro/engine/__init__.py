@@ -8,9 +8,9 @@ three orthogonal pieces:
 
 * a :class:`~repro.engine.backends.Backend` — *where* chunks of trials
   execute: in-process (:class:`~repro.engine.backends.InlineBackend`),
-  over a spawn-safe worker pool
+  over the process's own warm pool of loopback workers
   (:class:`~repro.engine.backends.ProcessPoolBackend`), or across a
-  warm pool of socket-connected worker processes
+  warm pool of socket-connected worker processes anywhere
   (:class:`~repro.engine.distributed.DistributedBackend`, the
   ``distributed:host:port`` spec — see ``docs/distributed.md``);
 * a :class:`~repro.engine.aggregate.ChunkAggregator` — *how* chunk

@@ -17,27 +17,36 @@ fan-out, a batch scheduler, MPI itself) drops into:
 * observability context rides the :class:`EngineContext` one way and
   the :class:`~repro.obs.recorder.ObsSnapshot` the other: the driver's
   causal :class:`~repro.obs.trace.TraceContext` (plus the ``tracing``
-  and ``profiling`` switches) ships to workers in the per-worker
-  initializer pickle, and each chunk's collected spans, profiler rows
-  and buffered events come back in ``ChunkPayload.obs`` — a remote
+  and ``profiling`` switches) ships to workers in the pickled
+  context, and each chunk's collected spans, profiler rows and
+  buffered events come back in ``ChunkPayload.obs`` — a remote
   backend that honors this contract gets tracing and profiling for
   free.
 
-Two implementations ship: :class:`InlineBackend` (the classic
-in-process loop) and :class:`ProcessPoolBackend` (a spawn-safe
-``ProcessPoolExecutor``, migrated here from the original — since
-removed — ``repro.fi.parallel`` module).
+Three implementations ship: :class:`InlineBackend` (the classic
+in-process loop), :class:`ProcessPoolBackend` (warm loopback workers
+that live as long as the process) and
+:class:`~repro.engine.distributed.DistributedBackend` (workers anywhere
+that can reach a TCP port).  The two pooled backends share one
+controller loop, wire protocol and failure table
+(:mod:`repro.engine.distributed`).
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+import secrets
+import socket
 from typing import Iterator, Protocol, Sequence
 
 from repro.engine.chunks import ChunkPayload, EngineContext, execute_chunk
-from repro.errors import ConfigurationError, WorkerCrashError
+from repro.engine.distributed import (
+    DEFAULT_PLAN_WORKERS,
+    dispatch,
+    local_worker,
+)
+from repro.errors import ConfigurationError
 from repro.obs import get_recorder
 
 __all__ = [
@@ -96,8 +105,6 @@ def planning_jobs(backend: str | None, jobs: int) -> int:
     scheduling and checkpoint granularity (see docs/engine.md).
     """
     if backend is not None and backend.startswith("distributed:"):
-        from repro.engine.distributed import DEFAULT_PLAN_WORKERS
-
         return max(jobs, DEFAULT_PLAN_WORKERS)
     return jobs
 
@@ -141,36 +148,50 @@ class InlineBackend:
             )
 
 
-#: Per-worker campaign state, installed once by :func:`_init_worker`.
-_WORKER_CTX: list[EngineContext] = []
+class _LocalPool:
+    """Loopback workers, a 127.0.0.1 listener they queue on between
+    campaigns, and the secret they prove membership with (passed in
+    their spawn arguments, never through a file or the environment)."""
+
+    def __init__(self):
+        self.server = socket.create_server(("127.0.0.1", 0))
+        self.secret = secrets.token_hex(16)
+        self.worker_ids = itertools.count(1)
+        self.procs: list[multiprocessing.process.BaseProcess] = []
+
+    def ensure(self, jobs: int) -> None:
+        """Replace dead workers and grow the pool to at least ``jobs``."""
+        size = max(jobs, len(self.procs))
+        self.procs = [proc for proc in self.procs if proc.is_alive()]
+        context = multiprocessing.get_context("spawn")
+        while len(self.procs) < size:
+            proc = context.Process(
+                target=local_worker,
+                args=(self.server.getsockname()[:2], self.secret),
+                name="repro-worker", daemon=True,
+            )
+            proc.start()
+            self.procs.append(proc)
+
+    def alive(self) -> bool:
+        return any(proc.is_alive() for proc in self.procs)
 
 
-def _init_worker(ctx: EngineContext) -> None:
-    """Pool initializer: receives the campaign state pickled once."""
-    _WORKER_CTX[:] = [ctx]
-
-
-def _run_chunk(bounds: Bounds) -> ChunkPayload:
-    """Execute one chunk inside a worker process."""
-    start, stop = bounds
-    return execute_chunk(_WORKER_CTX[0], start, stop, capture=True)
+#: This process's pool, started by the first pooled campaign.
+_POOL: _LocalPool | None = None
 
 
 class ProcessPoolBackend:
-    """Fan chunks out over a spawn-safe worker pool.
+    """Fan chunks out over this process's warm local worker pool.
 
-    The expensive state — the application object, the profiled
-    instruction counts, the fault-free reference output — is pickled
-    **once per worker** (pool initializer), not per chunk.  Workers use
-    the ``spawn`` start method so the engine behaves identically on
-    Linux, macOS and Windows and never inherits dirty interpreter state.
-
-    Payloads are yielded in completion order so the driver can persist
-    durable progress the moment a chunk finishes; deterministic fold
-    order is the aggregator's job.  Worker exceptions propagate
-    unchanged; a worker that dies without reporting (hard crash, OOM
-    kill) raises :class:`~repro.errors.WorkerCrashError` naming the
-    first unfinished chunk's trial range instead of hanging.
+    The pool starts on first use and lives as long as the process:
+    ``spawn``-started workers (they inherit ``sys.path`` and the working
+    directory) that keep recent campaign state warm.  It grows to the
+    largest ``jobs`` requested and replaces dead workers when the next
+    campaign starts.  Dispatch
+    and failure handling are :func:`~repro.engine.distributed.dispatch`'s
+    (docs/distributed.md), minus nominal worker-lifecycle telemetry, so
+    events and counters match the inline run's.
     """
 
     live_events = False
@@ -181,28 +202,11 @@ class ProcessPoolBackend:
     def run(
         self, ctx: EngineContext, chunks: Sequence[Bounds]
     ) -> Iterator[ChunkPayload]:
-        context = multiprocessing.get_context("spawn")
-        finished: set[Bounds] = set()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(chunks)),
-                mp_context=context,
-                initializer=_init_worker,
-                initargs=(ctx,),
-            ) as pool:
-                futures = [pool.submit(_run_chunk, bounds) for bounds in chunks]
-                for future in as_completed(futures):
-                    payload = future.result()
-                    finished.add(payload.bounds)
-                    yield payload
-        except BrokenProcessPool as exc:
-            lo, hi = min(b for b in chunks if b not in finished)
-            raise WorkerCrashError(
-                f"a worker process died while running {ctx.app.name!r} trials "
-                f"(hard crash or external kill before reporting its chunk); "
-                f"first unfinished chunk covers trials {lo}..{hi - 1} — rerun "
-                f"that range with jobs=1 to reproduce in-process, or rerun "
-                f"with checkpointing + resume to redo only the missing chunks",
-                chunk_start=lo,
-                chunk_stop=hi,
-            ) from exc
+        global _POOL
+        if _POOL is None:
+            _POOL = _LocalPool()
+        _POOL.ensure(self.jobs)
+        yield from dispatch(
+            _POOL.server, ctx, chunks, _POOL.worker_ids,
+            secret=_POOL.secret, alive=_POOL.alive, lifecycle=False,
+        )

@@ -10,9 +10,9 @@ checkpoint granularity only — every per-trial decision derives from
 so results are chunk-invariant.
 
 :func:`execute_chunk` is the one piece of trial-fold code in the whole
-package: the serial path, the worker pool and a resumed campaign all run
-it (directly, in a spawned process, or not at all because its persisted
-payload was recovered from disk).
+package: the serial path, the worker pools and a resumed campaign all
+run it (directly, in a worker process, or not at all because its
+persisted payload was recovered from disk).
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ def plan_chunks(
 class EngineContext:
     """Everything a backend needs to execute trials of one campaign.
 
-    Picklable as a unit: the pool backend ships one context per worker
-    (via the pool initializer), never per chunk.
+    Picklable as a unit: pooled backends ship one context per worker
+    and campaign (none at all to a worker that holds it warm), never
+    per chunk.
     """
 
     app: "AppProtocol"
@@ -98,10 +99,11 @@ class EngineContext:
     #: hot-path profiling (repro.obs.profiler) — carried to workers so a
     #: chunk's recorder attributes op time exactly like the parent's.
     profiling: bool = False
-    #: trials batched per lane-vectorized pass (repro.fi.lanes).  Chunk
-    #: planning ignores this — lane blocks subdivide chunks at execution
-    #: time, so chunk layout (and thus checkpoint identity) is
-    #: lanes-invariant.
+    #: trials batched per lane-vectorized pass (repro.fi.lanes), already
+    #: 1 wherever run_campaign decided the scalar path (scenarios without
+    #: lane support, profiling runs).  Chunk planning ignores this — lane
+    #: blocks subdivide chunks at execution time, so chunk layout (and
+    #: thus checkpoint identity) is lanes-invariant.
     lanes: int = 1
     #: causal tracing (repro.obs.trace) — carried to workers so a
     #: chunk's recorder collects spans exactly like the parent's.
@@ -159,18 +161,7 @@ def execute_chunk(
     """
     from repro.fi.campaign import run_one_trial  # circular at import time
 
-    # Profiling runs must meter per-trial op counts/time, which a shared
-    # batched pass cannot attribute — profiling forces the scalar path.
-    effective_lanes = 1 if ctx.profiling else max(1, ctx.lanes)
-    if effective_lanes > 1:
-        from repro.fi.scenarios import resolve_model  # circular at import
-
-        # lane batching replays bit-flip trial semantics only; other
-        # scenario families fall back to the scalar path (run_campaign
-        # already warned once)
-        if not resolve_model(ctx.deployment.scenario).supports_lanes:
-            effective_lanes = 1
-
+    lanes = max(1, ctx.lanes)
     mem: MemorySink | None = None
     if not capture:
         rec = get_recorder()
@@ -199,7 +190,7 @@ def execute_chunk(
     with recording(rec):
         trial = start
         while trial < stop:
-            block_stop = min(stop, trial + effective_lanes)
+            block_stop = min(stop, trial + lanes)
             if block_stop - trial == 1:
                 block_records = [run_one_trial(
                     ctx.app, ctx.deployment, ctx.profile, ctx.reference,

@@ -7,9 +7,10 @@
    from its checkpoint manifest — the layout is pinned at first write so
    resuming under a different ``jobs`` still re-runs exactly the missing
    trial ranges);
-2. pick a backend — :class:`~repro.engine.backends.InlineBackend` or
-   :class:`~repro.engine.backends.ProcessPoolBackend` — and stream the
-   missing chunks through it;
+2. pick a backend — :class:`~repro.engine.backends.InlineBackend`, the
+   process-lifetime :class:`~repro.engine.backends.ProcessPoolBackend`
+   or :class:`~repro.engine.distributed.DistributedBackend` — and stream
+   the missing chunks through it;
 3. persist each completed chunk the moment it lands (when checkpointing
    is on), emitting :class:`~repro.obs.CheckpointWritten`;
 4. fold everything — recovered and fresh — in deterministic chunk order

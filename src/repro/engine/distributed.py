@@ -1,12 +1,13 @@
-"""Distributed campaign execution: a socket work queue + warm workers.
+"""Pooled campaign execution: a socket work queue + warm workers.
 
-The third :class:`~repro.engine.backends.Backend`: the controller (this
-process, inside the driver) listens on a TCP socket and serves chunk
-work items; ``repro-worker`` processes — on this machine or any machine
-that can reach it — connect, initialize once, and stream chunk payloads
-back.  The driver's :class:`~repro.engine.aggregate.ChunkAggregator`
-folds those payloads in strict chunk order, so joint distributions,
-records, trial events and ``*.provenance.jsonl`` are byte-identical to
+The controller (:func:`dispatch`, inside the driver) listens on a TCP
+socket and serves chunk work items; ``repro-worker`` processes connect,
+initialize once, and stream chunk payloads back — from anywhere
+(:class:`DistributedBackend`) or spawned by the driver itself
+(:class:`~repro.engine.backends.ProcessPoolBackend`).  The driver's
+:class:`~repro.engine.aggregate.ChunkAggregator` folds the payloads in
+strict chunk order, so joint distributions, records, trial events and
+``*.provenance.jsonl`` are byte-identical to
 :class:`~repro.engine.backends.InlineBackend` for any worker count or
 join/leave timing (see docs/distributed.md for the exact contract).
 
@@ -15,12 +16,11 @@ Wire protocol — length-prefixed JSON frames
 
 Every message is a 4-byte big-endian length followed by one UTF-8 JSON
 object.  Binary state (the pickled :class:`EngineContext`, pickled
-:class:`ChunkPayload` results) rides base64-encoded inside the JSON —
-the same pickle transport the process-pool backend uses, framed so a
-partial read, a truncated frame or garbage on the wire is detected
-instead of misparsed.  The conversation::
+:class:`ChunkPayload` results) rides base64-encoded inside the JSON,
+framed so a partial read, a truncated frame or garbage on the wire is
+detected instead of misparsed.  The conversation::
 
-    worker  -> {"op": "hello", "pid": ..., "digests": [...]}
+    worker  -> {"op": "hello", "pid": ..., "digests": [...][, "secret": K]}
     control -> {"op": "init", "digest": D[, "ctx": <base64 pickle>]}
     worker  -> {"op": "ready", "warm": ..., "init_s": ...}
     control -> {"op": "chunk", "start": S, "stop": E}       (repeated)
@@ -28,12 +28,16 @@ instead of misparsed.  The conversation::
                 "payload": <base64 pickle>}                 (repeated)
     control -> {"op": "done"}
 
-Warm pools: the ``hello`` advertises the content digests of every
-campaign context the worker already holds initialized; the controller
-ships the pickled context only when the worker lacks it.  A worker's
-cache persists across its reconnect loop, so back-to-back campaigns
-with the same identity pay the unpickle cost once per worker, not once
-per campaign (cf. the modelops warm-pool design this follows).
+Warm pools: the ``hello`` advertises the content digests of the
+campaign contexts the worker already holds initialized (the
+:data:`WARM_LIMIT` most recently used); the controller ships the
+pickled context only when the worker lacks it.  A worker's cache
+persists across its reconnect loop, so back-to-back campaigns with the
+same identity pay the unpickle cost once per worker, not once per
+campaign (cf. the modelops warm-pool design this follows).
+
+A controller given a ``secret`` (the local pool's) drops every
+connection whose ``hello`` lacks it before sending or unpickling a byte.
 
 Failure semantics: dispatch is at-least-once.  A worker that
 disconnects (EOF — e.g. SIGKILL), misses its chunk deadline, or sends a
@@ -41,7 +45,8 @@ garbage frame is dropped and its in-flight chunk requeued
 (:class:`~repro.obs.events.ChunkRequeued`); exactly-once *folding* is
 guaranteed by the controller's completed-set and the aggregator's
 duplicate guard.  If every worker is gone and work remains past
-``worker_timeout``, the campaign fails with a typed
+``worker_timeout`` — or, for the local pool, as soon as none of its
+worker processes is alive — the campaign fails with a typed
 :class:`~repro.errors.WorkerCrashError` naming the first unfinished
 chunk — never a hang.
 """
@@ -51,18 +56,24 @@ from __future__ import annotations
 import argparse
 import base64
 import hashlib
+import hmac
+import itertools
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import selectors
+import signal
 import socket
 import struct
 import sys
+import threading
 import time
 import traceback
-from collections import deque
+from collections import OrderedDict, deque
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.engine.chunks import ChunkPayload, EngineContext, execute_chunk
 from repro.errors import DistributedProtocolError, WorkerCrashError
@@ -71,6 +82,8 @@ from repro.obs.events import ChunkRequeued, WorkerJoined, WorkerLost
 
 __all__ = [
     "DistributedBackend",
+    "dispatch",
+    "local_worker",
     "recv_frame",
     "send_frame",
     "worker_main",
@@ -88,6 +101,11 @@ MAX_FRAME_BYTES = 1 << 28
 DEFAULT_PLAN_WORKERS = 4
 
 _LEN = struct.Struct(">I")
+
+#: Campaign contexts a worker keeps initialized; the least recently used
+#: is evicted first.  A lifetime worker serving a sweep sees a new
+#: digest per deployment; only the last few are worth keeping warm.
+WARM_LIMIT = 4
 
 #: Per-socket timeout for blocking I/O (sends, worker-side receives are
 #: further bounded by the worker's ``--timeout``).
@@ -215,7 +233,7 @@ def _write_port_file(path: str, host: str, port: int) -> None:
 
 
 class _Worker:
-    """Controller-side connection state for one remote worker."""
+    """Controller-side connection state for one worker."""
 
     __slots__ = ("sock", "addr", "worker_id", "pid", "state", "chunk",
                  "deadline", "chunks_done", "warm", "frames")
@@ -225,7 +243,7 @@ class _Worker:
         self.addr = addr
         self.worker_id = worker_id
         self.pid = 0
-        self.state = "handshake"   # handshake -> idle <-> busy
+        self.state = "hello"   # hello -> init -> idle <-> busy
         self.chunk: Bounds | None = None
         self.deadline: float | None = deadline
         self.chunks_done = 0
@@ -233,16 +251,238 @@ class _Worker:
         self.frames = _FrameBuffer()
 
 
+def dispatch(
+    server: socket.socket,
+    ctx: EngineContext,
+    chunks: Sequence[Bounds],
+    worker_ids: Iterator[int],
+    *,
+    chunk_timeout: float | None = None,
+    worker_timeout: float | None = None,
+    secret: str | None = None,
+    alive: Callable[[], bool] | None = None,
+    lifecycle: bool = True,
+) -> Iterator[ChunkPayload]:
+    """The controller loop of every pooled backend.
+
+    Accepts workers on the caller's listening ``server``, hands idle
+    workers queued chunks, yields payloads in completion order (fold
+    order is the aggregator's job) and requeues the chunk of any worker
+    that disconnects, stalls past ``chunk_timeout`` or corrupts the
+    wire.  Timeouts default to ``$REPRO_DIST_CHUNK_TIMEOUT`` (300 s)
+    and ``$REPRO_DIST_WORKER_TIMEOUT`` (120 s).  The local pool adds
+    ``secret``, ``alive`` (False once none of its processes is left:
+    fail now, not at the worker timeout) and ``lifecycle=False`` (only
+    abnormal worker telemetry).
+    """
+    if chunk_timeout is None:
+        chunk_timeout = _env_timeout("REPRO_DIST_CHUNK_TIMEOUT", 300.0)
+    if worker_timeout is None:
+        worker_timeout = _env_timeout("REPRO_DIST_WORKER_TIMEOUT", 120.0)
+    ctx_b64 = _pickle_b64(ctx)
+    # content digest: identical campaign state => warm worker reuse
+    digest = hashlib.sha256(ctx_b64.encode("ascii")).hexdigest()[:24]
+    queue: deque[Bounds] = deque(sorted(chunks))
+    completed: set[Bounds] = set()
+    total = len(queue)
+    workers: dict[int, _Worker] = {}   # fileno -> state
+    server.setblocking(False)          # accept() drains, never waits
+    sel = selectors.DefaultSelector()
+    sel.register(server, selectors.EVENT_READ, data=None)
+    no_worker_deadline = time.monotonic() + worker_timeout
+
+    def unfinished(reason: str) -> WorkerCrashError:
+        lo, hi = min(b for b in chunks if b not in completed)
+        return WorkerCrashError(
+            f"{reason}; first unfinished chunk covers trials {lo}..{hi - 1} "
+            f"— rerun that range with jobs=1 to reproduce in-process, or "
+            f"rerun with checkpointing + resume to redo only the missing "
+            f"chunks",
+            chunk_start=lo, chunk_stop=hi,
+        )
+
+    def drop(worker: _Worker, reason: str) -> None:
+        """Forget a worker; requeue its in-flight chunk, if any."""
+        rec = get_recorder()
+        if worker.chunk is not None and worker.chunk not in completed:
+            rec.counter("distributed.chunks_requeued")
+            rec.emit(ChunkRequeued(
+                chunk_start=worker.chunk[0], chunk_stop=worker.chunk[1],
+                worker=worker.worker_id, reason=reason,
+            ))
+            queue.appendleft(worker.chunk)
+        worker.chunk = None
+        if reason != "released":
+            rec.counter("distributed.workers_lost")
+        if lifecycle or reason != "released":
+            rec.emit(WorkerLost(worker=worker.worker_id, reason=reason,
+                                chunks_done=worker.chunks_done))
+        sel.unregister(worker.sock)
+        del workers[worker.sock.fileno()]
+        worker.sock.close()
+
+    def handle(worker: _Worker, message: dict) -> ChunkPayload | None:
+        op = message.get("op")
+        if op == "hello" and worker.state == "hello":
+            if secret is not None and not hmac.compare_digest(
+                str(message.get("secret", "")).encode(), secret.encode()
+            ):
+                raise DistributedProtocolError(
+                    f"worker {worker.worker_id} failed authentication"
+                )
+            worker.pid = int(message.get("pid") or 0)
+            worker.warm = digest in message.get("digests", [])
+            init: dict = {"op": "init", "digest": digest}
+            if not worker.warm:
+                init["ctx"] = ctx_b64
+            send_frame(worker.sock, init)
+            worker.state = "init"
+            return None
+        if op == "ready" and worker.state == "init":
+            worker.state = "idle"
+            worker.deadline = None
+            if lifecycle:
+                init_s = float(message.get("init_s") or 0.0)
+                rec = get_recorder()
+                rec.counter("distributed.workers_joined")
+                rec.counter("distributed.warm_inits" if worker.warm
+                            else "distributed.cold_inits")
+                rec.observe("distributed.init_s", init_s)
+                rec.emit(WorkerJoined(
+                    worker=worker.worker_id, pid=worker.pid,
+                    addr="%s:%s" % worker.addr[:2], warm=worker.warm,
+                    init_s=init_s,
+                ))
+            return None
+        if op == "result" and worker.state == "busy":
+            bounds = (int(message["start"]), int(message["stop"]))
+            if bounds != worker.chunk:
+                raise DistributedProtocolError(
+                    f"worker {worker.worker_id} reported chunk {bounds}, "
+                    f"expected {worker.chunk}"
+                )
+            payload = _unpickle_b64(message["payload"])
+            if not isinstance(payload, ChunkPayload):
+                raise DistributedProtocolError(
+                    f"worker {worker.worker_id} shipped "
+                    f"{type(payload).__name__}, expected ChunkPayload"
+                )
+            worker.chunk = None
+            worker.state = "idle"
+            worker.deadline = None
+            worker.chunks_done += 1
+            rec = get_recorder()
+            if bounds in completed:
+                # at-least-once dispatch: another worker already
+                # reported the requeued chunk — fold exactly once
+                rec.counter("distributed.duplicate_results")
+                return None
+            completed.add(bounds)
+            if lifecycle:
+                rec.counter("distributed.chunks_completed")
+            return payload
+        if op == "error" and worker.state != "hello":
+            lo, hi = worker.chunk if worker.chunk else (None, None)
+            detail = message.get("message", "worker reported an error")
+            raise WorkerCrashError(
+                f"worker {worker.worker_id} failed while running "
+                f"{ctx.app.name!r} trials; remote traceback:\n{detail}",
+                chunk_start=lo, chunk_stop=hi,
+            )
+        raise DistributedProtocolError(
+            f"unexpected {op!r} frame from worker {worker.worker_id} "
+            f"in state {worker.state!r}"
+        )
+
+    try:
+        while len(completed) < total:
+            now = time.monotonic()
+            # deadlines: handshakes and busy chunks must make progress
+            for worker in [w for w in workers.values()
+                           if w.deadline is not None and now > w.deadline]:
+                drop(worker, "timeout")
+            if workers:
+                no_worker_deadline = now + worker_timeout
+            elif alive is not None and not alive():
+                raise unfinished(
+                    f"every worker process died while running "
+                    f"{ctx.app.name!r} trials (hard crash or external kill "
+                    f"before reporting its chunk)"
+                )
+            elif now > no_worker_deadline:
+                host, port = server.getsockname()[:2]
+                raise unfinished(
+                    f"no workers connected for {worker_timeout:.0f}s with "
+                    f"{total - len(completed)} chunk(s) outstanding — start "
+                    f"repro-worker processes pointed at {host}:{port}, or "
+                    f"rerun with an in-process backend"
+                )
+            for key, _ in sel.select(timeout=0.05):
+                if key.data is None:     # the listener: take its backlog
+                    while True:
+                        try:
+                            conn, addr = server.accept()
+                        except OSError:
+                            break
+                        conn.settimeout(_IO_TIMEOUT)
+                        worker = _Worker(
+                            conn, addr, next(worker_ids),
+                            time.monotonic() + worker_timeout,
+                        )
+                        workers[conn.fileno()] = worker
+                        sel.register(conn, selectors.EVENT_READ, data=worker)
+                    continue
+                worker = key.data
+                if worker.sock.fileno() not in workers:
+                    continue             # dropped earlier this round
+                try:
+                    data = worker.sock.recv(1 << 16)
+                except (OSError, ValueError):
+                    data = b""
+                if not data:
+                    drop(worker, "disconnect")
+                    continue
+                try:
+                    for message in worker.frames.feed(data):
+                        payload = handle(worker, message)
+                        if payload is not None:
+                            yield payload
+                except OSError:
+                    drop(worker, "disconnect")
+                except (DistributedProtocolError, KeyError, TypeError,
+                        ValueError):
+                    drop(worker, "protocol")
+            # hand every idle worker the next chunk
+            for worker in sorted(
+                (w for w in workers.values() if w.state == "idle"),
+                key=lambda w: w.worker_id,
+            ):
+                if not queue:
+                    break
+                bounds = queue.popleft()
+                worker.chunk = bounds
+                worker.state = "busy"
+                worker.deadline = time.monotonic() + chunk_timeout
+                try:
+                    send_frame(worker.sock, {
+                        "op": "chunk", "start": bounds[0], "stop": bounds[1],
+                    })
+                except OSError:
+                    drop(worker, "disconnect")
+    finally:
+        for worker in list(workers.values()):
+            try:
+                send_frame(worker.sock, {"op": "done"})
+            except OSError:
+                pass
+            drop(worker, "released")
+        sel.close()
+
+
 class DistributedBackend:
     """Serve chunks to remote ``repro-worker`` processes over a socket.
 
-    The controller owns no execution — it is a dispatcher: accept
-    workers, hand each idle worker the next queued chunk, fold results
-    as they stream back, and requeue the chunk of any worker that
-    disconnects, stalls past ``chunk_timeout``, or corrupts the wire.
-    Payloads are yielded in completion order (like the process pool);
-    deterministic fold order is the aggregator's job.
-
+    Binds a listener per campaign and runs :func:`dispatch` on it.
     ``port=0`` binds an ephemeral port; the bound address lands in
     ``self.address`` and, when ``$REPRO_DIST_PORT_FILE`` names a path,
     in that file (``host:port``) so shell-orchestrated workers can find
@@ -260,221 +500,26 @@ class DistributedBackend:
     ):
         self.host = host
         self.port = port
-        #: a busy worker must report its chunk within this many seconds
-        self.chunk_timeout = (
-            chunk_timeout if chunk_timeout is not None
-            else _env_timeout("REPRO_DIST_CHUNK_TIMEOUT", 300.0)
-        )
-        #: max time with zero connected workers (and for handshakes)
-        self.worker_timeout = (
-            worker_timeout if worker_timeout is not None
-            else _env_timeout("REPRO_DIST_WORKER_TIMEOUT", 120.0)
-        )
+        self.chunk_timeout = chunk_timeout
+        self.worker_timeout = worker_timeout
         self.address: tuple[str, int] | None = None
-        #: (warm, init_s) per completed handshake — benchmark fodder
-        self.init_stats: list[tuple[bool, float]] = []
-        self._next_worker_id = 1
-
-    # -- event/counter helpers (no-ops while obs is disabled) --------------
-
-    def _emit_joined(self, worker: _Worker, init_s: float) -> None:
-        rec = get_recorder()
-        rec.counter("distributed.workers_joined")
-        rec.counter(
-            "distributed.warm_inits" if worker.warm
-            else "distributed.cold_inits"
-        )
-        rec.observe("distributed.init_s", init_s)
-        rec.emit(WorkerJoined(
-            worker=worker.worker_id, pid=worker.pid,
-            addr="%s:%s" % worker.addr[:2], warm=worker.warm, init_s=init_s,
-        ))
-
-    def _emit_lost(self, worker: _Worker, reason: str) -> None:
-        rec = get_recorder()
-        if reason != "released":
-            rec.counter("distributed.workers_lost")
-        rec.emit(WorkerLost(
-            worker=worker.worker_id, reason=reason,
-            chunks_done=worker.chunks_done,
-        ))
-
-    def _emit_requeued(self, worker: _Worker, reason: str) -> None:
-        lo, hi = worker.chunk
-        rec = get_recorder()
-        rec.counter("distributed.chunks_requeued")
-        rec.emit(ChunkRequeued(
-            chunk_start=lo, chunk_stop=hi,
-            worker=worker.worker_id, reason=reason,
-        ))
-
-    # -- the dispatch loop -------------------------------------------------
+        self._worker_ids = itertools.count(1)
 
     def run(
         self, ctx: EngineContext, chunks: Sequence[Bounds]
     ) -> Iterator[ChunkPayload]:
-        ctx_b64 = _pickle_b64(ctx)
-        # content digest: identical campaign state => warm worker reuse
-        digest = hashlib.sha256(ctx_b64.encode("ascii")).hexdigest()[:24]
-        queue: deque[Bounds] = deque(sorted(chunks))
-        completed: set[Bounds] = set()
-        total = len(queue)
-        workers: dict[int, _Worker] = {}   # fileno -> state
-        sel = selectors.DefaultSelector()
         server = socket.create_server((self.host, self.port), backlog=16)
         self.address = server.getsockname()[:2]
         port_file = os.environ.get("REPRO_DIST_PORT_FILE")
         if port_file:
             _write_port_file(port_file, self.address[0], self.address[1])
-        sel.register(server, selectors.EVENT_READ, data=None)
-        no_worker_deadline = time.monotonic() + self.worker_timeout
-
-        def drop(worker: _Worker, reason: str) -> None:
-            """Forget a worker; requeue its in-flight chunk, if any."""
-            if worker.chunk is not None and worker.chunk not in completed:
-                self._emit_requeued(worker, reason)
-                queue.appendleft(worker.chunk)
-            worker.chunk = None
-            self._emit_lost(worker, reason)
-            sel.unregister(worker.sock)
-            del workers[worker.sock.fileno()]
-            worker.sock.close()
-
-        def handle(worker: _Worker, message: dict) -> ChunkPayload | None:
-            op = message.get("op")
-            if op == "hello" and worker.state == "handshake":
-                worker.pid = int(message.get("pid") or 0)
-                worker.warm = digest in message.get("digests", [])
-                init: dict = {"op": "init", "digest": digest}
-                if not worker.warm:
-                    init["ctx"] = ctx_b64
-                send_frame(worker.sock, init)
-                return None
-            if op == "ready" and worker.state == "handshake":
-                worker.state = "idle"
-                worker.deadline = None
-                init_s = float(message.get("init_s") or 0.0)
-                self.init_stats.append((worker.warm, init_s))
-                self._emit_joined(worker, init_s)
-                return None
-            if op == "result" and worker.state == "busy":
-                bounds = (int(message["start"]), int(message["stop"]))
-                if bounds != worker.chunk:
-                    raise DistributedProtocolError(
-                        f"worker {worker.worker_id} reported chunk {bounds}, "
-                        f"expected {worker.chunk}"
-                    )
-                payload = _unpickle_b64(message["payload"])
-                if not isinstance(payload, ChunkPayload):
-                    raise DistributedProtocolError(
-                        f"worker {worker.worker_id} shipped "
-                        f"{type(payload).__name__}, expected ChunkPayload"
-                    )
-                worker.chunk = None
-                worker.state = "idle"
-                worker.deadline = None
-                worker.chunks_done += 1
-                rec = get_recorder()
-                if bounds in completed:
-                    # at-least-once dispatch: another worker already
-                    # reported the requeued chunk — fold exactly once
-                    rec.counter("distributed.duplicate_results")
-                    return None
-                completed.add(bounds)
-                rec.counter("distributed.chunks_completed")
-                return payload
-            if op == "error":
-                lo, hi = worker.chunk if worker.chunk else (None, None)
-                detail = message.get("message", "worker reported an error")
-                raise WorkerCrashError(
-                    f"worker {worker.worker_id} failed while running "
-                    f"{ctx.app.name!r} trials; remote traceback:\n{detail}",
-                    chunk_start=lo, chunk_stop=hi,
-                )
-            raise DistributedProtocolError(
-                f"unexpected {op!r} frame from worker {worker.worker_id} "
-                f"in state {worker.state!r}"
-            )
-
         try:
-            while len(completed) < total:
-                now = time.monotonic()
-                # deadlines: handshakes and busy chunks must make progress
-                for worker in [w for w in workers.values()
-                               if w.deadline is not None and now > w.deadline]:
-                    drop(worker, "timeout")
-                if workers:
-                    no_worker_deadline = now + self.worker_timeout
-                elif now > no_worker_deadline:
-                    lo, hi = min(b for b in chunks if b not in completed)
-                    raise WorkerCrashError(
-                        f"no workers connected for {self.worker_timeout:.0f}s "
-                        f"with {total - len(completed)} chunk(s) outstanding; "
-                        f"first unfinished chunk covers trials {lo}..{hi - 1} "
-                        f"— start repro-worker processes pointed at "
-                        f"{self.address[0]}:{self.address[1]}, or rerun with "
-                        f"an in-process backend",
-                        chunk_start=lo, chunk_stop=hi,
-                    )
-                for key, _ in sel.select(timeout=0.05):
-                    if key.data is None:     # the listening socket
-                        try:
-                            conn, addr = server.accept()
-                        except OSError:
-                            continue
-                        conn.settimeout(_IO_TIMEOUT)
-                        worker = _Worker(
-                            conn, addr, self._next_worker_id,
-                            time.monotonic() + self.worker_timeout,
-                        )
-                        self._next_worker_id += 1
-                        workers[conn.fileno()] = worker
-                        sel.register(conn, selectors.EVENT_READ, data=worker)
-                        continue
-                    worker = key.data
-                    if worker.sock.fileno() not in workers:
-                        continue             # dropped earlier this round
-                    try:
-                        data = worker.sock.recv(1 << 16)
-                    except (OSError, ValueError):
-                        drop(worker, "disconnect")
-                        continue
-                    if not data:
-                        drop(worker, "disconnect")
-                        continue
-                    try:
-                        for message in worker.frames.feed(data):
-                            payload = handle(worker, message)
-                            if payload is not None:
-                                yield payload
-                    except DistributedProtocolError:
-                        drop(worker, "protocol")
-                        continue
-                # hand every idle worker the next chunk
-                for worker in sorted(
-                    (w for w in workers.values() if w.state == "idle"),
-                    key=lambda w: w.worker_id,
-                ):
-                    if not queue:
-                        break
-                    bounds = queue.popleft()
-                    worker.chunk = bounds
-                    worker.state = "busy"
-                    worker.deadline = time.monotonic() + self.chunk_timeout
-                    try:
-                        send_frame(worker.sock, {
-                            "op": "chunk", "start": bounds[0], "stop": bounds[1],
-                        })
-                    except OSError:
-                        drop(worker, "disconnect")
+            yield from dispatch(
+                server, ctx, chunks, self._worker_ids,
+                chunk_timeout=self.chunk_timeout,
+                worker_timeout=self.worker_timeout,
+            )
         finally:
-            for worker in list(workers.values()):
-                try:
-                    send_frame(worker.sock, {"op": "done"})
-                except OSError:
-                    pass
-                drop(worker, "released")
-            sel.close()
             server.close()
 
 
@@ -482,10 +527,10 @@ class DistributedBackend:
 # worker
 
 
-#: Warm campaign state, keyed by the controller's content digest.  Lives
-#: for the worker process's whole reconnect loop, so sequential
-#: campaigns with identical state skip the unpickle entirely.
-_WARM: dict[str, EngineContext] = {}
+#: Warm campaign state, keyed by the controller's content digest, least
+#: recently used first.  Lives for the worker process's whole reconnect
+#: loop, so sequential campaigns with identical state skip the unpickle.
+_WARM: OrderedDict[str, EngineContext] = OrderedDict()
 
 
 def _resolve_address(args) -> tuple[str, int] | None:
@@ -507,11 +552,12 @@ def _resolve_address(args) -> tuple[str, int] | None:
         return None
 
 
-def _serve_session(sock: socket.socket) -> bool:
+def _serve_session(sock: socket.socket, secret: str | None = None) -> bool:
     """One controller conversation; True when released by ``done``."""
-    send_frame(sock, {
-        "op": "hello", "pid": os.getpid(), "digests": sorted(_WARM),
-    })
+    hello = {"op": "hello", "pid": os.getpid(), "digests": sorted(_WARM)}
+    if secret is not None:
+        hello["secret"] = secret
+    send_frame(sock, hello)
     init = recv_frame(sock)
     if init is None or init.get("op") != "init":
         return False
@@ -530,7 +576,6 @@ def _serve_session(sock: socket.socket) -> bool:
                 "message": f"campaign state failed to unpickle: {exc}",
             })
             return False
-        _WARM[digest] = ctx
         warm = False
     else:
         ctx = _WARM.get(digest)
@@ -541,6 +586,10 @@ def _serve_session(sock: socket.socket) -> bool:
             })
             return False
         warm = True
+    _WARM[digest] = ctx
+    _WARM.move_to_end(digest)
+    while len(_WARM) > WARM_LIMIT:
+        _WARM.popitem(last=False)
     send_frame(sock, {
         "op": "ready", "warm": warm,
         "init_s": round(time.perf_counter() - t0, 6),
@@ -567,6 +616,34 @@ def _serve_session(sock: socket.socket) -> bool:
             "op": "result", "start": start, "stop": stop,
             "payload": _pickle_b64(payload),
         })
+
+
+def _exit_with_parent() -> None:
+    """Exit the moment the spawning process exits or dies."""
+    parent = multiprocessing.parent_process()
+    multiprocessing.connection.wait([parent.sentinel])
+    os._exit(0)
+
+
+def local_worker(address: tuple[str, int], secret: str) -> None:
+    """A local pool worker: serve the parent's campaigns until it exits.
+
+    The ``repro-worker`` session loop with no idle timer; Ctrl-C is the
+    parent's to handle.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+    while True:
+        try:
+            sock = socket.create_connection(address)
+        except OSError:
+            time.sleep(0.05)
+            continue
+        with sock:
+            try:
+                _serve_session(sock, secret)
+            except (OSError, DistributedProtocolError):
+                pass
 
 
 def worker_main(argv: Sequence[str] | None = None) -> int:

@@ -501,13 +501,14 @@ def run_campaign(
     breakdown caused by fault-perturbed control flow are classified as
     ``FAILURE``.
 
-    ``jobs`` > 1 fans the trials out over a spawn-safe worker pool; the
-    result — including the ``joint`` distribution the disk cache
-    persists — is bit-identical to the serial path for any worker
-    count.  ``lanes=N`` batches N trials into one lane-vectorized pass
-    through the application (see ``docs/performance.md``) — records,
-    events, and provenance stay bit-identical to ``lanes=1``, and the
-    knob composes freely with ``jobs`` and checkpoint/resume.
+    ``jobs`` > 1 fans the trials out over this process's warm worker
+    pool, which lives until the process exits; the result — including
+    the ``joint`` distribution the disk cache persists — is bit-identical
+    to the serial path for any worker count.  ``lanes=N`` batches N
+    trials into one lane-vectorized pass through the application (see
+    ``docs/performance.md``) — records, events, and provenance stay
+    bit-identical to ``lanes=1``, and the knob composes freely with
+    ``jobs`` and checkpoint/resume.
     ``checkpoint_every=N`` persists completed trial chunks as
     they finish, and ``resume=True`` recovers an interrupted campaign's
     durable chunks and re-runs only the missing ones — still
@@ -537,6 +538,8 @@ def run_campaign(
         with_resolved_ci(deployment, ci_halfwidth), scenario
     )
     n_jobs = _resolve_jobs(jobs, deployment)
+    obs = get_recorder()
+    # the one lane-fallback decision: the engine runs what it is given
     n_lanes = _resolve_lanes(lanes, deployment)
     model = resolve_model(deployment.scenario)
     if n_lanes > 1 and not model.supports_lanes:
@@ -546,10 +549,12 @@ def run_campaign(
             file=sys.stderr,
         )
         n_lanes = 1
+    # profiling meters per-trial op counts, which a batched pass cannot
+    if obs.enabled and obs.profiling:
+        n_lanes = 1
     ckpt_every = _resolve_checkpoint_every(checkpoint_every, deployment)
     do_resume = default_resume() if resume is None else resume
     backend_spec = _resolve_backend(backend, deployment)
-    obs = get_recorder()
     # the recorder accumulates across campaigns, so the profiler scopes
     # this campaign's span/op deltas (emitted as one CampaignProfile)
     prof_scope = (

@@ -12,19 +12,25 @@ pytest collection via tests/conftest.py).  Modes:
     sees exactly what a SIGKILL produces) after shipping N results.
     Deterministic stand-in for "worker killed mid-campaign".
 
-``slow-worker``
-    A real worker that sleeps before doing anything.  Lets a test put a
-    misbehaving child (``stall``, ``garbage``) deterministically first
-    in line: the bad child connects and takes/poisons a chunk while the
-    healthy worker is still asleep.
-
 ``stall``
-    Handshakes, accepts its first chunk, then never answers — the
-    controller must hit its chunk deadline and requeue.
+    Handshakes, accepts its first chunk, touches the optional marker
+    file, then never answers — the controller must hit its chunk
+    deadline (or see the child's death) and requeue.  Exits once the
+    controller drops it.
 
 ``garbage``
     Connects and writes bytes that are not a frame, then lingers — the
     controller must classify it as a protocol failure and drop it.
+    Exits once the controller drops it.
+
+``pool-driver``
+    A driver that runs one ``jobs=2`` campaign on the local worker
+    pool, prints the pool's worker pids as JSON, then returns once its
+    stdin closes (or dies when killed).
+
+Tests order the children by these exits and markers, never by sleeps:
+a healthy worker is started only once the misbehaving child has done
+its damage.
 """
 
 from __future__ import annotations
@@ -85,11 +91,6 @@ def mode_worker(argv: list[str]) -> int:
     return worker_main(argv)
 
 
-def mode_slow_worker(argv: list[str]) -> int:
-    time.sleep(float(argv[0]))
-    return mode_worker(argv[1:])
-
-
 def mode_quit_after(argv: list[str]) -> int:
     """Ship N chunk results, then die without closing the conversation."""
     n, port_file = int(argv[0]), argv[1]
@@ -124,6 +125,8 @@ def mode_stall(argv: list[str]) -> int:
     _handshake(sock)
     message = recv_frame(sock)          # the chunk we will never run
     assert message is not None and message["op"] == "chunk", message
+    if len(argv) > 1:
+        Path(argv[1]).touch()           # tell the test we hold a chunk
     try:
         sock.settimeout(60.0)
         sock.recv(1)                    # EOF when the controller drops us
@@ -145,12 +148,26 @@ def mode_garbage(argv: list[str]) -> int:
     return 0
 
 
+def mode_pool_driver(argv: list[str]) -> int:
+    """Run one pooled campaign, print the worker pids, exit or hang."""
+    import json
+
+    import repro.engine.backends as backends
+    from repro.apps import get_app
+    from repro.fi.campaign import Deployment, run_campaign
+
+    run_campaign(get_app("cg"), Deployment(nprocs=2, trials=8, seed=1), jobs=2)
+    print(json.dumps([proc.pid for proc in backends._POOL.procs]), flush=True)
+    sys.stdin.readline()                # until the test closes stdin
+    return 0
+
+
 MODES = {
     "worker": mode_worker,
-    "slow-worker": mode_slow_worker,
     "quit-after": mode_quit_after,
     "stall": mode_stall,
     "garbage": mode_garbage,
+    "pool-driver": mode_pool_driver,
 }
 
 

@@ -13,14 +13,21 @@ Three layers:
   are identical to ``InlineBackend``'s, under healthy pools and under
   worker death, stalls, garbage frames, and interrupt/resume.
 
+* Local-pool tests: ``--jobs`` campaigns run on the same controller
+  loop against loopback workers that live as long as the process —
+  pool lifetime, authentication, and exit with the driver.
+
 Workers must be subprocesses, never threads: ``execute_chunk`` swaps
 the *process-global* recorder while a chunk runs, so an in-process
-worker would race the driver's recorder.
+worker would race the driver's recorder.  (The warm-cache test is the
+one exception: it drives a worker session whose controller emits
+nothing while a chunk runs.)
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import socket
@@ -46,10 +53,16 @@ from repro.engine import (
     select_backend,
 )
 from repro.engine.chunks import EngineContext
+import repro.engine.backends as backends
+import repro.engine.distributed as distributed
 from repro.engine.distributed import (
     MAX_FRAME_BYTES,
+    WARM_LIMIT,
     _FrameBuffer,
+    _pickle_b64,
     _resolve_address,
+    _serve_session,
+    dispatch,
     recv_frame,
     send_frame,
     worker_main,
@@ -585,14 +598,35 @@ class TestDistributedParity:
 # ------------------------------------------------------------------ chaos
 
 
+def after(event, action) -> threading.Thread:
+    """Run ``action`` on a thread once ``event()`` returns.
+
+    The chaos tests order their children through process exits and
+    marker files, not sleeps: the healthy worker starts only after the
+    misbehaving child has done its damage, so the campaign cannot
+    finish before the controller has seen it.
+    """
+    thread = threading.Thread(target=lambda: (event(), action()), daemon=True)
+    thread.start()
+    return thread
+
+
+def wait_for_file(path: Path, budget: float = 60.0) -> None:
+    deadline = time.monotonic() + budget
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 class TestDistributedChaos:
     def test_worker_death_mid_campaign_completes_identically(self, pool):
         deployment = Deployment(nprocs=1, trials=40, seed=2)
         inline = run_campaign(
             DotApp(), deployment, keep_records=True, backend="inline"
         )
-        pool.spawn("quit-after", "2", str(pool.port_file))
-        pool.workers(1)
+        # The quitter is alone until it has died, so its two results
+        # cannot finish the campaign: the controller must read its EOF.
+        quitter = pool.spawn("quit-after", "2", str(pool.port_file))
+        after(quitter.wait, lambda: pool.workers(1))
         mem = obs.MemorySink()
         with obs.recording(obs.Recorder([mem])):
             dist = run_campaign(
@@ -602,29 +636,31 @@ class TestDistributedChaos:
         lost = [e for e in mem.of(obs.WorkerLost) if e.reason == "disconnect"]
         assert lost, pool.logs()
 
-    def test_sigkilled_worker_chunk_requeued_via_disconnect(self, pool):
+    def test_sigkilled_worker_chunk_requeued_via_disconnect(
+        self, pool, tmp_path
+    ):
         deployment = Deployment(nprocs=1, trials=30, seed=4)
         inline = run_campaign(
             DotApp(), deployment, keep_records=True, backend="inline"
         )
-        # The stall child connects first and sits on a chunk; a healthy
-        # worker joins ~2.5 s later; a timer SIGKILLs the stalled child,
-        # whose EOF must requeue its chunk with no deadline involved.
-        stalled = pool.spawn("stall", str(pool.port_file))
-        pool.spawn(
-            "slow-worker", "2.5",
-            "--port-file", str(pool.port_file), "--timeout", "60",
-        )
-        killer = threading.Timer(4.0, stalled.kill)
-        killer.start()
+        # The stall child takes a chunk and touches the marker; only
+        # then is it SIGKILLed, and only after its death does a healthy
+        # worker start.  Its EOF must requeue the chunk, no deadline
+        # involved.
+        marker = tmp_path / "stalled"
+        stalled = pool.spawn("stall", str(pool.port_file), str(marker))
+
+        def kill_then_replace():
+            stalled.kill()
+            stalled.wait()
+            pool.workers(1)
+
+        after(lambda: wait_for_file(marker), kill_then_replace)
         mem = obs.MemorySink()
-        try:
-            with obs.recording(obs.Recorder([mem])):
-                dist = run_campaign(
-                    DotApp(), deployment, keep_records=True, backend=DIST
-                )
-        finally:
-            killer.cancel()
+        with obs.recording(obs.Recorder([mem])):
+            dist = run_campaign(
+                DotApp(), deployment, keep_records=True, backend=DIST
+            )
         assert_campaigns_identical(dist, inline)
         assert mem.of(obs.ChunkRequeued), pool.logs()
         lost = [e for e in mem.of(obs.WorkerLost) if e.reason == "disconnect"]
@@ -638,11 +674,9 @@ class TestDistributedChaos:
         inline = run_campaign(
             DotApp(), deployment, keep_records=True, backend="inline"
         )
-        pool.spawn("stall", str(pool.port_file))
-        pool.spawn(
-            "slow-worker", "2.5",
-            "--port-file", str(pool.port_file), "--timeout", "60",
-        )
+        # the stall child exits once the controller drops it
+        stalled = pool.spawn("stall", str(pool.port_file))
+        after(stalled.wait, lambda: pool.workers(1))
         mem = obs.MemorySink()
         with obs.recording(obs.Recorder([mem])):
             dist = run_campaign(
@@ -658,11 +692,9 @@ class TestDistributedChaos:
         inline = run_campaign(
             DotApp(), deployment, keep_records=True, backend="inline"
         )
-        pool.spawn("garbage", str(pool.port_file))
-        pool.spawn(
-            "slow-worker", "1.5",
-            "--port-file", str(pool.port_file), "--timeout", "60",
-        )
+        # the garbage child exits once the controller drops it
+        garbage = pool.spawn("garbage", str(pool.port_file))
+        after(garbage.wait, lambda: pool.workers(1))
         mem = obs.MemorySink()
         with obs.recording(obs.Recorder([mem])):
             dist = run_campaign(
@@ -721,3 +753,256 @@ class TestDistributedChaos:
             == provenance_path(clean_trace).read_bytes()
         ), pool.logs()
         assert stripped_events(resumed_trace) == stripped_events(clean_trace)
+
+
+# ------------------------------------------------------------- warm cache
+
+
+def engine_ctx(seed: int) -> EngineContext:
+    from repro.fi.tracer import Tracer, TracerMode
+    from repro.mpisim.runner import execute_spmd
+
+    app = DotApp()
+    deployment = Deployment(nprocs=1, trials=4, seed=seed)
+    tracer = Tracer(TracerMode.PROFILE)
+    outputs = execute_spmd(app.program, deployment.nprocs, sink=tracer)
+    return EngineContext(
+        app=app, deployment=deployment, profile=tracer.profile,
+        reference=outputs[0], keep_records=True, obs_enabled=False,
+    )
+
+
+def serve_in_thread(ctx: EngineContext) -> tuple[bool, ChunkPayload]:
+    """One campaign against an in-process worker session.
+
+    Returns whether the worker joined warm, and its one payload.  Safe
+    on a thread: the controller emits only while the worker is idle.
+    """
+    mem = obs.MemorySink()
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        def work():
+            with socket.create_connection(server.getsockname()[:2]) as sock:
+                _serve_session(sock)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        with obs.recording(obs.Recorder([mem])):
+            (payload,) = dispatch(server, ctx, [(0, 4)], itertools.count(1))
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    (joined,) = mem.of(obs.WorkerJoined)
+    return joined.warm, payload
+
+
+class TestWarmCache:
+    def test_worker_keeps_only_the_most_recent_contexts(self, monkeypatch):
+        monkeypatch.setattr(distributed, "_WARM", distributed.OrderedDict())
+        ctxs = [engine_ctx(seed) for seed in range(WARM_LIMIT + 1)]
+        warm, first = serve_in_thread(ctxs[0])
+        assert not warm
+        assert serve_in_thread(ctxs[0])[0]          # held: warm rejoin
+        for ctx in ctxs[1:]:
+            serve_in_thread(ctx)
+        assert len(distributed._WARM) == WARM_LIMIT
+        # ctxs[0] was least recently used: evicted, so a cold init that
+        # computes the same payload
+        warm, again = serve_in_thread(ctxs[0])
+        assert not warm
+        assert (again.joint, again.records) == (first.joint, first.records)
+        assert serve_in_thread(ctxs[-1])[0]          # still held
+
+
+# ------------------------------------------------------------- local pool
+
+
+def shut_down_local_pool() -> None:
+    pool = backends._POOL
+    if pool is not None:
+        for proc in pool.procs:
+            proc.terminate()
+        for proc in pool.procs:
+            proc.join(timeout=10)
+        pool.server.close()
+        backends._POOL = None
+
+
+@pytest.fixture
+def fresh_local_pool():
+    """A local pool that starts empty and is torn down afterwards."""
+    shut_down_local_pool()
+    yield
+    shut_down_local_pool()
+
+
+class BarrierApp(DotApp):
+    """Holds every worker-side trial until ``parties`` workers arrive.
+
+    Each worker process touches a file named after its pid in
+    ``barrier_dir``; trials proceed once ``parties`` files exist.  The
+    driver process (profiling pass, inline runs) never waits.
+    """
+
+    name = "dist-barrier"
+
+    def __init__(self, barrier_dir: Path, parties: int):
+        super().__init__()
+        self.barrier_dir = str(barrier_dir)
+        self.parties = parties
+        self.parent_pid = os.getpid()
+
+    def program(self, rank, size, comm, fp):
+        if os.getpid() != self.parent_pid:
+            Path(self.barrier_dir, str(os.getpid())).touch()
+            deadline = time.monotonic() + 60.0
+            while (len(os.listdir(self.barrier_dir)) < self.parties
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+        return super().program(rank, size, comm, fp)
+
+
+def trace_events(trace_path: Path, kind: str) -> list[dict]:
+    return [
+        blob for blob in map(json.loads, trace_path.read_text().splitlines())
+        if blob.get("type") == kind
+    ]
+
+
+def alive_pid(pid: int) -> bool:
+    """Running (not a zombie) per /proc."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestLocalPool:
+    def test_pool_outlives_campaigns_and_rejoins_warm(
+        self, fresh_local_pool, tmp_path, monkeypatch
+    ):
+        # the pool emits no join events; surface them for this test only
+        real = backends.dispatch
+        monkeypatch.setattr(
+            backends, "dispatch",
+            lambda *args, **kw: real(*args, **{**kw, "lifecycle": True}),
+        )
+        barrier = tmp_path / "barrier"
+        barrier.mkdir()
+        first = (BarrierApp(barrier, parties=2),
+                 Deployment(nprocs=2, trials=24, seed=11))
+        second = (DotApp(), Deployment(nprocs=2, trials=24, seed=12))
+        joins, pids = [], []
+        for k, (app, deployment) in enumerate([first, second, first]):
+            pooled_trace = tmp_path / f"pooled-{k}.jsonl"
+            inline_trace = tmp_path / f"inline-{k}.jsonl"
+            pooled = traced(pooled_trace, lambda: run_campaign(
+                app, deployment, keep_records=True, jobs=2))
+            inline = traced(inline_trace, lambda: run_campaign(
+                app, deployment, keep_records=True, jobs=1))
+            assert_campaigns_identical(pooled, inline)
+            assert (provenance_path(pooled_trace).read_bytes()
+                    == provenance_path(inline_trace).read_bytes())
+            assert (stripped_events(pooled_trace)
+                    == stripped_events(inline_trace))
+            joined = trace_events(pooled_trace, "worker_joined")
+            joins.append([(e["pid"], e["warm"]) for e in joined])
+            pids.append([proc.pid for proc in backends._POOL.procs])
+        # one pool of two workers served all three campaigns
+        assert len(pids[0]) == 2 and pids[0] == pids[1] == pids[2]
+        # the barrier made both workers serve the first campaign
+        assert {pid for pid, _ in joins[0]} == set(pids[0])
+        assert not any(warm for _, warm in joins[0])
+        assert {pid for pid, _ in joins[1]} <= set(pids[0])
+        # repeating the first deployment: every worker already holds it
+        assert joins[2] and all(warm for _, warm in joins[2])
+
+    def test_nominal_campaign_emits_no_worker_telemetry(self):
+        mem = obs.MemorySink()
+        with obs.recording(obs.Recorder([mem])) as rec:
+            run_campaign(DotApp(), Deployment(nprocs=1, trials=12, seed=3),
+                         jobs=2)
+        assert not any(
+            isinstance(e, (obs.WorkerJoined, obs.WorkerLost,
+                           obs.ChunkRequeued))
+            for e in mem.events
+        )
+        assert not [k for k in rec.counters if k.startswith("distributed.")]
+        assert "distributed.init_s" not in rec.histograms
+
+    def test_pool_never_touches_the_distributed_port_file(
+        self, tmp_path, monkeypatch
+    ):
+        port_file = tmp_path / "controller.port"
+        port_file.write_text("127.0.0.1:1\n")   # nothing listens there
+        monkeypatch.setenv("REPRO_DIST_PORT_FILE", str(port_file))
+        deployment = Deployment(nprocs=1, trials=12, seed=3)
+        pooled = run_campaign(DotApp(), deployment, keep_records=True, jobs=2)
+        inline = run_campaign(DotApp(), deployment, keep_records=True, jobs=1)
+        assert_campaigns_identical(pooled, inline)
+        assert port_file.read_text() == "127.0.0.1:1\n"
+
+    def test_unauthenticated_connection_is_dropped_unread(self, tmp_path):
+        deployment = Deployment(nprocs=1, trials=20, seed=6)
+        inline = run_campaign(
+            DotApp(), deployment, keep_records=True, backend="inline"
+        )
+        run_campaign(DotApp(), deployment, jobs=2)       # start the pool
+        # a well-formed hello without the secret, then a result frame
+        # whose payload would touch ``tripwire`` if it were unpickled
+        tripwire = tmp_path / "unpickled"
+        intruder = socket.create_connection(
+            backends._POOL.server.getsockname()[:2]
+        )
+        with intruder:
+            send_frame(intruder, {"op": "hello", "pid": 1, "digests": []})
+            send_frame(intruder, {
+                "op": "result", "start": 0, "stop": 3,
+                "payload": _pickle_b64(Tripwire(str(tripwire))),
+            })
+            mem = obs.MemorySink()
+            with obs.recording(obs.Recorder([mem])):
+                pooled = run_campaign(
+                    DotApp(), deployment, keep_records=True, jobs=2
+                )
+            intruder.settimeout(30)
+            assert intruder.recv(1 << 16) == b""        # dropped, no init
+        assert_campaigns_identical(pooled, inline)
+        assert [e.reason for e in mem.of(obs.WorkerLost)] == ["protocol"]
+        assert not tripwire.exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="needs /proc")
+    @pytest.mark.parametrize("how", ["exit", "kill"])
+    def test_workers_exit_with_their_driver(self, how):
+        env = dict(os.environ, REPRO_CACHE="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        driver = subprocess.Popen(
+            [sys.executable, CHILD, "pool-driver"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            pids = json.loads(driver.stdout.readline())
+            assert len(pids) == 2 and all(map(alive_pid, pids))
+            if how == "kill":
+                driver.kill()
+            driver.stdin.close()                # "exit": the driver returns
+            driver.wait(timeout=60)
+        finally:
+            driver.kill()
+            driver.stdout.close()
+        deadline = time.monotonic() + 30.0
+        while any(map(alive_pid, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(alive_pid, pids))
+
+
+class Tripwire:
+    """Touches ``path`` when unpickled."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __reduce__(self):
+        return (Path.touch, (Path(self.path),))

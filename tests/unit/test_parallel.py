@@ -10,6 +10,7 @@ regression keys off the serial numbers.
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -189,12 +190,20 @@ class TestCacheInteraction:
 class TestWorkerFailure:
     def test_worker_crash_is_a_clear_error_not_a_hang(self):
         app = CrashingWorkerApp()
+        started = time.monotonic()
         with pytest.raises(WorkerCrashError, match="worker process died"):
             run_campaign(app, Deployment(nprocs=1, trials=6, seed=0), jobs=2)
+        # raised once no worker was left alive, not at the 120 s
+        # worker timeout
+        assert time.monotonic() - started < 30.0
+        # the next campaign respawns the pool
+        deployment = Deployment(nprocs=1, trials=6, seed=0)
+        assert (run_campaign(ParityApp(), deployment, jobs=2).joint
+                == run_campaign(ParityApp(), deployment, jobs=1).joint)
 
     def test_worker_exception_propagates(self):
         app = RaisingWorkerApp()
-        with pytest.raises(RuntimeError, match="worker exploded on purpose"):
+        with pytest.raises(WorkerCrashError, match="worker exploded"):
             run_campaign(app, Deployment(nprocs=1, trials=6, seed=0), jobs=2)
 
 
