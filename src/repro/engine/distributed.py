@@ -75,6 +75,7 @@ from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
+from repro import knobs
 from repro.engine.chunks import ChunkPayload, EngineContext, execute_chunk
 from repro.errors import DistributedProtocolError, WorkerCrashError
 from repro.obs import get_recorder
@@ -110,18 +111,6 @@ WARM_LIMIT = 4
 #: Per-socket timeout for blocking I/O (sends, worker-side receives are
 #: further bounded by the worker's ``--timeout``).
 _IO_TIMEOUT = 30.0
-
-
-def _env_timeout(name: str, default: float) -> float:
-    """A positive float from the environment, or ``default``."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
 
 
 # --------------------------------------------------------------------------
@@ -276,9 +265,9 @@ def dispatch(
     abnormal worker telemetry).
     """
     if chunk_timeout is None:
-        chunk_timeout = _env_timeout("REPRO_DIST_CHUNK_TIMEOUT", 300.0)
+        chunk_timeout = knobs.env_value("dist_chunk_timeout")
     if worker_timeout is None:
-        worker_timeout = _env_timeout("REPRO_DIST_WORKER_TIMEOUT", 120.0)
+        worker_timeout = knobs.env_value("dist_worker_timeout")
     ctx_b64 = _pickle_b64(ctx)
     # content digest: identical campaign state => warm worker reuse
     digest = hashlib.sha256(ctx_b64.encode("ascii")).hexdigest()[:24]
@@ -533,7 +522,7 @@ class DistributedBackend:
 _WARM: OrderedDict[str, EngineContext] = OrderedDict()
 
 
-def _resolve_address(args) -> tuple[str, int] | None:
+def _controller_address(args) -> tuple[str, int] | None:
     """The controller address, re-read each attempt (ephemeral ports)."""
     text = None
     if args.port_file:
@@ -686,7 +675,7 @@ def worker_main(argv: Sequence[str] | None = None) -> int:
     served = 0
     deadline = time.monotonic() + args.timeout
     while time.monotonic() < deadline:
-        address = _resolve_address(args)
+        address = _controller_address(args)
         if address is None:
             time.sleep(0.05)
             continue

@@ -46,6 +46,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro import knobs
 from repro.experiments import EXPERIMENTS
 
 __all__ = ["main"]
@@ -281,50 +282,15 @@ def main(argv: list[str] | None = None) -> int:
              "the paper uses 4000)",
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes per campaign (default: $REPRO_JOBS or 1). "
-             "Results are bit-identical for any N; see docs/performance.md",
-    )
-    parser.add_argument(
-        "--lanes", type=int, default=None, metavar="N",
-        help="fault-injection trials batched per lane-vectorized pass "
-             "through the application (default: $REPRO_LANES or 1). "
-             "Results are bit-identical for any N; see docs/performance.md",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
-        help="persist campaign progress every N trials; an interrupted run "
-             "can then be resumed with --resume (see docs/engine.md)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume interrupted campaigns from their checkpoints, "
-             "re-running only the missing trials",
-    )
-    parser.add_argument(
-        "--ci-halfwidth", type=float, default=None, metavar="H",
-        help="adaptive precision target in (0, 0.5): stop each deployment "
-             "once every outcome rate's 95%% Wilson half-width is <= H, "
-             "with --trials as the cap (e.g. 0.05 for ±5 pp; see "
-             "docs/adaptive.md). Default: $REPRO_CI_HALFWIDTH or fixed-N",
-    )
-    parser.add_argument(
-        "--scenario", metavar="NAME[:k=v,...]", default=None,
-        help="fault-scenario family injected per trial: bitflip (default), "
-             "rankkill (fail-stop a rank; rank=R pins the victim), or "
-             "msgcorrupt (flip a bit in a message in transit; bit=B pins "
-             "the bit). See docs/scenarios.md. Default: $REPRO_SCENARIO "
-             "or bitflip",
-    )
-    parser.add_argument(
-        "--backend", metavar="SPEC", default=None,
-        help="execution backend for every campaign: inline, process, or "
-             "distributed:host:port (a controller socket that repro-worker "
-             "processes connect to; port 0 binds ephemerally — see "
-             "docs/distributed.md). Results are bit-identical across "
-             "backends. Default: $REPRO_BACKEND or auto-select from --jobs",
-    )
+    for knob in knobs.FLAG_KNOBS:
+        if isinstance(knob.default, bool):  # an on/off switch
+            parser.add_argument(
+                knob.flag, action="store_true", default=None, help=knob.help
+            )
+        else:
+            parser.add_argument(
+                knob.flag, metavar=knob.metavar, default=None, help=knob.help
+            )
     parser.add_argument(
         "--trace-out", metavar="PATH", default=None,
         help="write a JSONL observability trace (replay with obs-report)",
@@ -363,82 +329,30 @@ def main(argv: list[str] | None = None) -> int:
     if args.quiet and args.progress:
         parser.error("--progress and --quiet are mutually exclusive")
 
-    if args.jobs is not None:
-        if args.jobs < 1:
-            parser.error(f"--jobs must be >= 1, got {args.jobs}")
-        # Campaigns resolve their worker count from $REPRO_JOBS (see
-        # repro.fi.campaign.default_jobs), so one env write reaches every
-        # deployment the experiment harnesses build.
-        os.environ["REPRO_JOBS"] = str(args.jobs)
+    from repro.errors import ConfigurationError
 
-    if args.lanes is not None:
-        if args.lanes < 1:
-            parser.error(f"--lanes must be >= 1, got {args.lanes}")
-        # Same env-var relay as --jobs: every campaign resolves its lane
-        # count via repro.fi.campaign.default_lanes.
-        os.environ["REPRO_LANES"] = str(args.lanes)
-
-    if args.checkpoint_every is not None:
-        if args.checkpoint_every < 1:
-            parser.error(
-                f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-            )
-        # Same env-var relay as --jobs: every campaign resolves its
-        # checkpoint interval via repro.fi.campaign.default_checkpoint_every.
-        os.environ["REPRO_CHECKPOINT_EVERY"] = str(args.checkpoint_every)
-    if args.resume:
-        os.environ["REPRO_RESUME"] = "1"
-
-    if args.ci_halfwidth is not None:
-        if not 0.0 < args.ci_halfwidth < 0.5:
-            parser.error(
-                f"--ci-halfwidth must be in (0, 0.5), got {args.ci_halfwidth}"
-            )
-        # Same env-var relay as --jobs: every deployment resolves its
-        # precision target via repro.fi.campaign.default_ci_halfwidth.
-        os.environ["REPRO_CI_HALFWIDTH"] = repr(args.ci_halfwidth)
-
-    if args.scenario is not None:
-        from repro.errors import ConfigurationError
-        from repro.fi.scenarios import canonical_scenario
-
+    # Every campaign resolves its knobs from the environment last, so one
+    # env write reaches every deployment the experiment harnesses build.
+    # The validated flag text is relayed as given: "--scenario bitflip"
+    # must still override an inherited $REPRO_SCENARIO.
+    for knob in knobs.FLAG_KNOBS:
+        raw = getattr(args, knob.name)
+        if raw is None:
+            continue
         try:
-            canonical = canonical_scenario(args.scenario)
+            knob.parse(raw, knob.flag)
         except ConfigurationError as exc:
             parser.error(str(exc))
-        # Same env-var relay as --jobs: every deployment resolves its
-        # fault family via repro.fi.campaign.default_scenario.  The
-        # canonical default (parameterless bit flips) relays as the
-        # explicit name so --scenario bitflip still overrides an
-        # inherited $REPRO_SCENARIO.
-        os.environ["REPRO_SCENARIO"] = canonical or "bitflip"
-
-    if args.backend is not None:
-        from repro.engine.backends import canonical_backend
-        from repro.errors import ConfigurationError
-
-        try:
-            canonical = canonical_backend(args.backend)
-        except ConfigurationError as exc:
-            parser.error(str(exc))
-        # Same env-var relay as --jobs: every deployment resolves its
-        # execution backend via repro.fi.campaign.default_backend.
-        os.environ["REPRO_BACKEND"] = canonical
+        os.environ[knob.env] = str(raw)
 
     serve_port = args.serve_obs
     if serve_port is None:
-        raw = os.environ.get("REPRO_OBS_PORT")
-        if raw is not None and raw != "":
-            try:
-                serve_port = int(raw)
-            except ValueError:
-                print(
-                    f"repro: warning: malformed REPRO_OBS_PORT={raw!r}; "
-                    f"telemetry server disabled",
-                    file=sys.stderr,
-                )
-    if serve_port is not None and not 0 <= serve_port <= 65535:
-        parser.error(f"--serve-obs port must be in [0, 65535], got {serve_port}")
+        serve_port = knobs.env_value("obs_port")
+    else:
+        try:
+            knobs.KNOBS["obs_port"].parse(serve_port, "--serve-obs")
+        except ConfigurationError as exc:
+            parser.error(str(exc))
 
     recorder = previous = None
     server = None

@@ -24,13 +24,12 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro import knobs
 from repro.fi.campaign import (
     AppProtocol,
     CampaignResult,
     Deployment,
     run_campaign,
-    with_resolved_ci,
-    with_resolved_scenario,
 )
 from repro.fi.outcomes import Outcome
 from repro.obs import CacheCorrupt, CacheHit, CacheMiss, CacheWrite, get_recorder
@@ -49,7 +48,7 @@ _CACHE_VERSION = "v1"
 
 def cache_enabled() -> bool:
     """Is disk caching active? (disable with ``REPRO_CACHE=0``)."""
-    return os.environ.get("REPRO_CACHE", "1") != "0"
+    return knobs.env_value("cache")
 
 
 def cache_dir() -> Path:
@@ -60,10 +59,11 @@ def cache_dir() -> Path:
 def deployment_key(deployment: Deployment) -> str:
     """Stable identity string for a deployment's *result*.
 
-    Execution knobs that cannot change the outcome — ``jobs``,
-    ``lanes``, ``checkpoint_every`` — are deliberately excluded: the
-    same string
-    keys both the result cache and the engine's checkpoint store
+    Only knobs that change what the trials execute enter the key
+    (:data:`repro.knobs.KEYED_KNOBS`, appended when set); execution
+    knobs — ``jobs``, ``lanes``, ``checkpoint_every``, ``backend`` —
+    are deliberately excluded: the same string keys both the result
+    cache and the engine's checkpoint store
     (:mod:`repro.engine.checkpoint`), so a campaign interrupted under
     one worker count can resume under another.
     """
@@ -76,10 +76,10 @@ def deployment_key(deployment: Deployment) -> str:
         key += f",b={deployment.bits_per_error}"  # single-bit keys stable
     if deployment.max_steps is not None:  # same trick: the runaway guard
         key += f",ms={deployment.max_steps}"  # changes outcomes when set
-    if deployment.ci_halfwidth is not None:  # adaptive stopping changes
-        key += f",ci={deployment.ci_halfwidth!r}"  # the executed trial set
-    if deployment.scenario is not None:  # non-default fault family: the
-        key += f",sc={deployment.scenario}"  # canonical default is None
+    for knob in knobs.KEYED_KNOBS:
+        value = getattr(deployment, knob.field)
+        if value is not None:
+            key += f",{knob.key_tag}={value}"
     return key
 
 
@@ -215,10 +215,11 @@ def cached_campaign(app: AppProtocol, deployment: Deployment) -> CampaignResult:
     incident.  Hits, misses and writes are counted with byte sizes when
     observability is enabled.
     """
-    # pin the effective precision target and fault scenario before
-    # keying: both change what the trials execute, so they must never
-    # share a cache entry (or checkpoint identity) with other settings
-    deployment = with_resolved_scenario(with_resolved_ci(deployment))
+    # pin the effective knobs before keying: the precision target and
+    # the fault scenario change what the trials execute, so they must
+    # never share a cache entry (or checkpoint identity) with other
+    # settings
+    deployment = knobs.resolve(deployment)
     if not cache_enabled():
         return run_campaign(app, deployment)
     obs = get_recorder()

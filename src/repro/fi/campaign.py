@@ -11,16 +11,16 @@ raw material for every model input and every figure of the paper.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Generator, Protocol
 
+from repro import knobs
 from repro.errors import ConfigurationError
 from repro.fi.outcomes import Outcome, TrialRecord
 from repro.fi.profile import InstructionProfile
-from repro.fi.scenarios import canonical_scenario, resolve_model
+from repro.fi.scenarios import resolve_model
 from repro.fi.tracer import Tracer, TracerMode
 from repro.mpisim.runner import execute_spmd
 from repro.obs import (
@@ -41,165 +41,8 @@ from repro.utils.validation import check_positive_int
 
 __all__ = [
     "Deployment", "CampaignResult", "run_campaign", "run_one_trial",
-    "default_jobs", "default_lanes", "default_checkpoint_every",
-    "default_resume", "default_ci_halfwidth", "default_scenario",
-    "default_backend",
-    "with_resolved_ci", "with_resolved_scenario",
     "AppProtocol",
 ]
-
-
-def default_jobs() -> int:
-    """Worker processes per campaign: ``$REPRO_JOBS``, falling back to 1.
-
-    1 means the classic in-process serial loop.  Any value produces a
-    bit-identical ``joint`` distribution (see :mod:`repro.engine`), so
-    this only trades wall-clock for cores.
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
-def default_lanes() -> int:
-    """Shadow-execution lanes per pass: ``$REPRO_LANES``, falling back to 1.
-
-    1 means the classic one-trial-per-execution loop.  Any value
-    produces bit-identical records, events, and provenance (see
-    ``docs/performance.md``), so — like ``jobs`` — this only trades
-    wall-clock for memory.  A malformed or non-positive value warns once
-    on stderr and leaves lane batching off rather than aborting an
-    otherwise valid run.
-    """
-    raw = os.environ.get("REPRO_LANES")
-    if raw is None or raw == "":
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        print(
-            f"repro: warning: malformed REPRO_LANES={raw!r}; "
-            f"lane batching disabled",
-            file=sys.stderr,
-        )
-        return 1
-    if value < 1:
-        print(
-            f"repro: warning: REPRO_LANES={value} is not positive; "
-            f"lane batching disabled",
-            file=sys.stderr,
-        )
-        return 1
-    return value
-
-
-def default_checkpoint_every() -> int | None:
-    """Checkpoint interval: ``$REPRO_CHECKPOINT_EVERY`` trials, else off.
-
-    None disables checkpointing (the classic fire-and-forget campaign).
-    A malformed or non-positive value warns once on stderr and leaves
-    checkpointing off rather than aborting an otherwise valid run.
-    """
-    raw = os.environ.get("REPRO_CHECKPOINT_EVERY")
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        print(
-            f"repro: warning: malformed REPRO_CHECKPOINT_EVERY={raw!r}; "
-            f"checkpointing disabled",
-            file=sys.stderr,
-        )
-        return None
-    if value < 1:
-        print(
-            f"repro: warning: REPRO_CHECKPOINT_EVERY={value} is not "
-            f"positive; checkpointing disabled",
-            file=sys.stderr,
-        )
-        return None
-    return value
-
-
-def default_resume() -> bool:
-    """Resume from checkpoints by default? (``$REPRO_RESUME``, off unless set)."""
-    return os.environ.get("REPRO_RESUME", "0").lower() not in ("0", "", "false", "no")
-
-
-def default_ci_halfwidth() -> float | None:
-    """Adaptive precision target: ``$REPRO_CI_HALFWIDTH``, else fixed-N.
-
-    None keeps the classic fixed-trial-count campaign.  A malformed or
-    out-of-range value warns once on stderr and leaves adaptive stopping
-    off rather than aborting an otherwise valid run.
-    """
-    raw = os.environ.get("REPRO_CI_HALFWIDTH")
-    if raw is None or raw == "":
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        print(
-            f"repro: warning: malformed REPRO_CI_HALFWIDTH={raw!r}; "
-            f"adaptive stopping disabled",
-            file=sys.stderr,
-        )
-        return None
-    if not 0.0 < value < 0.5:
-        print(
-            f"repro: warning: REPRO_CI_HALFWIDTH={value} outside (0, 0.5); "
-            f"adaptive stopping disabled",
-            file=sys.stderr,
-        )
-        return None
-    return value
-
-
-def default_scenario() -> str | None:
-    """Fault-scenario family: ``$REPRO_SCENARIO``, falling back to bit flips.
-
-    None means the classic transient bit-flip pipeline.  Specs are
-    ``name[:k=v,...]`` (see :mod:`repro.fi.scenarios`); a malformed or
-    unknown spec warns once on stderr and leaves the default family in
-    place rather than aborting an otherwise valid run.
-    """
-    raw = os.environ.get("REPRO_SCENARIO")
-    if raw is None or raw.strip() == "":
-        return None
-    try:
-        return canonical_scenario(raw)
-    except ConfigurationError as exc:
-        print(
-            f"repro: warning: ignoring REPRO_SCENARIO={raw!r}: {exc}",
-            file=sys.stderr,
-        )
-        return None
-
-
-def default_backend() -> str | None:
-    """Execution backend: ``$REPRO_BACKEND``, falling back to auto-select.
-
-    None lets :func:`~repro.engine.core.select_backend` pick from
-    ``jobs`` (the classic heuristic).  Specs are ``inline``, ``process``,
-    or ``distributed:host:port`` (see :mod:`repro.engine.distributed`);
-    a malformed spec warns once on stderr and leaves auto-selection in
-    place rather than aborting an otherwise valid run.
-    """
-    raw = os.environ.get("REPRO_BACKEND")
-    if raw is None or raw.strip() == "":
-        return None
-    from repro.engine.backends import canonical_backend  # circular at import
-
-    try:
-        return canonical_backend(raw)
-    except ConfigurationError as exc:
-        print(
-            f"repro: warning: ignoring REPRO_BACKEND={raw!r}: {exc}",
-            file=sys.stderr,
-        )
-        return None
 
 
 class AppProtocol(Protocol):
@@ -222,7 +65,12 @@ class AppProtocol(Protocol):
 
 @dataclass(frozen=True)
 class Deployment:
-    """One fault-injection configuration (paper: 'fault injection deployment')."""
+    """One fault-injection configuration (paper: 'fault injection deployment').
+
+    The last six fields are knobs (see :mod:`repro.knobs`): None means
+    "not set here", and :func:`run_campaign` fills them from its
+    arguments, then ``$REPRO_*``, then the built-in defaults.
+    """
 
     nprocs: int
     trials: int
@@ -232,51 +80,31 @@ class Deployment:
     seed: int = 0
     max_steps: int | None = None        # scheduler runaway guard
     bits_per_error: int = 1             # >1 = multi-bit fault pattern
-    jobs: int | None = None             # worker processes; None = $REPRO_JOBS
-    lanes: int | None = None            # trials batched per execution pass;
-                                        # None = $REPRO_LANES
-    checkpoint_every: int | None = None  # trials per durable checkpoint;
-                                         # None = $REPRO_CHECKPOINT_EVERY
-    ci_halfwidth: float | None = None   # adaptive precision target; None =
-                                        # $REPRO_CI_HALFWIDTH, else fixed-N
+    jobs: int | None = None             # worker processes
+    lanes: int | None = None            # trials batched per execution pass
+    checkpoint_every: int | None = None  # trials per durable checkpoint
+    ci_halfwidth: float | None = None   # adaptive precision target
     scenario: str | None = None         # fault-scenario spec (see
-                                        # repro.fi.scenarios); None =
-                                        # $REPRO_SCENARIO, else bit flips
+                                        # repro.fi.scenarios)
     backend: str | None = None          # execution backend spec (inline /
-                                        # process / distributed:host:port);
-                                        # None = $REPRO_BACKEND, else
-                                        # auto-select from jobs
+                                        # process / distributed:host:port)
 
     def __post_init__(self) -> None:
         check_positive_int(self.nprocs, "nprocs")
         check_positive_int(self.trials, "trials")
         check_positive_int(self.n_errors, "n_errors")
         check_positive_int(self.bits_per_error, "bits_per_error")
-        if self.jobs is not None:
-            check_positive_int(self.jobs, "jobs")
-        if self.lanes is not None:
-            check_positive_int(self.lanes, "lanes")
-        if self.checkpoint_every is not None:
-            check_positive_int(self.checkpoint_every, "checkpoint_every")
-        if self.ci_halfwidth is not None and not 0.0 < self.ci_halfwidth < 0.5:
-            raise ConfigurationError(
-                f"ci_halfwidth must be in (0, 0.5), got {self.ci_halfwidth}"
-            )
         if self.n_errors > 1 and self.target_rank is None and self.nprocs > 1:
             raise ConfigurationError(
                 "multi-error deployments on parallel executions must pin target_rank"
             )
-        if self.scenario is not None:
-            # validate and canonicalize eagerly (parameterless bit flips
-            # normalize to None) so equal configurations compare equal
-            # and derive identical cache/checkpoint identities
-            object.__setattr__(self, "scenario", canonical_scenario(self.scenario))
-        if self.backend is not None:
-            # validate eagerly so a bad spec fails at construction, not
-            # mid-campaign; lazy import — the engine imports this module
-            from repro.engine.backends import canonical_backend
-
-            object.__setattr__(self, "backend", canonical_backend(self.backend))
+        # validate and canonicalize eagerly, so a bad value fails at
+        # construction and equal configurations (e.g. scenario "bitflip"
+        # and None) derive identical cache/checkpoint identities
+        for knob in knobs.FIELD_KNOBS:
+            value = getattr(self, knob.field)
+            if value is not None:
+                object.__setattr__(self, knob.field, knob.parse(value, knob.field))
 
     @property
     def effective_target_rank(self) -> int | None:
@@ -385,99 +213,6 @@ def run_one_trial(
     return model.run_trial(app, deployment, profile, reference, trial, obs)
 
 
-def _resolve_jobs(jobs: int | None, deployment: Deployment) -> int:
-    """Worker count precedence: call arg > ``Deployment.jobs`` > env."""
-    if jobs is None:
-        jobs = deployment.jobs
-    if jobs is None:
-        return default_jobs()
-    return check_positive_int(jobs, "jobs")
-
-
-def _resolve_lanes(lanes: int | None, deployment: Deployment) -> int:
-    """Lane count precedence: call arg > ``Deployment.lanes`` > env."""
-    if lanes is None:
-        lanes = deployment.lanes
-    if lanes is None:
-        return default_lanes()
-    return check_positive_int(lanes, "lanes")
-
-
-def _resolve_checkpoint_every(
-    checkpoint_every: int | None, deployment: Deployment
-) -> int | None:
-    """Checkpoint interval precedence: call arg > deployment > env > off."""
-    if checkpoint_every is None:
-        checkpoint_every = deployment.checkpoint_every
-    if checkpoint_every is None:
-        return default_checkpoint_every()
-    return check_positive_int(checkpoint_every, "checkpoint_every")
-
-
-def _resolve_backend(backend: str | None, deployment: Deployment) -> str | None:
-    """Backend spec precedence: call arg > ``Deployment.backend`` > env.
-
-    Purely an execution knob — like ``jobs`` it never changes results,
-    so (unlike the precision target and the scenario) it stays out of
-    cache keys and checkpoint identities.
-    """
-    if backend is not None:
-        from repro.engine.backends import canonical_backend
-
-        return canonical_backend(backend)
-    if deployment.backend is not None:
-        return deployment.backend  # canonicalized at construction
-    return default_backend()
-
-
-def with_resolved_ci(
-    deployment: Deployment, ci_halfwidth: float | None = None
-) -> Deployment:
-    """Materialize the effective precision target into the deployment.
-
-    Precedence: call arg > ``Deployment.ci_halfwidth`` >
-    ``$REPRO_CI_HALFWIDTH`` > None (fixed-N).  Unlike execution knobs
-    (``jobs``, ``checkpoint_every``), the target *changes the executed
-    trial set*, so it must be pinned into the deployment before cache
-    keys or checkpoint identities are derived — both
-    :func:`run_campaign` and :func:`repro.fi.cache.cached_campaign`
-    resolve through here so the three always agree.
-    """
-    if ci_halfwidth is None:
-        ci_halfwidth = deployment.ci_halfwidth
-    if ci_halfwidth is None:
-        ci_halfwidth = default_ci_halfwidth()
-    if ci_halfwidth == deployment.ci_halfwidth:
-        return deployment
-    return replace(deployment, ci_halfwidth=ci_halfwidth)
-
-
-def with_resolved_scenario(
-    deployment: Deployment, scenario: str | None = None
-) -> Deployment:
-    """Materialize the effective fault scenario into the deployment.
-
-    Precedence: call arg > ``Deployment.scenario`` > ``$REPRO_SCENARIO``
-    > bit flips.  Like the precision target — and unlike pure execution
-    knobs — the scenario *changes what each trial does*, so it must be
-    pinned into the deployment before cache keys or checkpoint
-    identities are derived; both :func:`run_campaign` and
-    :func:`repro.fi.cache.cached_campaign` resolve through here.  The
-    canonical form of the parameterless default family is ``None``, so
-    deployments that never mention scenarios keep their pre-scenario
-    cache entries and checkpoint directories.
-    """
-    if scenario is not None:
-        scenario = canonical_scenario(scenario)
-    elif deployment.scenario is not None:
-        scenario = deployment.scenario
-    else:
-        scenario = default_scenario()
-    if scenario == deployment.scenario:
-        return deployment
-    return replace(deployment, scenario=scenario)
-
-
 def run_campaign(
     app: AppProtocol,
     deployment: Deployment,
@@ -500,6 +235,11 @@ def run_campaign(
     (:class:`FaultActivatedError`), hangs (deadlocks) and communicator
     breakdown caused by fault-perturbed control flow are classified as
     ``FAILURE``.
+
+    The knob arguments override the deployment's fields, which override
+    ``$REPRO_*`` (see :mod:`repro.knobs` and the knob table in
+    ``docs/engine.md``); the result's ``deployment`` carries the resolved
+    values.
 
     ``jobs`` > 1 fans the trials out over this process's warm worker
     pool, which lives until the process exits; the result — including
@@ -534,13 +274,14 @@ def run_campaign(
     knob: results stay bit-identical across backends, worker counts and
     worker churn.
     """
-    deployment = with_resolved_scenario(
-        with_resolved_ci(deployment, ci_halfwidth), scenario
+    deployment = knobs.resolve(
+        deployment, jobs=jobs, lanes=lanes, checkpoint_every=checkpoint_every,
+        ci_halfwidth=ci_halfwidth, scenario=scenario, backend=backend,
     )
-    n_jobs = _resolve_jobs(jobs, deployment)
+    do_resume = knobs.env_value("resume") if resume is None else resume
     obs = get_recorder()
     # the one lane-fallback decision: the engine runs what it is given
-    n_lanes = _resolve_lanes(lanes, deployment)
+    n_lanes = deployment.lanes
     model = resolve_model(deployment.scenario)
     if n_lanes > 1 and not model.supports_lanes:
         print(
@@ -552,9 +293,6 @@ def run_campaign(
     # profiling meters per-trial op counts, which a batched pass cannot
     if obs.enabled and obs.profiling:
         n_lanes = 1
-    ckpt_every = _resolve_checkpoint_every(checkpoint_every, deployment)
-    do_resume = default_resume() if resume is None else resume
-    backend_spec = _resolve_backend(backend, deployment)
     # the recorder accumulates across campaigns, so the profiler scopes
     # this campaign's span/op deltas (emitted as one CampaignProfile)
     prof_scope = (
@@ -604,25 +342,24 @@ def run_campaign(
                 ))
 
             t1 = time.perf_counter()
+            engine_args = dict(
+                keep_records=keep_records, jobs=deployment.jobs, lanes=n_lanes,
+                checkpoint_every=deployment.checkpoint_every,
+                resume=do_resume, backend=deployment.backend,
+            )
             # imported lazily: the engine imports this module in turn
             if deployment.ci_halfwidth is not None:
                 from repro.engine.adaptive import run_adaptive_trials
 
                 joint, records = run_adaptive_trials(
                     app, deployment, profile, reference,
-                    target=deployment.ci_halfwidth,
-                    keep_records=keep_records, jobs=n_jobs, lanes=n_lanes,
-                    checkpoint_every=ckpt_every, resume=do_resume,
-                    backend=backend_spec,
+                    target=deployment.ci_halfwidth, **engine_args,
                 )
             else:
                 from repro.engine import run_trials
 
                 joint, records = run_trials(
-                    app, deployment, profile, reference,
-                    keep_records=keep_records, jobs=n_jobs, lanes=n_lanes,
-                    checkpoint_every=ckpt_every, resume=do_resume,
-                    backend=backend_spec,
+                    app, deployment, profile, reference, **engine_args,
                 )
             injection_time = time.perf_counter() - t1
     finally:

@@ -49,7 +49,6 @@ from repro.obs.sinks import RingBufferSink
 from repro.obs.trace import live_trace_event
 
 __all__ = [
-    "OBS_PORT_ENV",
     "OBS_URL_FILE_ENV",
     "LiveObsServer",
     "render_metrics_json",
@@ -57,8 +56,6 @@ __all__ = [
     "start_live_server",
 ]
 
-#: Environment fallback for ``--serve-obs`` (same semantics: 0 = ephemeral).
-OBS_PORT_ENV = "REPRO_OBS_PORT"
 #: When set, the server writes its base URL to this file on start — how
 #: scripts (the CI smoke job) discover an ephemeral port.
 OBS_URL_FILE_ENV = "REPRO_OBS_URL_FILE"

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import knobs
 from repro.fi.plan import InjectionPlan, PlannedFlip
 from repro.fi.tracer import Tracer, TracerMode
 from repro.taint.ops import FPOps
@@ -26,6 +27,12 @@ collect_ignore = [
 def _isolated_cache(tmp_path, monkeypatch):
     """Keep campaign caching away from the repo's working directory."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+
+@pytest.fixture(autouse=True)
+def _fresh_knob_warnings():
+    """Knob env warnings fire once per process; give each test its own."""
+    knobs._ENV_MEMO.clear()
 
 
 @pytest.fixture

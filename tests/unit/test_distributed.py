@@ -4,9 +4,9 @@ Three layers:
 
 * Wire-level unit tests for the length-prefixed JSON framing
   (``socketpair`` — no subprocesses).
-* Backend-selection tests: ``canonical_backend`` spec parsing, the
-  arg > ``Deployment.backend`` > ``$REPRO_BACKEND`` precedence chain,
-  and the aggregator's duplicate-chunk guard.
+* Backend-selection tests: ``canonical_backend`` spec parsing and the
+  aggregator's duplicate-chunk guard (the ``backend`` knob's precedence
+  and CLI relay are checked with every other knob in test_knobs.py).
 * Differential/chaos tests that spawn *real* worker subprocesses
   (``distributed_child.py``) and assert the distributed backend's
   results — joints, records, provenance bytes, filtered event streams —
@@ -58,9 +58,9 @@ import repro.engine.distributed as distributed
 from repro.engine.distributed import (
     MAX_FRAME_BYTES,
     WARM_LIMIT,
+    _controller_address,
     _FrameBuffer,
     _pickle_b64,
-    _resolve_address,
     _serve_session,
     dispatch,
     recv_frame,
@@ -72,12 +72,8 @@ from repro.errors import (
     DistributedProtocolError,
     WorkerCrashError,
 )
-from repro.fi.campaign import (
-    Deployment,
-    Outcome,
-    default_backend,
-    run_campaign,
-)
+from repro.fi.campaign import Deployment, Outcome, run_campaign
+from repro.knobs import env_value
 from repro.obs.provenance import provenance_path
 from repro.obs.report import worker_summary
 
@@ -352,54 +348,12 @@ class TestBackendSpec:
 
     def test_env_default_and_malformed_warning(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert default_backend() is None
+        assert env_value("backend") is None
         monkeypatch.setenv("REPRO_BACKEND", "pool")
-        assert default_backend() == "process"
+        assert env_value("backend") == "process"
         monkeypatch.setenv("REPRO_BACKEND", "warp-drive")
-        assert default_backend() is None
+        assert env_value("backend") is None
         assert "REPRO_BACKEND" in capsys.readouterr().err
-
-    def test_precedence_arg_over_field_over_env(self, monkeypatch):
-        from repro.fi.campaign import _resolve_backend
-
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        plain = Deployment(nprocs=1, trials=2)
-        field = Deployment(nprocs=1, trials=2, backend="inline")
-        assert _resolve_backend(None, plain) == "process"       # env
-        assert _resolve_backend(None, field) == "inline"        # field
-        assert _resolve_backend("pool", field) == "process"     # arg
-        monkeypatch.delenv("REPRO_BACKEND")
-        assert _resolve_backend(None, plain) is None
-
-    def test_cli_flag_sets_env_for_experiments(self, monkeypatch):
-        import repro.experiments.cli as cli
-
-        seen = {}
-
-        class StubExperiment:
-            @staticmethod
-            def run(trials, seed, quiet):
-                seen["backend"] = os.environ.get("REPRO_BACKEND")
-                return 0
-
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.setattr(
-            cli.importlib, "import_module", lambda name: StubExperiment
-        )
-        # cli.main writes $REPRO_BACKEND (the --jobs-style env relay);
-        # delenv on an absent var registers no undo, so pop it ourselves
-        # or it leaks into every later test's backend selection
-        try:
-            assert cli.main(["table1", "--backend", "pool", "--quiet"]) == 0
-        finally:
-            os.environ.pop("REPRO_BACKEND", None)
-        assert seen["backend"] == "process"
-
-    def test_cli_rejects_bad_backend(self):
-        import repro.experiments.cli as cli
-
-        with pytest.raises(SystemExit):
-            cli.main(["table1", "--backend", "warp-drive"])
 
 
 # -------------------------------------------------- aggregator duplicates
@@ -460,15 +414,15 @@ class TestWorkerCLI:
 
     def test_resolve_address_forms(self, tmp_path):
         ns = argparse.Namespace(address="10.0.0.1:7002", port_file=None)
-        assert _resolve_address(ns) == ("10.0.0.1", 7002)
+        assert _controller_address(ns) == ("10.0.0.1", 7002)
         port_file = tmp_path / "port"
         port_file.write_text("127.0.0.1:7003\n")
         ns = argparse.Namespace(address=None, port_file=str(port_file))
-        assert _resolve_address(ns) == ("127.0.0.1", 7003)
+        assert _controller_address(ns) == ("127.0.0.1", 7003)
         ns = argparse.Namespace(address=None, port_file=str(tmp_path / "no"))
-        assert _resolve_address(ns) is None
+        assert _controller_address(ns) is None
         ns = argparse.Namespace(address="not-an-address", port_file=None)
-        assert _resolve_address(ns) is None
+        assert _controller_address(ns) is None
 
     def test_controller_publishes_port_file(self, tmp_path, monkeypatch):
         port_file = tmp_path / "port"

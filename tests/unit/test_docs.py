@@ -111,6 +111,18 @@ class TestDocsReferenceRealCode:
         ).read_text()
         assert "docs/distributed.md" in (ROOT / "README.md").read_text()
 
+    def test_engine_doc_knob_table_lists_every_knob(self):
+        from repro.knobs import KNOBS
+
+        text = (ROOT / "docs" / "engine.md").read_text()
+        table = text.split("## Knobs", 1)[1].split("\n## ", 1)[0]
+        for knob in KNOBS.values():
+            assert f"`{knob.env}`" in table, knob.env
+            if knob.flag:
+                assert f"`{knob.flag}`" in table, knob.flag
+        for page in ("adaptive.md", "performance.md"):
+            assert "engine.md#knobs" in (ROOT / "docs" / page).read_text()
+
     def test_documented_cli_flags_exist(self):
         """Flags and subcommands the docs advertise must parse."""
         import io

@@ -37,13 +37,9 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.fi.cache import cached_campaign
-from repro.fi.campaign import (
-    Deployment,
-    default_checkpoint_every,
-    default_resume,
-    run_campaign,
-)
+from repro.fi.campaign import Deployment, run_campaign
 from repro.fi.outcomes import Outcome
+from repro.knobs import env_value
 
 
 class EngineApp:
@@ -381,18 +377,18 @@ class TestCheckpointCorruption:
 class TestKnobResolution:
     def test_checkpoint_env_honoured(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "25")
-        assert default_checkpoint_every() == 25
+        assert env_value("checkpoint_every") == 25
 
     def test_checkpoint_env_unset_means_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKPOINT_EVERY", raising=False)
-        assert default_checkpoint_every() is None
+        assert env_value("checkpoint_every") is None
 
     @pytest.mark.parametrize("raw", ["soon", "0", "-3"])
     def test_checkpoint_env_malformed_warns_and_disables(
         self, monkeypatch, capsys, raw
     ):
         monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", raw)
-        assert default_checkpoint_every() is None
+        assert env_value("checkpoint_every") is None
         assert "REPRO_CHECKPOINT_EVERY" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -402,7 +398,7 @@ class TestKnobResolution:
     )
     def test_resume_env(self, monkeypatch, raw, expected):
         monkeypatch.setenv("REPRO_RESUME", raw)
-        assert default_resume() is expected
+        assert env_value("resume") is expected
 
     def test_deployment_validates_checkpoint_every(self):
         with pytest.raises(ConfigurationError):

@@ -18,12 +18,8 @@ import pytest
 import repro.fi.lanes as lanes_mod
 from repro import obs
 from repro.fi.cache import deployment_key
-from repro.fi.campaign import (
-    Deployment,
-    _resolve_lanes,
-    default_lanes,
-    run_campaign,
-)
+from repro.fi.campaign import Deployment, run_campaign
+from repro.knobs import env_value
 from repro.obs import provenance_path
 from repro.taint.tarray import TArray
 
@@ -222,21 +218,12 @@ class TestEjection:
 
 
 class TestLanesKnob:
-    def test_precedence_arg_over_field_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "16")
-        assert default_lanes() == 16
-        dep_plain = Deployment(nprocs=1, trials=1)
-        dep_field = Deployment(nprocs=1, trials=1, lanes=4)
-        assert _resolve_lanes(None, dep_plain) == 16  # env fallback
-        assert _resolve_lanes(None, dep_field) == 4   # field beats env
-        assert _resolve_lanes(2, dep_field) == 2      # arg beats field
-
     def test_malformed_env_falls_back_to_one(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_LANES", "many")
-        assert default_lanes() == 1
+        assert env_value("lanes") == 1
         assert "REPRO_LANES" in capsys.readouterr().err
         monkeypatch.setenv("REPRO_LANES", "0")
-        assert default_lanes() == 1
+        assert env_value("lanes") == 1
 
     def test_cache_key_excludes_lanes(self):
         dep = Deployment(nprocs=2, trials=10, seed=5)

@@ -18,9 +18,10 @@ import pytest
 from repro import obs
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.fi.cache import cached_campaign
-from repro.fi.campaign import Deployment, default_jobs, run_campaign
+from repro.fi.campaign import Deployment, run_campaign
 from repro.fi.outcomes import Outcome
 from repro.engine import MAX_CHUNK_TRIALS, chunk_bounds
+from repro.knobs import env_value
 
 
 class ParityApp:
@@ -105,13 +106,13 @@ class TestChunking:
 class TestJobsResolution:
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_jobs() == 3
+        assert env_value("jobs") == 3
 
     def test_default_jobs_fallback(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert default_jobs() == 1
+        assert env_value("jobs") == 1
         monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-        assert default_jobs() == 1
+        assert env_value("jobs") == 1
 
     def test_deployment_validates_jobs(self):
         with pytest.raises(ConfigurationError):

@@ -36,12 +36,7 @@ from repro.apps import get_app
 from repro.errors import ConfigurationError
 from repro.fi import campaign as campaign_mod
 from repro.fi.cache import deployment_key
-from repro.fi.campaign import (
-    Deployment,
-    default_scenario,
-    run_campaign,
-    with_resolved_scenario,
-)
+from repro.fi.campaign import Deployment, run_campaign
 from repro.fi.outcomes import Outcome
 from repro.fi.scenarios import (
     SCENARIOS,
@@ -53,6 +48,7 @@ from repro.fi.scenarios import (
     parse_scenario,
     resolve_model,
 )
+from repro.knobs import env_value
 from repro.obs.provenance import (
     ScenarioObservation,
     load_provenance,
@@ -402,18 +398,10 @@ class TestScenarioSpecs:
             Deployment(**base, scenario="bitflip")
         )
 
-    def test_precedence_arg_over_field_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCENARIO", "msgcorrupt")
-        deployment = Deployment(nprocs=2, trials=2)
-        assert with_resolved_scenario(deployment).scenario == "msgcorrupt"
-        pinned = Deployment(nprocs=2, trials=2, scenario="rankkill")
-        assert with_resolved_scenario(pinned).scenario == "rankkill"
-        assert with_resolved_scenario(pinned, "bitflip").scenario is None
-
     def test_malformed_env_warns_and_falls_back(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SCENARIO", "cosmicray")
-        assert default_scenario() is None
-        assert "ignoring REPRO_SCENARIO" in capsys.readouterr().err
+        assert env_value("scenario") is None
+        assert "malformed REPRO_SCENARIO" in capsys.readouterr().err
 
     def test_execution_dynamics_probe(self):
         app = ScenarioApp()
