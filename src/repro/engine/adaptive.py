@@ -32,7 +32,6 @@ full determinism argument.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -49,7 +48,6 @@ from repro.obs import (
     get_recorder,
 )
 from repro.obs.confidence import Z_95, wilson_interval
-from repro.obs.trace import make_span
 
 if TYPE_CHECKING:
     from repro.fi.campaign import AppProtocol, Deployment
@@ -275,13 +273,7 @@ def run_adaptive_trials(
         profiling=obs.enabled and obs.profiling,
         lanes=lanes,
         tracing=obs.enabled and obs.tracing,
-        trace_ctx=obs.trace_ctx,
     )
-    # Wave spans nest chunk/checkpoint spans under each wave; the ids
-    # are keyed by wave index, so they are deterministic across runs.
-    tracing = ctx.tracing and ctx.trace_ctx is not None
-    root_trace_ctx = obs.trace_ctx
-
     trials_durable = sum(hi - lo for lo, hi in recovered)
     if recovered and obs.enabled:
         obs.emit(CampaignResumed(
@@ -297,71 +289,64 @@ def run_adaptive_trials(
     waves = 0
     converged = False
     while not converged and n_done < cap:
-        wave_ctx = ctx
-        if tracing:
-            wave_trace_ctx = root_trace_ctx.derive("wave", waves)
-            obs.trace_ctx = wave_trace_ctx
-            wave_ctx = replace(ctx, trace_ctx=wave_trace_ctx)
-            wave_w0 = time.time()
-            wave_p0 = time.perf_counter()
-        boundary = stopper.next_boundary(aggregator.joint, n_done)
-        # the boundary IS the driver's current projection of the final
-        # campaign size — publish it so progress lines and the live
-        # /metrics ETA tighten wave by wave instead of assuming the cap
-        obs.gauge("campaign.trials_planned", boundary)
-        obs.gauge("campaign.trials_done", n_done)
-        obs.emit(CampaignPlanRevised(
-            app=app.name, planned=boundary, done=n_done,
-        ))
-        if boundary > planned_hi:
-            # extend the pinned layout: fresh trials chunked per worker,
-            # durable progress at least every `interval` trials
-            fresh = plan_chunks(
-                boundary - planned_hi, plan_jobs,
-                interval if checkpointing else None,
-            )
-            pinned.extend(
-                (lo + planned_hi, hi + planned_hi) for lo, hi in fresh
-            )
-            planned_hi = boundary
-            if store is not None:
-                store.begin(cap, pinned, planned=planned_hi)
-        wave = [bounds for bounds in pinned if n_done <= bounds[0] < boundary]
-        aggregator.extend(wave)
-        missing: list[tuple[int, int]] = []
-        for bounds in wave:
-            payload = recovered.pop(bounds, None)
-            if payload is not None:
-                # recovered chunks replay their buffered events through
-                # the aggregator, exactly once and in trial order
-                aggregator.add(payload)
-            else:
-                missing.append(bounds)
-        if missing:
-            executor = select_backend(
-                jobs, len(missing), capture=checkpointing, backend=backend
-            )
-            for payload in executor.run(wave_ctx, missing):
-                if store is not None:
-                    trials_durable += payload.n_trials
-                    write_checkpoint(store, payload, obs, trials_durable)
-                aggregator.add(payload, events_emitted=executor.live_events)
-                obs.gauge("campaign.trials_done", aggregator.trials_folded)
-        n_done = boundary
-        waves += 1
-        converged = stopper.converged(aggregator.joint)
-        obs.gauge("campaign.trials_done", n_done)
-        if tracing:
-            obs.add_trace_span(make_span(
-                f"wave {waves - 1}", "wave", wave_trace_ctx,
-                root_trace_ctx.span_id, wave_w0,
-                time.perf_counter() - wave_p0,
-                args={"wave": waves - 1, "boundary": boundary,
-                      "done": n_done},
+        # the wave span (causal tree only) parents this wave's chunk and
+        # checkpoint spans; its id is keyed by the wave index
+        with obs.span(
+            "wave", waves, cat="wave", args={"wave": waves},
+        ) as wave_span:
+            wave_ctx = replace(ctx, trace_ctx=obs.trace_ctx)
+            boundary = stopper.next_boundary(aggregator.joint, n_done)
+            # the boundary IS the driver's current projection of the final
+            # campaign size — publish it so progress lines and the live
+            # /metrics ETA tighten wave by wave instead of assuming the cap
+            obs.gauge("campaign.trials_planned", boundary)
+            obs.gauge("campaign.trials_done", n_done)
+            obs.emit(CampaignPlanRevised(
+                app=app.name, planned=boundary, done=n_done,
             ))
-
-    if tracing:
-        obs.trace_ctx = root_trace_ctx
+            if boundary > planned_hi:
+                # extend the pinned layout: fresh trials chunked per worker,
+                # durable progress at least every `interval` trials
+                fresh = plan_chunks(
+                    boundary - planned_hi, plan_jobs,
+                    interval if checkpointing else None,
+                )
+                pinned.extend(
+                    (lo + planned_hi, hi + planned_hi) for lo, hi in fresh
+                )
+                planned_hi = boundary
+                if store is not None:
+                    store.begin(cap, pinned, planned=planned_hi)
+            wave = [
+                bounds for bounds in pinned if n_done <= bounds[0] < boundary
+            ]
+            aggregator.extend(wave)
+            missing: list[tuple[int, int]] = []
+            for bounds in wave:
+                payload = recovered.pop(bounds, None)
+                if payload is not None:
+                    # recovered chunks replay their buffered events through
+                    # the aggregator, exactly once and in trial order
+                    aggregator.add(payload)
+                else:
+                    missing.append(bounds)
+            if missing:
+                executor = select_backend(
+                    jobs, len(missing), capture=checkpointing, backend=backend
+                )
+                for payload in executor.run(wave_ctx, missing):
+                    if store is not None:
+                        trials_durable += payload.n_trials
+                        write_checkpoint(store, payload, obs, trials_durable)
+                    aggregator.add(
+                        payload, events_emitted=executor.live_events
+                    )
+                    obs.gauge("campaign.trials_done", aggregator.trials_folded)
+            n_done = boundary
+            waves += 1
+            converged = stopper.converged(aggregator.joint)
+            obs.gauge("campaign.trials_done", n_done)
+            wave_span.set(boundary=boundary, done=n_done)
 
     joint, records = aggregator.finish()
     obs.emit(CampaignConverged(

@@ -18,14 +18,13 @@ persisted payload was recovered from disk).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.fi.outcomes import Outcome, TrialRecord
 from repro.obs import MemorySink, ObsSnapshot, Recorder, get_recorder, recording
 from repro.obs.sinks import Sink
-from repro.obs.trace import TraceContext, make_span
+from repro.obs.trace import TraceContext
 
 if TYPE_CHECKING:  # circular at runtime: campaign dispatches into here
     from repro.fi.campaign import AppProtocol, Deployment
@@ -172,22 +171,18 @@ def execute_chunk(
             span_prefix=("campaign",),
             profiling=ctx.profiling,
             tracing=ctx.tracing,
+            trace_ctx=ctx.trace_ctx,
         )
     else:
         rec = Recorder(enabled=False)
-    # The chunk span: trials record under it (via rec.trace_ctx), and it
-    # parents to the driver's campaign/wave span.  Clock reads only —
-    # trial execution is untouched, so results cannot depend on tracing.
-    tracing = rec.enabled and rec.tracing and ctx.trace_ctx is not None
-    prev_trace_ctx = rec.trace_ctx
-    if tracing:
-        chunk_ctx = ctx.trace_ctx.derive("chunk", start, stop)
-        rec.trace_ctx = chunk_ctx
-        chunk_w0 = time.time()
-        chunk_p0 = time.perf_counter()
     joint: dict[tuple[Outcome, int, bool], int] = {}
     records: list[TrialRecord] = []
-    with recording(rec):
+    # the chunk span (causal tree only) parents the chunk's trials to the
+    # driver's campaign/wave span; it reads clocks and nothing else
+    with recording(rec), rec.span(
+        "chunk", start, stop, cat="chunk",
+        args={"start": start, "stop": stop, "trials": stop - start},
+    ):
         trial = start
         while trial < stop:
             block_stop = min(stop, trial + lanes)
@@ -209,14 +204,6 @@ def execute_chunk(
                 if ctx.keep_records:
                     records.append(record)
             trial = block_stop
-    if tracing:
-        rec.trace_ctx = prev_trace_ctx
-        rec.add_trace_span(make_span(
-            f"chunk {start}..{stop}", "chunk", chunk_ctx,
-            ctx.trace_ctx.span_id, chunk_w0,
-            time.perf_counter() - chunk_p0,
-            args={"start": start, "stop": stop, "trials": stop - start},
-        ))
     snapshot = rec.snapshot(events=mem.events) if mem is not None else None
     return ChunkPayload(
         start=start, stop=stop, joint=joint, records=records, obs=snapshot

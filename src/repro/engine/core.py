@@ -22,7 +22,6 @@ semantics are documented in ``docs/engine.md``.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
 from repro.engine.aggregate import ChunkAggregator
@@ -38,7 +37,6 @@ from repro.engine.distributed import DistributedBackend
 from repro.engine.chunks import ChunkPayload, EngineContext, plan_chunks
 from repro.fi.outcomes import Outcome, TrialRecord
 from repro.obs import CampaignResumed, CheckpointWritten, get_recorder
-from repro.obs.trace import make_span, tracing_active
 
 if TYPE_CHECKING:
     from repro.fi.campaign import AppProtocol, Deployment
@@ -54,20 +52,12 @@ def write_checkpoint(store, payload: ChunkPayload, obs, trials_done: int) -> Non
     :mod:`repro.engine.adaptive` so both produce identical checkpoint
     artifacts and ``CheckpointWritten`` streams.
     """
-    tracing = tracing_active(obs)
-    if tracing:
-        ckpt_w0 = time.time()
-        ckpt_p0 = time.perf_counter()
-    path, size = store.write(payload)
-    if tracing:
-        ctx = obs.trace_ctx
-        obs.add_trace_span(make_span(
-            f"checkpoint {payload.start}..{payload.stop}", "checkpoint",
-            ctx.derive("checkpoint", payload.start, payload.stop),
-            ctx.span_id, ckpt_w0, time.perf_counter() - ckpt_p0,
-            args={"start": payload.start, "stop": payload.stop,
-                  "bytes": size},
-        ))
+    with obs.span(
+        "checkpoint", payload.start, payload.stop, cat="checkpoint",
+        args={"start": payload.start, "stop": payload.stop},
+    ) as span:
+        path, size = store.write(payload)
+        span.set(bytes=size)
     if obs.enabled:
         obs.counter("checkpoint.writes")
         obs.counter("checkpoint.write_bytes", size)

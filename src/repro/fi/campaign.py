@@ -25,17 +25,11 @@ from repro.fi.tracer import Tracer, TracerMode
 from repro.mpisim.runner import execute_spmd
 from repro.obs import (
     CampaignFinished,
+    CampaignScope,
     CampaignStarted,
-    ProfileScope,
     get_recorder,
 )
-from repro.obs.trace import (
-    TraceContext,
-    TraceScope,
-    make_span,
-    span_id_from,
-    trace_id_from,
-)
+from repro.obs.trace import trace_id_from
 from repro.taint.region import Region
 from repro.utils.validation import check_positive_int
 
@@ -293,92 +287,68 @@ def run_campaign(
     # profiling meters per-trial op counts, which a batched pass cannot
     if obs.enabled and obs.profiling:
         n_lanes = 1
-    # the recorder accumulates across campaigns, so the profiler scopes
-    # this campaign's span/op deltas (emitted as one CampaignProfile)
-    prof_scope = (
-        ProfileScope(obs) if obs.enabled and obs.profiling else None
-    )
-    # Like the profiler, tracing scopes this campaign's slice of the
-    # recorder's cumulative span list.  Trace/span ids hash logical
-    # identity only (app cache key + deployment key), never the clock,
-    # so the same deployment traces to the same ids in every run.
-    tracing = obs.enabled and obs.tracing
-    trace_scope = None
-    prev_trace_ctx = obs.trace_ctx
-    if tracing:
+    # Trace/span ids hash logical identity only (app cache key +
+    # deployment key), never the clock, so the same deployment traces to
+    # the same ids in every run.
+    trace_id = None
+    if obs.enabled and obs.tracing:
         from repro.fi.cache import deployment_key  # circular at import time
 
         trace_id = trace_id_from(app.cache_key(), deployment_key(deployment))
-        trace_ctx = TraceContext(trace_id, span_id_from(trace_id, "campaign"))
-        obs.trace_ctx = trace_ctx
-        trace_scope = TraceScope(obs)
-        campaign_w0 = time.time()
-        campaign_p0 = time.perf_counter()
+    # the recorder accumulates across campaigns: the scope slices out
+    # this campaign's span/op deltas and causal spans, and roots the tree
+    scope = CampaignScope(obs, app.name, trace_id)
     obs.emit(CampaignStarted(
         app=app.name, nprocs=deployment.nprocs, trials=deployment.trials,
         n_errors=deployment.n_errors, seed=deployment.seed,
     ))
-    try:
-        with obs.span("campaign"):
-            t0 = time.perf_counter()
-            prof_w0 = time.time() if tracing else 0.0
-            with obs.span("profile"):
-                profile_tracer = Tracer(TracerMode.PROFILE)
-                outputs = execute_spmd(
-                    app.program, deployment.nprocs, sink=profile_tracer,
-                    max_steps=deployment.max_steps,
-                )
-            reference = outputs[0]
-            if reference is None:
-                raise ConfigurationError(
-                    f"app {app.name!r} returned no output at rank 0"
-                )
-            profile: InstructionProfile = profile_tracer.profile
-            profile_time = time.perf_counter() - t0
-            if tracing:
-                obs.add_trace_span(make_span(
-                    "profile", "phase", trace_ctx.derive("phase", "profile"),
-                    trace_ctx.span_id, prof_w0, profile_time,
-                ))
-
-            t1 = time.perf_counter()
-            engine_args = dict(
-                keep_records=keep_records, jobs=deployment.jobs, lanes=n_lanes,
-                checkpoint_every=deployment.checkpoint_every,
-                resume=do_resume, backend=deployment.backend,
+    with scope, obs.span(
+        "campaign", cat="campaign", label=f"campaign {app.name}",
+        args={"app": app.name, "nprocs": deployment.nprocs,
+              "trials": deployment.trials, "seed": deployment.seed},
+    ):
+        t0 = time.perf_counter()
+        with obs.span("profile", "profile"):
+            profile_tracer = Tracer(TracerMode.PROFILE)
+            outputs = execute_spmd(
+                app.program, deployment.nprocs, sink=profile_tracer,
+                max_steps=deployment.max_steps,
             )
-            # imported lazily: the engine imports this module in turn
-            if deployment.ci_halfwidth is not None:
-                from repro.engine.adaptive import run_adaptive_trials
+        reference = outputs[0]
+        if reference is None:
+            raise ConfigurationError(
+                f"app {app.name!r} returned no output at rank 0"
+            )
+        profile: InstructionProfile = profile_tracer.profile
+        profile_time = time.perf_counter() - t0
 
-                joint, records = run_adaptive_trials(
-                    app, deployment, profile, reference,
-                    target=deployment.ci_halfwidth, **engine_args,
-                )
-            else:
-                from repro.engine import run_trials
+        t1 = time.perf_counter()
+        engine_args = dict(
+            keep_records=keep_records, jobs=deployment.jobs, lanes=n_lanes,
+            checkpoint_every=deployment.checkpoint_every,
+            resume=do_resume, backend=deployment.backend,
+        )
+        # imported lazily: the engine imports this module in turn
+        if deployment.ci_halfwidth is not None:
+            from repro.engine.adaptive import run_adaptive_trials
 
-                joint, records = run_trials(
-                    app, deployment, profile, reference, **engine_args,
-                )
-            injection_time = time.perf_counter() - t1
-    finally:
-        obs.trace_ctx = prev_trace_ctx
+            joint, records = run_adaptive_trials(
+                app, deployment, profile, reference,
+                target=deployment.ci_halfwidth, **engine_args,
+            )
+        else:
+            from repro.engine import run_trials
 
-    if prof_scope is not None:
-        # after the campaign span closes, so the delta includes its total
-        obs.emit(prof_scope.to_event(app.name))
-    if tracing:
-        # the campaign span closes the tree; emitted as one event so
-        # sinks can route it (obs.configure sends it to the timeline
-        # sidecar, never the main trace)
-        obs.add_trace_span(make_span(
-            f"campaign {app.name}", "campaign", trace_ctx, "",
-            campaign_w0, time.perf_counter() - campaign_p0,
-            args={"app": app.name, "nprocs": deployment.nprocs,
-                  "trials": deployment.trials, "seed": deployment.seed},
-        ))
-        obs.emit(trace_scope.to_event(app.name, trace_id))
+            joint, records = run_trials(
+                app, deployment, profile, reference, **engine_args,
+            )
+        injection_time = time.perf_counter() - t1
+
+    # after the campaign span closes, so the profile delta includes its
+    # total and the trace holds the root; the trace event is routed by
+    # its sinks (obs.configure sends it to the timeline sidecar)
+    for event in scope.events():
+        obs.emit(event)
     result = CampaignResult(
         app_name=app.name,
         deployment=deployment,

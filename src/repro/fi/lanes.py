@@ -23,7 +23,6 @@ execution of the whole block — lanes are a pure fast path.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Sequence
 
 from repro.fi.outcomes import TrialRecord, classify_outcome
@@ -31,7 +30,6 @@ from repro.fi.plan import InjectionPlan, PlannedFlip, sample_plan
 from repro.mpisim.runner import execute_spmd
 from repro.obs import FaultInjected, Recorder, TrialFinished, recording
 from repro.obs.provenance import FlipObservation, build_trial_provenance
-from repro.obs.trace import make_span
 from repro.taint.laneops import LaneFPOps
 from repro.taint.tarray import TArray
 from repro.taint.tracer_api import LaneInjection, OpKind, Operand
@@ -319,8 +317,7 @@ def _replay_lane(
     event *order* matches ``run_one_trial``; durations differ (they are
     wall-clock) and are excluded from the parity contract.
     """
-    trial_t0 = time.perf_counter()
-    with obs.span("trial"):
+    with obs.span("trial", trial, cat="trial", args={"trial": trial}) as span:
         with obs.span("plan"):
             pass
         with obs.span("inject"):
@@ -328,6 +325,7 @@ def _replay_lane(
         output = _lane_output(raw, lane)
         with obs.span("classify"):
             outcome = classify_outcome(output, reference, app.verify)
+        span.set(outcome=outcome.value)
     view = batch.lane_view(lane)
     record = TrialRecord(
         outcome=outcome,
@@ -358,7 +356,7 @@ def _replay_lane(
             trial=trial, outcome=outcome.value,
             n_contaminated=record.n_contaminated,
             activated=record.activated,
-            duration_s=time.perf_counter() - trial_t0,
+            duration_s=span.duration,
         ))
         obs.emit(build_trial_provenance(trial, view.plan, view, record))
     return record
@@ -378,53 +376,50 @@ def run_lane_block(
     """
     from repro.fi.campaign import run_one_trial  # circular at import time
 
-    # clock reads only — the scalar-fallback path below skips the block
-    # span entirely (its trials record their own spans instead)
-    tracing = obs.enabled and obs.tracing and obs.trace_ctx is not None
-    if tracing:
-        block_w0 = time.time()
-        block_p0 = time.perf_counter()
-
-    plans = [
-        sample_plan(
-            profile,
-            trial_seed(deployment.seed, trial),
-            n_errors=deployment.n_errors,
-            target_rank=deployment.effective_target_rank,
-            region=deployment.region,
-            bits_per_error=deployment.bits_per_error,
-        )
-        for trial in range(start, stop)
-    ]
-    batch = BatchTracer(plans)
-    # private recorder: captures the pass's counters/histograms for
-    # per-lane replay without leaking anything into the live stream
-    private = Recorder(enabled=obs.enabled)
-    try:
-        with recording(private):
-            outputs = execute_spmd(
-                app.program, deployment.nprocs, sink=batch,
-                max_steps=deployment.max_steps,
-                ops_factory=lambda sink, rank: LaneFPOps(sink, rank, batch),
-                raw_outputs=True,
+    # the block span (causal tree only) parents its trials — replayed
+    # lanes, ejected lanes re-run scalar, and a failed block's scalar
+    # fallback alike; it reads clocks and nothing else
+    with obs.span(
+        "lanes", start, stop, cat="lanes",
+        args={"start": start, "stop": stop, "lanes": stop - start},
+    ) as block:
+        plans = [
+            sample_plan(
+                profile,
+                trial_seed(deployment.seed, trial),
+                n_errors=deployment.n_errors,
+                target_rank=deployment.effective_target_rank,
+                region=deployment.region,
+                bits_per_error=deployment.bits_per_error,
             )
-    except Exception:
-        # golden-path execution should never fail (the profiling pass
-        # succeeded); if it somehow does, the scalar path is always right
-        return [
-            run_one_trial(app, deployment, profile, reference, trial, obs)
             for trial in range(start, stop)
         ]
-    raw = outputs[0]
-    snap = private.snapshot() if obs.enabled else None
-    if tracing:
-        # ejected lanes re-run scalar inside the replay loop; pointing
-        # obs.trace_ctx at the block nests their trial spans under it
-        parent_trace_ctx = obs.trace_ctx
-        block_trace_ctx = parent_trace_ctx.derive("lanes", start, stop)
-        obs.trace_ctx = block_trace_ctx
-    records: list[TrialRecord] = []
-    try:
+        batch = BatchTracer(plans)
+        # private recorder: captures the pass's counters/histograms for
+        # per-lane replay without leaking anything into the live stream
+        private = Recorder(enabled=obs.enabled)
+        try:
+            with recording(private):
+                outputs = execute_spmd(
+                    app.program, deployment.nprocs, sink=batch,
+                    max_steps=deployment.max_steps,
+                    ops_factory=lambda sink, rank: LaneFPOps(
+                        sink, rank, batch
+                    ),
+                    raw_outputs=True,
+                )
+        except Exception:
+            # golden-path execution should never fail (the profiling pass
+            # succeeded); if it somehow does, the scalar path is always
+            # right
+            block.set(ejected=stop - start)
+            return [
+                run_one_trial(app, deployment, profile, reference, trial, obs)
+                for trial in range(start, stop)
+            ]
+        raw = outputs[0]
+        snap = private.snapshot() if obs.enabled else None
+        records: list[TrialRecord] = []
         for lane, trial in enumerate(range(start, stop)):
             if lane in batch.ejected:
                 records.append(
@@ -437,14 +432,5 @@ def run_lane_block(
                     app, deployment, reference, trial, lane, batch, raw,
                     snap, obs,
                 ))
-    finally:
-        if tracing:
-            obs.trace_ctx = parent_trace_ctx
-            obs.add_trace_span(make_span(
-                f"lanes {start}..{stop}", "lanes", block_trace_ctx,
-                parent_trace_ctx.span_id, block_w0,
-                time.perf_counter() - block_p0,
-                args={"start": start, "stop": stop,
-                      "lanes": stop - start, "ejected": len(batch.ejected)},
-            ))
+        block.set(ejected=len(batch.ejected))
     return records

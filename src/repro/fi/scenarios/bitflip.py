@@ -17,7 +17,6 @@ system-level families.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
 from repro.errors import CommunicatorError, DeadlockError, FaultActivatedError
@@ -28,7 +27,6 @@ from repro.fi.tracer import Tracer, TracerMode
 from repro.mpisim.runner import execute_spmd
 from repro.obs import FaultInjected, TrialFinished
 from repro.obs.provenance import build_trial_provenance
-from repro.obs.trace import make_span
 from repro.utils.rng import trial_seed
 
 if TYPE_CHECKING:
@@ -73,11 +71,9 @@ class BitFlipModel(FaultModel):
         trial: int,
         obs,
     ) -> TrialRecord:
-        trial_t0 = time.perf_counter()
-        # clock reads only: tracing must not perturb the trial itself
-        tracing = obs.enabled and obs.tracing and obs.trace_ctx is not None
-        trial_w0 = time.time() if tracing else 0.0
-        with obs.span("trial"):
+        with obs.span(
+            "trial", trial, cat="trial", args={"trial": trial},
+        ) as span:
             rng = trial_seed(deployment.seed, trial)
             with obs.span("plan"):
                 plan = self.sample(profile, rng, app=app, deployment=deployment)
@@ -96,6 +92,7 @@ class BitFlipModel(FaultModel):
             else:
                 with obs.span("classify"):
                     outcome = classify_outcome(outs[0], reference, app.verify)
+            span.set(outcome=outcome.value)
         record = TrialRecord(
             outcome=outcome,
             n_contaminated=tracer.contaminated_count(),
@@ -114,14 +111,7 @@ class BitFlipModel(FaultModel):
                 trial=trial, outcome=outcome.value,
                 n_contaminated=record.n_contaminated,
                 activated=record.activated,
-                duration_s=time.perf_counter() - trial_t0,
+                duration_s=span.duration,
             ))
             obs.emit(build_trial_provenance(trial, plan, tracer, record))
-        if tracing:
-            parent = obs.trace_ctx
-            obs.add_trace_span(make_span(
-                f"trial {trial}", "trial", parent.derive("trial", trial),
-                parent.span_id, trial_w0, time.perf_counter() - trial_t0,
-                args={"trial": trial, "outcome": outcome.value},
-            ))
         return record

@@ -18,7 +18,6 @@ as success with contamination recorded honestly by the taint layer.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -41,7 +40,6 @@ from repro.fi.tracer import Tracer, TracerMode
 from repro.mpisim.runner import execute_spmd
 from repro.numerics.bits import bit_width, flip_bit_scalar
 from repro.obs import MessageCorrupted, TrialFinished
-from repro.obs.trace import make_span
 from repro.taint.tarray import TArray
 from repro.utils.rng import trial_seed
 
@@ -178,10 +176,9 @@ class MessageCorruptionModel(FaultModel):
         trial: int,
         obs,
     ) -> TrialRecord:
-        trial_t0 = time.perf_counter()
-        tracing = obs.enabled and obs.tracing and obs.trace_ctx is not None
-        trial_w0 = time.time() if tracing else 0.0
-        with obs.span("trial"):
+        with obs.span(
+            "trial", trial, cat="trial", args={"trial": trial},
+        ) as span:
             rng = trial_seed(deployment.seed, trial)
             with obs.span("plan"):
                 plan = self.sample(profile, rng, app=app, deployment=deployment)
@@ -203,6 +200,7 @@ class MessageCorruptionModel(FaultModel):
             else:
                 with obs.span("classify"):
                     outcome = classify_outcome(outs[0], reference, app.verify)
+            span.set(outcome=outcome.value)
         record = TrialRecord(
             outcome=outcome,
             n_contaminated=tracer.contaminated_count(),
@@ -225,17 +223,10 @@ class MessageCorruptionModel(FaultModel):
                 trial=trial, outcome=outcome.value,
                 n_contaminated=record.n_contaminated,
                 activated=record.activated,
-                duration_s=time.perf_counter() - trial_t0,
+                duration_s=span.duration,
             ))
             emit_scenario_provenance(
                 obs, trial, record, plan.to_payload(), fired,
                 timeline=tuple(tracer.contamination_timeline),
             )
-        if tracing:
-            parent = obs.trace_ctx
-            obs.add_trace_span(make_span(
-                f"trial {trial}", "trial", parent.derive("trial", trial),
-                parent.span_id, trial_w0, time.perf_counter() - trial_t0,
-                args={"trial": trial, "outcome": outcome.value},
-            ))
         return record

@@ -24,7 +24,6 @@ control flow.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,7 +43,6 @@ from repro.fi.scenarios.base import (
 from repro.mpisim.faults import RankFailure
 from repro.mpisim.runner import execute_spmd
 from repro.obs import RankKilled, TrialFinished
-from repro.obs.trace import make_span
 from repro.utils.rng import trial_seed
 
 if TYPE_CHECKING:
@@ -102,10 +100,9 @@ class RankKillModel(FaultModel):
         trial: int,
         obs,
     ) -> TrialRecord:
-        trial_t0 = time.perf_counter()
-        tracing = obs.enabled and obs.tracing and obs.trace_ctx is not None
-        trial_w0 = time.time() if tracing else 0.0
-        with obs.span("trial"):
+        with obs.span(
+            "trial", trial, cat="trial", args={"trial": trial},
+        ) as span:
             rng = trial_seed(deployment.seed, trial)
             with obs.span("plan"):
                 plan = self.sample(profile, rng, app=app, deployment=deployment)
@@ -132,6 +129,7 @@ class RankKillModel(FaultModel):
                 else:
                     with obs.span("classify"):
                         outcome = classify_outcome(outs[0], reference, app.verify)
+            span.set(outcome=outcome.value)
         record = TrialRecord(
             outcome=outcome,
             n_contaminated=0,
@@ -154,16 +152,9 @@ class RankKillModel(FaultModel):
                 trial=trial, outcome=outcome.value,
                 n_contaminated=record.n_contaminated,
                 activated=record.activated,
-                duration_s=time.perf_counter() - trial_t0,
+                duration_s=span.duration,
             ))
             emit_scenario_provenance(
                 obs, trial, record, plan.to_payload(), fired,
             )
-        if tracing:
-            parent = obs.trace_ctx
-            obs.add_trace_span(make_span(
-                f"trial {trial}", "trial", parent.derive("trial", trial),
-                parent.span_id, trial_w0, time.perf_counter() - trial_t0,
-                args={"trial": trial, "outcome": outcome.value},
-            ))
         return record

@@ -62,8 +62,7 @@ from repro.obs.live import (
     start_live_server,
 )
 from repro.obs.profiler import (
-    ProfileScope,
-    live_profile_event,
+    CampaignScope,
     merge_profile_events,
     render_profile_report,
     render_profile_svg,
@@ -101,14 +100,7 @@ from repro.obs.timeline import (
     validate_chrome_trace,
     worker_utilization,
 )
-from repro.obs.trace import (
-    TraceContext,
-    TraceScope,
-    live_trace_event,
-    make_span,
-    span_id_from,
-    trace_id_from,
-)
+from repro.obs.trace import TraceContext, span_id_from, trace_id_from
 
 __all__ = [
     # recorder
@@ -135,11 +127,10 @@ __all__ = [
     "LiveObsServer", "start_live_server", "render_prometheus",
     "render_metrics_json",
     # profiler
-    "ProfileScope", "live_profile_event", "merge_profile_events",
+    "CampaignScope", "merge_profile_events",
     "render_profile_report", "render_profile_svg",
     # causal tracing + timelines
-    "TraceContext", "TraceScope", "live_trace_event", "make_span",
-    "span_id_from", "trace_id_from",
+    "TraceContext", "span_id_from", "trace_id_from",
     "chrome_trace", "otlp_trace", "render_timeline_report", "spans_of",
     "timeline_path", "timeline_swimlane_svg", "validate_chrome_trace",
     "worker_utilization",

@@ -30,7 +30,6 @@ from repro.obs.events import (
     CampaignStarted,
     CheckpointWritten,
     Event,
-    SpanEnd,
     TrialFinished,
 )
 from repro.obs.profiler import (
@@ -40,6 +39,7 @@ from repro.obs.profiler import (
     traced_op_share,
 )
 from repro.obs.provenance import FaultProvenance, load_provenance, provenance_path
+from repro.obs.report import aggregate_spans
 from repro.obs.sinks import load_trace
 from repro.obs.timeline import (
     STRAGGLER_K,
@@ -287,12 +287,7 @@ def _timeline_section(events: list[Event]) -> str | None:
 
 
 def _phase_section(events: list[Event]) -> str:
-    totals: dict[str, list[float]] = {}
-    for e in events:
-        if isinstance(e, SpanEnd):
-            agg = totals.setdefault(e.path, [0, 0.0])
-            agg[0] += 1
-            agg[1] += e.duration_s
+    totals = aggregate_spans(events)
     if not totals:
         return "<p class='meta'>(no timing spans in trace)</p>"
     rows = []

@@ -42,11 +42,10 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.dashboard import render_dashboard_html
 from repro.obs.events import TrialProvenance
-from repro.obs.profiler import live_profile_event, profile_rows
+from repro.obs.profiler import CampaignScope, profile_rows
 from repro.obs.provenance import FaultProvenance
 from repro.obs.recorder import Recorder, _copy_racing
 from repro.obs.sinks import RingBufferSink
-from repro.obs.trace import live_trace_event
 
 __all__ = [
     "OBS_URL_FILE_ENV",
@@ -315,13 +314,9 @@ class LiveObsServer:
             for e in events
             if isinstance(e, TrialProvenance)
         ]
-        if self.recorder.profiling:
-            # synthesize a profile event from the recorder's live tables
-            # so the flamegraph renders mid-campaign
-            events = events + [live_profile_event(self.recorder)]
-        if self.recorder.tracing and self.recorder.trace_spans:
-            # likewise for the worker-timeline swimlane
-            events = events + [live_trace_event(self.recorder)]
+        # synthesize profile/trace events from the recorder's live state
+        # so the flamegraph and worker timeline render mid-campaign
+        events = events + CampaignScope(self.recorder, live=True).events()
         return render_dashboard_html(
             events,
             records,

@@ -7,11 +7,13 @@ classification — and the existing span totals are too coarse to answer
 that.  This module turns the :class:`~repro.obs.recorder.Recorder`'s
 profile table (populated when ``Recorder.profiling`` is set) into:
 
-* per-campaign **deltas** (:class:`ProfileScope` — recorder state is
-  cumulative across the campaigns of one experiment run);
-* a :class:`~repro.obs.events.CampaignProfile` event, so profiles land
-  in the JSONL trace and survive worker aggregation like everything
-  else;
+* per-campaign **deltas** (:class:`CampaignScope` — recorder state is
+  cumulative across the campaigns of one experiment run), turned into a
+  :class:`~repro.obs.events.CampaignProfile` event so profiles land in
+  the JSONL trace and survive worker aggregation like everything else
+  (the same scope yields the campaign's causal
+  :class:`~repro.obs.events.CampaignTrace`, and, over a recorder's
+  absolute state, the live server's mid-run view of both);
 * a **span tree** (:func:`build_tree`) feeding the flamegraph-style SVG
   in the dashboard (:func:`render_profile_svg`);
 * the ``obs-profile PATH`` CLI report (:func:`render_profile_report`)
@@ -37,20 +39,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.obs.events import CampaignProfile, Event
-from repro.obs.recorder import Recorder
+from repro.obs.events import CampaignProfile, CampaignTrace, Event
+from repro.obs.recorder import ObsSnapshot, Recorder
+from repro.obs.trace import TraceContext
 from repro.utils.tables import format_table
 from repro.viz.svg import SvgCanvas, flamegraph
 
 __all__ = [
     "FRAME_TOTAL_KIND",
     "OP_KINDS",
-    "ProfileScope",
+    "CampaignScope",
     "SpanNode",
     "build_tree",
     "coverage",
     "flamegraph_frames",
-    "live_profile_event",
     "merge_profile_events",
     "profile_rows",
     "render_profile_report",
@@ -99,50 +101,62 @@ def profile_rows(
     return rows
 
 
-class ProfileScope:
-    """Span/profile deltas for one campaign.
+class CampaignScope:
+    """One campaign's slice of a recorder's cumulative state.
 
-    The recorder accumulates across every campaign of an experiment run,
-    so :func:`repro.fi.campaign.run_campaign` opens a scope before its
-    campaign span and converts the delta into a
-    :class:`~repro.obs.events.CampaignProfile` event afterwards.
+    The recorder accumulates span totals, profile rows and causal spans
+    across the campaigns of a run; :meth:`events` turns what was added
+    since the scope opened into a :class:`CampaignProfile` (while
+    profiling) and a :class:`~repro.obs.events.CampaignTrace` (while
+    tracing), both from one :meth:`Recorder.snapshot`.  ``live=True``
+    slices the recorder's absolute state instead (the live server's
+    mid-run view).  Entered with a ``trace_id``, the scope roots the
+    causal tree: the context it installs has an empty span id, so the
+    campaign span derives ``span_id_from(trace_id, "campaign")`` and
+    records no parent.
     """
 
-    def __init__(self, recorder: Recorder):
-        self._rec = recorder
-        self._spans0 = {
-            k: tuple(v) for k, v in recorder.span_totals.items()
-        }
-        self._profile0 = {k: tuple(v) for k, v in recorder.profile.items()}
+    def __init__(
+        self, recorder: Recorder, app: str = "live",
+        trace_id: str | None = None, live: bool = False,
+    ):
+        self._rec, self.app, self.trace_id = recorder, app, trace_id
+        base = ObsSnapshot() if live else recorder.snapshot()
+        self._spans0, self._profile0 = base.span_totals, base.profile
+        self._trace0 = len(base.trace)
 
-    def finish(self) -> tuple[dict[str, list[float]], dict]:
-        """``(span deltas, profile deltas)`` accumulated since creation."""
-        spans = _delta(self._rec.span_totals, self._spans0)
-        profile = _delta(self._rec.profile, self._profile0)
-        return spans, profile
+    def __enter__(self) -> "CampaignScope":
+        self._prev = self._rec.trace_ctx
+        if self.trace_id is not None:
+            self._rec.trace_ctx = TraceContext(self.trace_id, "")
+        return self
 
-    def to_event(self, app: str) -> CampaignProfile:
-        spans, profile = self.finish()
-        wall = spans.get("campaign", [0, 0.0])[1]
-        return CampaignProfile(
-            app=app,
-            wall_s=float(wall),
-            spans={k: [int(c), float(s)] for k, (c, s) in spans.items()},
-            ops=profile_rows(profile),
-        )
+    def __exit__(self, *exc_info) -> bool:
+        self._rec.trace_ctx = self._prev
+        return False
 
-
-def live_profile_event(recorder: Recorder, app: str = "live") -> CampaignProfile:
-    """A profile event from a recorder's *absolute* state (live server)."""
-    spans = {
-        k: [int(c), float(s)]
-        for k, (c, s) in recorder.snapshot().span_totals.items()
-    }
-    wall = spans.get("campaign", [0, 0.0])[1]
-    return CampaignProfile(
-        app=app, wall_s=float(wall), spans=spans,
-        ops=profile_rows(recorder.snapshot().profile),
-    )
+    def events(self) -> list[Event]:
+        """This campaign's profile and trace events (either may be absent)."""
+        rec = self._rec
+        if not (rec.enabled and (rec.profiling or rec.tracing)):
+            return []
+        snap = rec.snapshot()
+        out: list[Event] = []
+        if rec.profiling:
+            spans = _delta(snap.span_totals, self._spans0)
+            out.append(CampaignProfile(
+                app=self.app,
+                wall_s=float(spans.get("campaign", [0, 0.0])[1]),
+                spans={k: [int(c), float(s)] for k, (c, s) in spans.items()},
+                ops=profile_rows(_delta(snap.profile, self._profile0)),
+            ))
+        spans = snap.trace[self._trace0:]
+        if rec.tracing and spans:
+            out.append(CampaignTrace(
+                app=self.app, trace_id=self.trace_id or spans[0]["trace_id"],
+                spans=spans,
+            ))
+        return out
 
 
 def merge_profile_events(events: Iterable[CampaignProfile]) -> CampaignProfile:

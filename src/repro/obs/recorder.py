@@ -18,8 +18,9 @@ totals and buffered events — back with its results.  The parent calls
 to its own sinks, preserving serial-run semantics (progress lines,
 traces and metric summaries see every trial exactly once).  A worker
 recorder built with ``span_prefix=("campaign",)`` nests its trial spans
-under the parent's campaign span, keeping span paths identical to a
-serial run.
+under the parent's campaign span, and one built with ``trace_ctx`` set
+to the chunk's parent span nests its causal spans likewise, keeping
+span paths and span ids identical to a serial run.
 
 Metrics model
 -------------
@@ -30,10 +31,13 @@ Metrics model
   run right now";
 * **histograms** — lists of observed samples
   (``taint.contamination_spread``, ``scheduler.blocked_ranks``);
-* **spans** — nested wall-clock phases.  ``span("campaign")`` /
-  ``span("trial")`` / ``span("inject")`` nest into slash-joined paths
-  (``campaign/trial/inject``); each close accumulates (count, total
-  seconds) per path and emits a :class:`~repro.obs.events.SpanEnd`;
+* **spans** — :meth:`Recorder.span` is the one way code opens a span.
+  Phase categories (``campaign``, ``phase``, ``trial``) nest into
+  slash-joined paths (``campaign/trial/inject``); each close accumulates
+  (count, total seconds) per path and emits a
+  :class:`~repro.obs.events.SpanEnd`.  While tracing inside a campaign,
+  the same enter/exit also records the span in the causal tree (see
+  :mod:`repro.obs.trace`); :data:`TRACE_ONLY` categories go there only;
 * **profile** — the hot-path profiler's attribution table, keyed
   ``(path, op kind, rank) -> [ops, calls, seconds]``.  Populated only
   while :attr:`Recorder.profiling` is set (see
@@ -53,17 +57,23 @@ a consistent-enough copy without the writers paying anything.
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, ContextManager, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.obs.events import Event, SpanEnd
 from repro.obs.sinks import Sink
 
 __all__ = [
-    "ObsSnapshot", "Recorder", "get_recorder", "set_recorder", "recording",
-    "reset",
+    "TRACE_ONLY", "ObsSnapshot", "Recorder", "get_recorder", "set_recorder",
+    "recording", "reset",
 ]
+
+#: Span categories recorded in the causal tree only: they extend no
+#: phase path, accumulate no ``span_totals`` and emit no ``SpanEnd``, so
+#: the main event stream is the same with or without them.
+TRACE_ONLY = frozenset({"wave", "chunk", "lanes", "checkpoint"})
 
 
 def _copy_racing(mapping: dict, value_copy: Callable | None = None) -> dict:
@@ -119,15 +129,63 @@ class _NullSpan:
     """Shared no-op span: the disabled path allocates nothing per call."""
 
     __slots__ = ()
+    duration = 0.0
 
-    def __enter__(self) -> None:
-        return None
+    def __enter__(self) -> "_NullSpan":
+        return self
 
     def __exit__(self, *exc_info) -> bool:
         return False
 
+    def set(self, **attrs) -> None:
+        """Attributes are dropped: nothing is recorded."""
+
 
 _NULL_SPAN = _NullSpan()
+
+
+class _Span:
+    """One open span: a timed phase, a causal-tree node, or both."""
+
+    __slots__ = ("_rec", "_name", "_phase", "_ctx", "_record", "_prev",
+                 "_path", "_t0", "_args", "duration")
+
+    def __init__(self, rec, name, phase, ctx, record, args):
+        self._rec, self._name, self._phase = rec, name, phase
+        self._ctx, self._record, self._args = ctx, record, args
+        self.duration = 0.0  # set on close
+
+    def set(self, **attrs) -> None:
+        """Attach attributes known only at close (``outcome``, ``bytes``)."""
+        self._args = {**(self._args or {}), **attrs}
+
+    def __enter__(self) -> "_Span":
+        rec = self._rec
+        if self._phase:
+            rec._span_stack.append(self._name)
+            self._path = "/".join(rec._span_stack)
+        if self._ctx is not None:
+            self._prev, rec.trace_ctx = rec.trace_ctx, self._ctx
+            self._record["t0"] = time.time()
+        self._t0 = rec._clock()
+        return self
+
+    def __exit__(self, *exc_info) -> bool:
+        rec = self._rec
+        self.duration = duration = rec._clock() - self._t0
+        if self._phase:
+            rec._span_stack.pop()
+            agg = rec.span_totals.setdefault(self._path, [0, 0.0])
+            agg[0] += 1
+            agg[1] += duration
+            rec.emit(SpanEnd(path=self._path, duration_s=duration))
+        if self._ctx is not None:
+            rec.trace_ctx = self._prev
+            self._record.update(dur=duration, pid=os.getpid())
+            if self._args:
+                self._record["args"] = dict(self._args)
+            rec.trace_spans.append(self._record)
+        return False
 
 
 class Recorder:
@@ -141,6 +199,7 @@ class Recorder:
         span_prefix: Sequence[str] = (),
         profiling: bool = False,
         tracing: bool = False,
+        trace_ctx=None,
     ):
         self.sinks: list[Sink] = list(sinks)
         #: master switch — instrumentation sites test this one attribute.
@@ -154,11 +213,13 @@ class Recorder:
         #: disabled path costs callers one attribute test.
         self.tracing: bool = tracing
         #: collected span dicts (cumulative across campaigns, like
-        #: ``profile``); scoped per campaign by ``obs.trace.TraceScope``.
+        #: ``profile``); scoped per campaign by ``obs.CampaignScope``.
         self.trace_spans: list[dict] = []
-        #: the driver/worker's current ``obs.trace.TraceContext`` (kept
-        #: untyped: the recorder never imports the tracing module).
-        self.trace_ctx = None
+        #: the current ``obs.trace.TraceContext``: the parent of the next
+        #: traced span.  A chunk recorder is seeded with its chunk's
+        #: parent, like ``span_prefix`` (kept untyped: the recorder never
+        #: imports the tracing module).
+        self.trace_ctx = trace_ctx
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, list[float]] = {}
@@ -231,48 +292,46 @@ class Recorder:
         agg[2] += seconds
 
     # ------------------------------------------------------------------
-    # causal tracing
-    # ------------------------------------------------------------------
-    def add_trace_span(self, span: dict) -> None:
-        """Collect one causal span dict (no-op unless tracing is on).
-
-        Spans are built by :func:`repro.obs.trace.make_span`; they are
-        exported by :mod:`repro.obs.timeline` and never feed back into
-        execution, so recording them cannot perturb results.
-        """
-        if self.enabled and self.tracing:
-            self.trace_spans.append(span)
-
-    # ------------------------------------------------------------------
     # spans
     # ------------------------------------------------------------------
-    def span(self, name: str) -> ContextManager:
-        """Time a phase; nesting builds slash-joined paths.
+    def span(
+        self,
+        name: str,
+        *key: object,
+        cat: str = "phase",
+        args: dict | None = None,
+        label: str | None = None,
+    ) -> "_Span | _NullSpan":
+        """Open a span; its category decides what one enter/exit records.
 
-        While disabled this returns a shared no-op context manager, so
-        per-trial spans in the campaign loop cost one call and no
-        allocation.
+        Outside :data:`TRACE_ONLY`, ``name`` extends the slash path and
+        the close accumulates ``span_totals`` and emits ``SpanEnd``.
+        While tracing inside a campaign (``trace_ctx`` set), any span
+        but a key-less ``phase`` also makes ``trace_ctx.derive(cat,
+        *key)`` current for its body and records its span dict on exit,
+        named ``label`` (default: ``name``, plus the key joined by
+        ``..`` outside ``phase``) with ``args`` and whatever the body
+        ``set()`` on the handle.  While disabled — or for a trace-only
+        span while not tracing — this returns a shared no-op span, so
+        per-trial spans cost one call and no allocation.
         """
         if not self.enabled:
             return _NULL_SPAN
         if "/" in name:
             raise ValueError(f"span name may not contain '/': {name!r}")
-        return self._live_span(name)
-
-    @contextlib.contextmanager
-    def _live_span(self, name: str) -> Iterator["Recorder"]:
-        self._span_stack.append(name)
-        path = "/".join(self._span_stack)
-        t0 = self._clock()
-        try:
-            yield self
-        finally:
-            duration = self._clock() - t0
-            self._span_stack.pop()
-            agg = self.span_totals.setdefault(path, [0, 0.0])
-            agg[0] += 1
-            agg[1] += duration
-            self.emit(SpanEnd(path=path, duration_s=duration))
+        parent = self.trace_ctx
+        if not (self.tracing and parent and (key or cat != "phase")):
+            if cat in TRACE_ONLY:
+                return _NULL_SPAN
+            return _Span(self, name, True, None, None, args)
+        ctx = parent.derive(cat, *key)
+        if label is None:
+            label = name
+            if key and cat != "phase":
+                label += " " + "..".join(map(str, key))
+        record = {"name": label, "cat": cat, "trace_id": ctx.trace_id,
+                  "span_id": ctx.span_id, "parent_id": parent.span_id}
+        return _Span(self, name, cat not in TRACE_ONLY, ctx, record, args)
 
     # ------------------------------------------------------------------
     # events

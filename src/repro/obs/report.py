@@ -30,6 +30,7 @@ from repro.obs.sinks import load_trace
 from repro.utils.tables import format_table
 
 __all__ = [
+    "aggregate_spans",
     "phase_table",
     "outcome_counts",
     "checkpoint_summary",
@@ -50,7 +51,8 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def _aggregate_spans(events: Iterable[Event]) -> dict[str, list[float]]:
+def aggregate_spans(events: Iterable[Event]) -> dict[str, list[float]]:
+    """Per-path ``[count, total seconds]`` from a trace's SpanEnd events."""
     totals: dict[str, list[float]] = {}
     for event in events:
         if isinstance(event, SpanEnd):
@@ -240,7 +242,7 @@ def render_trace_report(path: str | Path, on_skip=None) -> str:
     """Full obs-report text for one JSONL trace file."""
     events = load_trace(path, on_skip=on_skip)
     sections = [
-        phase_table(_aggregate_spans(events), title=f"Phases — {path}")
+        phase_table(aggregate_spans(events), title=f"Phases — {path}")
     ]
     outcomes = outcome_counts(events)
     if outcomes:

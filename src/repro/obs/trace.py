@@ -4,17 +4,22 @@ Every traced campaign gets a W3C-style 128-bit trace id hashed from the
 app cache key and the deployment key, and every span (campaign, profile
 phase, wave, chunk, lanes block, trial, checkpoint write) gets a 64-bit
 span id hashed from the trace id plus the span's *logical* coordinates
-— chunk bounds, trial index, wave number.  Wall-clock never enters an
-id, so ids are bit-identical across runs, ``--jobs``/``--lanes``
+— its category and key, ``derive(cat, *key)``: ``("trial", 7)``,
+``("chunk", 0, 8)``, ``("phase", "profile")``.  Wall-clock never enters
+an id, so ids are bit-identical across runs, ``--jobs``/``--lanes``
 settings, and interrupt/resume; only the recorded ``t0``/``dur``
 readings differ.
 
-Like the hot-path profiler, tracing reads clocks but never touches
-program state: records, the main event stream, and the provenance
-sidecar stay byte-identical with tracing on or off.  Collected spans
-ride :class:`~repro.obs.recorder.ObsSnapshot` back from worker
-processes (exactly like profiler frames do), and the driver emits one
-:class:`~repro.obs.events.CampaignTrace` event per campaign, routed by
+Spans are opened by :meth:`repro.obs.recorder.Recorder.span`, the same
+call that times phases: while tracing, it derives the child
+:class:`TraceContext` from the recorder's current one, makes it current
+for the span's body, and records the span dict on exit.  Like the
+hot-path profiler, tracing reads clocks but never touches program
+state: records, the main event stream, and the provenance sidecar stay
+byte-identical with tracing on or off.  Collected spans ride
+:class:`~repro.obs.recorder.ObsSnapshot` back from worker processes,
+and the driver emits one :class:`~repro.obs.events.CampaignTrace` event
+per campaign (:class:`repro.obs.profiler.CampaignScope`), routed by
 :func:`repro.obs.configure` to a ``*.timeline.jsonl`` sidecar so the
 main trace's event stream is unaffected.
 
@@ -27,20 +32,9 @@ t0, dur, pid, args}`` with ``t0`` in wall-clock epoch seconds and
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 
-from repro.obs.events import CampaignTrace
-
-__all__ = [
-    "TraceContext",
-    "TraceScope",
-    "live_trace_event",
-    "make_span",
-    "span_id_from",
-    "trace_id_from",
-    "tracing_active",
-]
+__all__ = ["TraceContext", "span_id_from", "trace_id_from"]
 
 
 def trace_id_from(*parts: object) -> str:
@@ -60,7 +54,9 @@ class TraceContext:
     """The current position in a campaign's causal tree.
 
     Frozen and string-only, so it pickles to worker processes on
-    :class:`~repro.engine.chunks.EngineContext` unchanged.
+    :class:`~repro.engine.chunks.EngineContext` unchanged.  A campaign's
+    root context has an empty ``span_id``: the campaign span derived
+    from it records no parent.
     """
 
     trace_id: str
@@ -69,70 +65,3 @@ class TraceContext:
     def derive(self, *parts: object) -> "TraceContext":
         """Child context whose span id is keyed by logical ``parts``."""
         return TraceContext(self.trace_id, span_id_from(self.trace_id, *parts))
-
-
-def make_span(
-    name: str,
-    cat: str,
-    ctx: TraceContext,
-    parent_id: str,
-    t0: float,
-    dur: float,
-    args: dict | None = None,
-) -> dict:
-    """One exportable span record (see module docstring for the schema)."""
-    span = {
-        "name": name,
-        "cat": cat,
-        "trace_id": ctx.trace_id,
-        "span_id": ctx.span_id,
-        "parent_id": parent_id,
-        "t0": t0,
-        "dur": dur,
-        "pid": os.getpid(),
-    }
-    if args:
-        span["args"] = dict(args)
-    return span
-
-
-def tracing_active(recorder) -> bool:
-    """True when ``recorder`` should record spans for the current campaign."""
-    return bool(
-        recorder.enabled and recorder.tracing and recorder.trace_ctx is not None
-    )
-
-
-class TraceScope:
-    """One campaign's slice of a recorder's cumulative span list.
-
-    The recorder accumulates spans across campaigns (mirroring how the
-    profiler accumulates op counters); the scope remembers where this
-    campaign started so ``finish()`` returns only its spans.
-    """
-
-    def __init__(self, recorder) -> None:
-        self._recorder = recorder
-        self._base = len(recorder.trace_spans)
-
-    def finish(self) -> list[dict]:
-        return list(self._recorder.trace_spans[self._base:])
-
-    def to_event(self, app: str, trace_id: str) -> CampaignTrace:
-        return CampaignTrace(app=app, trace_id=trace_id, spans=self.finish())
-
-
-def live_trace_event(recorder, app: str = "live") -> CampaignTrace:
-    """Synthesize a trace event from spans collected so far (mid-run).
-
-    Used by the live telemetry server to render a worker timeline while
-    the campaign is still executing; span dicts are shared verbatim with
-    the final :class:`CampaignTrace`, so timeline readers that dedup by
-    ``(span_id, t0)`` merge the two views losslessly.
-    """
-    spans = list(recorder.trace_spans)
-    if recorder.trace_ctx is not None:
-        trace_id = recorder.trace_ctx.trace_id
-    else:
-        trace_id = spans[0]["trace_id"] if spans else ""
-    return CampaignTrace(app=app, trace_id=trace_id, spans=spans)

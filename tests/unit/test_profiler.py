@@ -14,11 +14,10 @@ from repro.obs.events import CampaignProfile, event_from_dict
 from repro.obs.profiler import (
     FRAME_TOTAL_KIND,
     OP_KINDS,
-    ProfileScope,
+    CampaignScope,
     build_tree,
     coverage,
     flamegraph_frames,
-    live_profile_event,
     merge_profile_events,
     profile_rows,
     profiles_of,
@@ -81,35 +80,74 @@ class TestRecorderProfiling:
         assert snap.profile == {}
 
 
-class TestProfileScope:
+class TestCampaignScope:
     def test_delta_excludes_prior_activity(self):
-        rec = obs.Recorder(enabled=True, profiling=True)
-        with rec.span("campaign"):
+        rec = obs.Recorder(enabled=True, profiling=True, tracing=True)
+        rec.trace_ctx = obs.TraceContext("t" * 32, "")
+        with rec.span("campaign", cat="campaign"):
             rec.profile_op("add", 0, 100, 1.0)
-        scope = ProfileScope(rec)
-        with rec.span("campaign"):
+        scope = CampaignScope(rec, "cg", "u" * 32)
+        with scope, rec.span("campaign", cat="campaign"):
             rec.profile_op("add", 0, 40, 0.5)
-        spans, profile = scope.finish()
-        assert spans["campaign"][0] == 1  # one new span close
-        assert profile[("campaign", "add", 0)] == pytest.approx([40, 1, 0.5])
+        profile, trace = scope.events()
+        assert profile.spans["campaign"][0] == 1  # one new span close
+        (row,) = profile.ops
+        assert (row["ops"], row["calls"], row["seconds"]) == \
+            pytest.approx((40, 1, 0.5))
+        # the scope rooted this campaign's tree under its own trace id
+        (root,) = trace.spans
+        assert trace.trace_id == root["trace_id"] == "u" * 32
+        assert root["parent_id"] == ""
+        assert rec.trace_ctx.trace_id == "t" * 32  # restored on exit
 
-    def test_to_event_round_trips_through_dict(self):
+    def test_profile_event_round_trips_through_dict(self):
         rec = obs.Recorder(enabled=True, profiling=True)
-        scope = ProfileScope(rec)
+        scope = CampaignScope(rec, "cg")
         with rec.span("campaign"):
             rec.profile_op("div", 2, 7, 0.01)
-        event = scope.to_event("cg")
+        (event,) = scope.events()  # not tracing: no trace event
         blob = event.to_dict()
         assert blob["type"] == "campaign_profile"
         assert event_from_dict(blob) == event
 
-    def test_live_profile_event_uses_absolute_state(self):
+    def test_live_events_use_absolute_state(self):
         rec = obs.Recorder(enabled=True, profiling=True)
         with rec.span("campaign"):
             rec.profile_op("add", 0, 3, 0.2)
-        event = live_profile_event(rec)
+        (event,) = CampaignScope(rec, live=True).events()
         assert event.app == "live"
         assert event.ops[0]["ops"] == 3
+
+    def test_live_events_read_one_snapshot(self):
+        # mid-run the recorder moves between reads; spans and ops must
+        # come from the same instant
+        first = obs.ObsSnapshot(
+            span_totals={"campaign/trial": [1, 0.5]},
+            profile={("campaign/trial", "add", 0): [10, 1, 0.1]},
+            trace=[{"trace_id": "t" * 32, "span_id": "a" * 16}],
+        )
+        later = obs.ObsSnapshot(
+            span_totals={"campaign/trial": [2, 1.0]},
+            profile={("campaign/trial", "add", 0): [20, 2, 0.2]},
+            trace=[],
+        )
+
+        class MovingRecorder:
+            enabled = profiling = tracing = True
+
+            def __init__(self):
+                self.snaps = iter([first, later, later])
+
+            def snapshot(self):
+                return next(self.snaps)
+
+        profile, trace = CampaignScope(
+            MovingRecorder(), live=True,
+        ).events()
+        assert profile.spans == {"campaign/trial": [1, 0.5]}
+        assert profile.ops[0]["ops"] == 10
+        assert trace.spans == first.trace
+        assert trace.trace_id == "t" * 32
 
 
 class TestMerge:

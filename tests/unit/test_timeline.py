@@ -18,6 +18,7 @@ The app is module-level so ``spawn`` workers can unpickle it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -39,7 +40,7 @@ from repro.obs.timeline import (
     validate_chrome_trace,
     worker_utilization,
 )
-from repro.obs.trace import TraceContext, make_span, span_id_from, trace_id_from
+from repro.obs.trace import TraceContext, span_id_from, trace_id_from
 
 
 class TraceApp:
@@ -106,16 +107,70 @@ class TestIds:
         assert child.trace_id == ctx.trace_id
         assert child.span_id == span_id_from(ctx.trace_id, "trial", 3)
 
-    def test_make_span_fields(self):
-        ctx = TraceContext("t" * 32, span_id_from("t" * 32, "x"))
-        span = make_span("x", "chunk", ctx, "p" * 16, 1.5, 0.25,
-                         args={"start": 0})
-        assert span["trace_id"] == ctx.trace_id
-        assert span["span_id"] == ctx.span_id
+    def test_span_record_fields(self):
+        ticks = iter([10.0, 10.25])
+        rec = obs.Recorder(enabled=True, tracing=True,
+                           clock=lambda: next(ticks))
+        parent = TraceContext("t" * 32, "p" * 16)
+        rec.trace_ctx = parent
+        with rec.span("chunk", 0, 8, cat="chunk",
+                      args={"start": 0}) as handle:
+            assert rec.trace_ctx == parent.derive("chunk", 0, 8)
+            handle.set(stop=8)
+        assert rec.trace_ctx == parent  # restored on exit
+        (span,) = rec.trace_spans
+        assert span["name"] == "chunk 0..8" and span["cat"] == "chunk"
+        assert span["trace_id"] == parent.trace_id
+        assert span["span_id"] == span_id_from(parent.trace_id, "chunk", 0, 8)
         assert span["parent_id"] == "p" * 16
-        assert (span["t0"], span["dur"]) == (1.5, 0.25)
-        assert span["args"] == {"start": 0}
+        assert span["dur"] == handle.duration == 0.25
+        assert isinstance(span["t0"], float)
+        assert span["args"] == {"start": 0, "stop": 8}
         assert isinstance(span["pid"], int)
+        # trace-only: no phase path, no span totals, no SpanEnd
+        assert rec.span_totals == {}
+
+    def test_span_category_rule(self):
+        mem = obs.MemorySink()
+        rec = obs.Recorder([mem], tracing=True)
+        rec.trace_ctx = TraceContext("t" * 32, "")
+        with rec.span("campaign", cat="campaign", label="campaign x"):
+            with rec.span("profile", "profile"):
+                pass
+            with rec.span("trial", 3, cat="trial") as trial:
+                with rec.span("inject"):
+                    pass
+                trial.set(outcome="sdc")
+        names = {s["name"]: s for s in rec.trace_spans}
+        # a key-less phase span stays out of the tree
+        assert set(names) == {"campaign x", "profile", "trial 3"}
+        root = names["campaign x"]
+        assert root["parent_id"] == ""
+        assert root["span_id"] == span_id_from("t" * 32, "campaign")
+        assert names["profile"]["span_id"] == span_id_from(
+            "t" * 32, "phase", "profile"
+        )
+        assert names["trial 3"]["parent_id"] == root["span_id"]
+        assert names["trial 3"]["args"] == {"outcome": "sdc"}
+        assert [e.path for e in mem.events] == [
+            "campaign/profile", "campaign/trial/inject", "campaign/trial",
+            "campaign",
+        ]
+
+    def test_disabled_recorder_returns_null_span(self):
+        from repro.obs.recorder import _NULL_SPAN
+
+        rec = obs.Recorder(enabled=False, tracing=True)
+        rec.trace_ctx = TraceContext("t" * 32, "s" * 16)
+        span = rec.span("chunk", 0, 8, cat="chunk", args={"start": 0})
+        assert span is _NULL_SPAN
+        with span as handle:
+            handle.set(bytes=1)  # a no-op
+        assert handle.duration == 0.0
+        assert rec.trace_spans == [] and rec.trace_ctx.span_id == "s" * 16
+        # untraced but enabled: a trace-only span is the null span too
+        live = obs.Recorder(enabled=True)
+        assert live.span("wave", 0, cat="wave") is _NULL_SPAN
 
 
 class TestSpanCollection:
@@ -187,13 +242,76 @@ class TestSpanCollection:
 
     def test_lane_block_spans(self):
         res, mem, _ = _traced_run(DEP, lanes=4)
-        serial, _, _ = _traced_run(DEP)
+        serial, serial_mem, _ = _traced_run(DEP)
         assert res.joint == serial.joint
         spans = spans_of(mem.events)
         blocks = [s for s in spans if s["cat"] == "lanes"]
         assert blocks
         chunk_ids = {s["span_id"] for s in spans if s["cat"] == "chunk"}
         assert all(b["parent_id"] in chunk_ids for b in blocks)
+        # one trial span per trial, replayed and ejected lanes alike,
+        # each under its block and with the same id as at lanes=1
+        trials = [s for s in spans if s["cat"] == "trial"]
+        block_ids = {b["span_id"] for b in blocks}
+        assert all(t["parent_id"] in block_ids for t in trials)
+        trial_ids = lambda s: sorted(
+            x["span_id"] for x in s if x["cat"] == "trial"
+        )
+        assert trial_ids(trials) == trial_ids(spans_of(serial_mem.events))
+        assert len(trials) == DEP.trials
+
+    def test_failed_lane_block_nests_its_scalar_fallback(self, monkeypatch):
+        import repro.fi.lanes as lanes_mod
+
+        def broken_pass(*args, **kwargs):
+            raise RuntimeError("batched pass failed")
+
+        monkeypatch.setattr(lanes_mod, "execute_spmd", broken_pass)
+        res, mem, _ = _traced_run(DEP, lanes=4)
+        serial, _, _ = _traced_run(DEP)
+        assert res.joint == serial.joint
+        spans = spans_of(mem.events)
+        blocks = {s["span_id"]: s for s in spans if s["cat"] == "lanes"}
+        # every lane of a failed block re-ran on the scalar path under it
+        assert blocks and all(
+            b["args"]["ejected"] == b["args"]["lanes"] for b in blocks.values()
+        )
+        trials = [s for s in spans if s["cat"] == "trial"]
+        assert len(trials) == DEP.trials
+        assert all(t["parent_id"] in blocks for t in trials)
+
+
+def _tree_digest(spans) -> str:
+    """sha256 over the sorted logical fields of a span tree.
+
+    ``t0``/``dur``/``pid`` are wall-clock and scheduling facts and are
+    dropped; a checkpoint's ``bytes`` is reduced to "non-empty" because
+    the checkpointed events carry wall-clock durations of varying width.
+    """
+    rows = []
+    for span in spans:
+        args = dict(span.get("args", {}))
+        if "bytes" in args:
+            args["bytes"] = args["bytes"] > 0
+        rows.append(json.dumps(
+            [span["span_id"], span["parent_id"], span["name"], span["cat"],
+             args],
+            sort_keys=True,
+        ))
+    return hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("deployment, kwargs, digest", [
+    (DEP, {}, "b4cec616be4702c643d4bff7451665a365b0fe93179568bc683ca0a331c086c6"),
+    (DEP, {"jobs": 2, "checkpoint_every": 4},
+     "bebdf74ac52de831ba8c549108ed81fa5d0869631be7be05490f59700be3dc0a"),
+    (Deployment(nprocs=2, trials=120, seed=7, ci_halfwidth=0.12), {},
+     "e85ec708b69f0238dfa27f01021d06f8fa9e3497af1e766defa37fe0b4cc17b7"),
+], ids=["serial", "jobs2-ckpt4", "adaptive"])
+def test_span_tree_pinned(deployment, kwargs, digest):
+    """Span ids, parents, names, categories and args never drift."""
+    _, mem, _ = _traced_run(deployment, **kwargs)
+    assert _tree_digest(spans_of(mem.events)) == digest
 
 
 class TestJobsAndLanesCombined:
@@ -577,12 +695,9 @@ class TestDashboardSection:
 
         rec = obs.Recorder([], tracing=True)
         rec.enabled = True  # as start_live_server does
-        rec.trace_ctx = TraceContext(
-            trace_id_from("live"), span_id_from(trace_id_from("live"), "c")
-        )
-        rec.add_trace_span(make_span(
-            "chunk 0..2", "chunk", rec.trace_ctx, "", 1.0, 0.5,
-        ))
+        rec.trace_ctx = TraceContext(trace_id_from("live"), "")
+        with rec.span("chunk", 0, 2, cat="chunk"):
+            pass  # a span closed mid-campaign
         server = LiveObsServer(rec, RingBufferSink(8))
         try:
             status, ctype, body = server.handle("/")
