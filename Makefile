@@ -3,16 +3,18 @@
 PYTHON ?= python
 TRIALS ?= 300
 
-.PHONY: install test coverage bench bench-smoke experiments report obs-demo clean-cache loc
+.PHONY: install test test-fast coverage bench bench-smoke experiments report obs-demo clean-cache loc
 
 install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
+		$(PYTHON) -m pytest tests/
 
 test-fast:
-	REPRO_TRIALS=20 $(PYTHON) -m pytest tests/ -x
+	REPRO_TRIALS=20 PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
+		$(PYTHON) -m pytest tests/ -x
 
 # Line coverage with the checked-in floor (.coverage-floor); requires
 # pytest-cov.  CI runs this and publishes htmlcov/ as an artifact.
@@ -23,7 +25,8 @@ coverage:
 		--cov-fail-under=$$(cat .coverage-floor)
 
 bench:
-	REPRO_TRIALS=$(TRIALS) $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	REPRO_TRIALS=$(TRIALS) PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
+		$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Quick serial-vs-parallel campaign throughput check; writes
 # results/BENCH_campaign.json (full mode asserts >=1.8x at jobs=4 on

@@ -27,11 +27,7 @@ package; see ``docs/engine.md`` for the backend protocol, the
 checkpoint format, resume semantics and the determinism argument.
 """
 
-from repro.engine.adaptive import (
-    AdaptiveStopper,
-    run_adaptive_trials,
-    worst_case_trials,
-)
+from repro.engine.adaptive import AdaptiveStopper, worst_case_trials
 from repro.engine.aggregate import ChunkAggregator
 from repro.engine.backends import (
     Backend,
@@ -49,7 +45,7 @@ from repro.engine.chunks import (
     execute_chunk,
     plan_chunks,
 )
-from repro.engine.core import run_trials, select_backend, write_checkpoint
+from repro.engine.core import run_trials, select_backend
 from repro.engine.distributed import DistributedBackend, worker_main
 from repro.engine.store import (
     LocalDirStore,
@@ -79,10 +75,8 @@ __all__ = [
     "execute_chunk",
     "plan_chunks",
     "planning_jobs",
-    "run_adaptive_trials",
     "run_trials",
     "select_backend",
     "worker_main",
     "worst_case_trials",
-    "write_checkpoint",
 ]

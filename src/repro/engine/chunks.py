@@ -107,8 +107,8 @@ class EngineContext:
     #: causal tracing (repro.obs.trace) — carried to workers so a
     #: chunk's recorder collects spans exactly like the parent's.
     tracing: bool = False
-    #: the parent span for this context's chunks (campaign span in the
-    #: fixed driver, the current wave's in the adaptive driver); ids are
+    #: the parent span for this context's chunks (the campaign span in a
+    #: fixed-N run, the current wave's in an adaptive one); ids are
     #: deterministic strings, so the context pickles unchanged.
     trace_ctx: TraceContext | None = None
 

@@ -323,25 +323,15 @@ def run_campaign(
         profile_time = time.perf_counter() - t0
 
         t1 = time.perf_counter()
-        engine_args = dict(
+        # imported lazily: the engine imports this module in turn
+        from repro.engine import run_trials
+
+        joint, records = run_trials(
+            app, deployment, profile, reference,
             keep_records=keep_records, jobs=deployment.jobs, lanes=n_lanes,
             checkpoint_every=deployment.checkpoint_every,
             resume=do_resume, backend=deployment.backend,
         )
-        # imported lazily: the engine imports this module in turn
-        if deployment.ci_halfwidth is not None:
-            from repro.engine.adaptive import run_adaptive_trials
-
-            joint, records = run_adaptive_trials(
-                app, deployment, profile, reference,
-                target=deployment.ci_halfwidth, **engine_args,
-            )
-        else:
-            from repro.engine import run_trials
-
-            joint, records = run_trials(
-                app, deployment, profile, reference, **engine_args,
-            )
         injection_time = time.perf_counter() - t1
 
     # after the campaign span closes, so the profile delta includes its

@@ -106,10 +106,10 @@ class CampaignResumed(Event):
 class CampaignConverged(Event):
     """An adaptive deployment hit (or missed) its precision target.
 
-    Emitted once per adaptive campaign by
-    :func:`repro.engine.adaptive.run_adaptive_trials` after the last
-    wave: ``converged`` says whether every tracked outcome's Wilson
-    half-width reached ``target`` before the ``trials_cap`` ran out, and
+    Emitted once per adaptive campaign (``ci_halfwidth`` set) by
+    :func:`repro.engine.core.run_trials` after the last wave:
+    ``converged`` says whether every tracked outcome's Wilson half-width
+    reached ``target`` before the ``trials_cap`` ran out, and
     ``halfwidths`` records the achieved half-width per outcome value.
     """
 
@@ -130,8 +130,8 @@ class CampaignConverged(Event):
 class CampaignPlanRevised(Event):
     """An adaptive campaign revised its projected total trial count.
 
-    Emitted once per wave by
-    :func:`repro.engine.adaptive.run_adaptive_trials` with the next
+    Emitted once per adaptive wave by
+    :func:`repro.engine.core.run_trials` with the next
     convergence-check boundary — the driver's current best estimate of
     the campaign's final size.  Progress consumers
     (:class:`~repro.obs.sinks.ProgressSink`, the live ``/metrics``

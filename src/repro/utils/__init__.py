@@ -1,7 +1,6 @@
-"""Shared utilities: deterministic RNG trees, validation, timing, tables."""
+"""Shared utilities: deterministic RNG trees, validation, tables."""
 
 from repro.utils.rng import SeedSequenceTree, spawn_rng, trial_seed
-from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_positive_int,
     check_probability,
@@ -14,7 +13,6 @@ __all__ = [
     "SeedSequenceTree",
     "spawn_rng",
     "trial_seed",
-    "Timer",
     "check_positive_int",
     "check_probability",
     "check_power_of_two",

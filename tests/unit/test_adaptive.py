@@ -131,7 +131,7 @@ class TestStopperRule:
 def simulate_adaptive(p: float, target: float, cap: int, seed: int):
     """Drive the actual stopping rule on Bernoulli(p) SDC draws.
 
-    Mirrors the wave loop of ``run_adaptive_trials`` with simulated
+    Mirrors the wave loop of ``repro.engine.core.run_trials`` with simulated
     trial results: outcome is SDC with probability ``p``, else SUCCESS.
     Returns ``(n_sdc, n_done, converged, stopper)``.
     """

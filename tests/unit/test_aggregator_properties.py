@@ -135,7 +135,7 @@ class TestArrivalOrderInvariance:
             assert got[3] == reference[3], f"provenance bytes diverged for {perm}"
 
     def test_ragged_chunk_sizes(self, tmp_path):
-        """Uneven layouts (the adaptive driver's tail chunks) stay invariant."""
+        """Uneven layouts (adaptive waves' tail chunks) stay invariant."""
         chunks = [(0, 5), (5, 6), (6, 13), (13, 15)]
         payloads = [make_payload(lo, hi) for lo, hi in chunks]
         reference = fold_in_order(chunks, payloads, range(4), tmp_path, "ref")
@@ -193,7 +193,7 @@ class TestRealEnginePayloads:
 
 
 class TestLayoutExtension:
-    """`extend` (the adaptive driver's wave growth) keeps the invariants."""
+    """`extend` (adaptive wave growth) keeps the invariants."""
 
     def test_extend_then_out_of_order_within_wave(self, tmp_path):
         chunks = chunk_layout(2)

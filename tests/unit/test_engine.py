@@ -229,6 +229,12 @@ class TestInterruptAndResume:
             restore()
         store = CheckpointStore(app, dep, keep_records=True)
         assert len(list(store.dir.glob("chunk-*.json"))) == 2
+        # a fixed-N manifest pins the whole layout: no partial `planned`
+        meta = json.loads((store.dir / "meta.json").read_text())
+        assert "planned" not in meta
+        assert meta["trials"] == 10
+        tiled = [t for lo, hi in sorted(meta["chunks"]) for t in range(lo, hi)]
+        assert tiled == list(range(10))
 
         mem = obs.MemorySink()
         with obs.recording(obs.Recorder([mem])):

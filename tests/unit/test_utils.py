@@ -1,6 +1,4 @@
-"""Tests for the utils package (rng, validation, timing, tables)."""
-
-import time
+"""Tests for the utils package (rng, validation, tables)."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedSequenceTree, spawn_rng, stable_choice, trial_seed
 from repro.utils.tables import format_table
-from repro.utils.timing import Timer
 from repro.utils.validation import (
     check_positive_int,
     check_power_of_two,
@@ -78,54 +75,6 @@ class TestValidation:
         for bad in (0, 3, 12):
             with pytest.raises(ConfigurationError):
                 check_power_of_two(bad, "n")
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        first = t.elapsed
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed > first >= 0.01
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
-        assert t.splits == []
-
-    def test_splits_record_each_lap(self):
-        t = Timer()
-        with t:
-            pass
-        with t:
-            time.sleep(0.01)
-        assert len(t.splits) == 2
-        assert t.splits[1] >= 0.01
-        assert sum(t.splits) == pytest.approx(t.elapsed)
-
-    def test_reenter_raises_runtime_error(self):
-        t = Timer()
-        with pytest.raises(RuntimeError):
-            with t:
-                with t:
-                    pass
-        # __exit__ of the outer ``with`` already ran; timer is stopped
-        assert not t.running
-
-    def test_exit_without_enter_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().__exit__(None, None, None)
-
-    def test_reset_while_running_raises(self):
-        t = Timer()
-        with pytest.raises(RuntimeError):
-            with t:
-                t.reset()
 
 
 class TestTables:
