@@ -19,8 +19,8 @@ A chunk file holds the chunk's :class:`~repro.engine.chunks.ChunkPayload`:
 the joint-distribution delta **in first-occurrence insertion order**
 (a list, not a sorted dict — insertion order is part of the engine's
 bit-identical-to-serial guarantee), the trial records when requested,
-and the chunk's observability snapshot (counters, histograms, span
-totals, buffered events) so a resumed run replays every recovered
+and the chunk's observability snapshot (counters, histogram summaries,
+span totals, buffered events) so a resumed run replays every recovered
 trial's events into its own trace and provenance files.
 
 Corruption handling: a chunk file or manifest that fails to parse or
@@ -44,6 +44,7 @@ from repro.errors import CheckpointCorruptError
 from repro.fi.cache import cache_dir, deployment_key
 from repro.fi.outcomes import Outcome, TrialRecord
 from repro.obs import CacheCorrupt, ObsSnapshot, event_from_dict, get_recorder
+from repro.obs.recorder import HISTOGRAM_FIELDS
 
 if TYPE_CHECKING:
     from repro.fi.campaign import AppProtocol, Deployment
@@ -67,10 +68,34 @@ def _serialize_snapshot(snapshot: ObsSnapshot | None) -> dict | None:
         return None
     return {
         "counters": snapshot.counters,
-        "histograms": snapshot.histograms,
+        # an object, not the summary list: an old chunk's sample list of
+        # exactly four values must not read as a summary
+        "histograms": {
+            name: dict(zip(HISTOGRAM_FIELDS, summary))
+            for name, summary in snapshot.histograms.items()
+        },
         "span_totals": snapshot.span_totals,
         "events": [event.to_dict() for event in snapshot.events],
     }
+
+
+def _histogram_summary(entry) -> list | None:
+    """A stored histogram as ``[count, sum, min, max]``, or None.
+
+    Reads the summary object this module writes, and folds the sample
+    list older ``ckpt-v1`` chunks hold (an empty one is None).  Any
+    other entry raises ``ValueError``: the chunk is corrupt.
+    """
+    numeric = (int, float)  # JSON numbers; a bool or string is corrupt
+    if isinstance(entry, dict) and set(entry) == set(HISTOGRAM_FIELDS):
+        summary = [entry[k] for k in HISTOGRAM_FIELDS]
+        if all(type(v) in numeric for v in summary) and summary[0] >= 1:
+            return summary
+    elif isinstance(entry, list) and all(type(v) in numeric for v in entry):
+        if not entry:
+            return None
+        return [len(entry), sum(entry), min(entry), max(entry)]
+    raise ValueError(f"malformed histogram {entry!r}")
 
 
 def _deserialize_snapshot(blob: dict | None) -> ObsSnapshot | None:
@@ -79,7 +104,10 @@ def _deserialize_snapshot(blob: dict | None) -> ObsSnapshot | None:
     events = [event_from_dict(e) for e in blob["events"]]
     return ObsSnapshot(
         counters={str(k): v for k, v in blob["counters"].items()},
-        histograms={str(k): list(v) for k, v in blob["histograms"].items()},
+        histograms={
+            str(k): summary for k, v in blob["histograms"].items()
+            if (summary := _histogram_summary(v)) is not None
+        },
         span_totals={str(k): list(v) for k, v in blob["span_totals"].items()},
         # unknown event types (written by newer code) are dropped, same
         # as trace replay — forward compatibility over completeness
@@ -266,7 +294,7 @@ class CheckpointStore:
                     _deserialize_chunk(json.loads(raw), lo, hi)
                 )
             except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                    TypeError, ValueError, IndexError) as exc:
+                    TypeError, ValueError, IndexError, AttributeError) as exc:
                 self._corrupt(chunk_key, f"unreadable chunk ({exc})")
         return chunks, payloads
 

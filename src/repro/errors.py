@@ -41,10 +41,6 @@ class InjectionPlanError(ReproError):
     """
 
 
-class CheckerError(ReproError):
-    """An application verification checker was configured incorrectly."""
-
-
 class WorkerCrashError(ReproError):
     """A campaign worker process died without reporting a result.
 

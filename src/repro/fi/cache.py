@@ -83,10 +83,6 @@ def deployment_key(deployment: Deployment) -> str:
     return key
 
 
-#: Backwards-compatible alias (the helper predates the public name).
-_deployment_key = deployment_key
-
-
 def _store() -> "ResultStore":
     # local import: repro.engine imports this module during package init
     # (checkpoint keying), so the reverse import must not run at load time

@@ -28,7 +28,9 @@ from typing import Callable, Sequence
 from repro.fi.outcomes import TrialRecord, classify_outcome
 from repro.fi.plan import InjectionPlan, PlannedFlip, sample_plan
 from repro.mpisim.runner import execute_spmd
-from repro.obs import FaultInjected, Recorder, TrialFinished, recording
+from repro.obs import (
+    FaultInjected, ObsSnapshot, Recorder, TrialFinished, recording,
+)
 from repro.obs.provenance import FlipObservation, build_trial_provenance
 from repro.taint.laneops import LaneFPOps
 from repro.taint.tarray import TArray
@@ -337,12 +339,7 @@ def _replay_lane(
         # replay the batch pass's shared metering — accounting ran once
         # for the whole block, so the captured counters are exactly one
         # trial's worth (fp.* per rank, scheduler steps/runs, ...)
-        if snap is not None:
-            for name, value in snap.counters.items():
-                obs.counter(name, value)
-            for name, values in snap.histograms.items():
-                for value in values:
-                    obs.observe(name, value)
+        obs.absorb(snap, emit_events=False)
         for rank, n in batch.report_items(lane):
             obs.counter(f"taint.contaminated_reports.rank{rank}", n)
         obs.counter(f"campaign.trials.{outcome.value}")
@@ -418,7 +415,8 @@ def run_lane_block(
                 for trial in range(start, stop)
             ]
         raw = outputs[0]
-        snap = private.snapshot() if obs.enabled else None
+        snap = ObsSnapshot(counters=private.counters,
+                           histograms=private.histograms)
         records: list[TrialRecord] = []
         for lane, trial in enumerate(range(start, stop)):
             if lane in batch.ejected:

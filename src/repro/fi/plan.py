@@ -67,10 +67,6 @@ class InjectionPlan:
         """Number of planned flips (a k-bit error contributes k)."""
         return len(self.flips)
 
-    @property
-    def target_ranks(self) -> frozenset[int]:
-        return frozenset(f.rank for f in self.flips)
-
     def to_payload(self) -> list[dict]:
         """JSON-ready list of fault sites, in plan order."""
         return [f.to_payload() for f in self.flips]

@@ -11,7 +11,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Any, ClassVar, Iterable
+from typing import Any, ClassVar
 
 __all__ = [
     "Event",
@@ -440,8 +440,3 @@ def event_from_dict(blob: dict[str, Any]) -> Event | None:
         return None
     names = {f.name for f in fields(cls)}
     return cls(**{k: v for k, v in blob.items() if k in names})
-
-
-def events_of(events: Iterable[Event], cls: type[Event]) -> list[Event]:
-    """Filter a replayed trace down to one event class."""
-    return [e for e in events if isinstance(e, cls)]

@@ -44,7 +44,7 @@ from repro.obs.dashboard import render_dashboard_html
 from repro.obs.events import TrialProvenance
 from repro.obs.profiler import CampaignScope, profile_rows
 from repro.obs.provenance import FaultProvenance
-from repro.obs.recorder import Recorder, _copy_racing
+from repro.obs.recorder import HISTOGRAM_FIELDS, Recorder, _copy_racing
 from repro.obs.sinks import RingBufferSink
 
 __all__ = [
@@ -70,45 +70,55 @@ def _label(value: str) -> str:
     return f'"{escaped}"'
 
 
+def _live_state(recorder: Recorder, eta_s: float | None) -> dict:
+    """A recorder's live state as plain data, from one snapshot."""
+    snap = recorder.snapshot()
+    return {
+        "counters": dict(snap.counters),
+        "gauges": _copy_racing(recorder.gauges),
+        "histograms": {
+            name: dict(zip(HISTOGRAM_FIELDS, summary))
+            for name, summary in snap.histograms.items()
+        },
+        "spans": {
+            path: {"count": int(count), "seconds": seconds}
+            for path, (count, seconds) in snap.span_totals.items()
+        },
+        "profile": profile_rows(snap.profile),
+        "eta_seconds": eta_s,
+    }
+
+
 def render_prometheus(
     recorder: Recorder, eta_s: float | None = None
 ) -> str:
     """One Prometheus text-exposition page for a recorder's live state."""
-    snap = recorder.snapshot()
-    gauges = _copy_racing(recorder.gauges)
+    state = _live_state(recorder, eta_s)
     lines: list[str] = []
-    for name in sorted(snap.counters):
+    for name, value in sorted(state["counters"].items()):
         metric = _metric_name(name) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {snap.counters[name]:g}")
-    for name in sorted(gauges):
+        lines += [f"# TYPE {metric} counter", f"{metric} {value:g}"]
+    for name, value in sorted(state["gauges"].items()):
         metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {gauges[name]:g}")
+        lines += [f"# TYPE {metric} gauge", f"{metric} {value:g}"]
     if eta_s is not None:
         lines.append("# TYPE repro_campaign_eta_seconds gauge")
         lines.append(f"repro_campaign_eta_seconds {eta_s:g}")
-    for name in sorted(snap.histograms):
+    for name, hist in sorted(state["histograms"].items()):
         metric = _metric_name(name)
-        values = snap.histograms[name]
-        lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count {len(values)}")
-        lines.append(f"{metric}_sum {sum(values):g}")
-        if values:
-            lines.append(f"{metric}_min {min(values):g}")
-            lines.append(f"{metric}_max {max(values):g}")
-    if snap.span_totals:
+        lines += [f"# TYPE {metric} summary", f"{metric}_count {hist['count']}"]
+        lines += [f"{metric}_{k} {hist[k]:g}" for k in ("sum", "min", "max")]
+    if state["spans"]:
         lines.append("# TYPE repro_span_seconds_total counter")
         lines.append("# TYPE repro_span_count_total counter")
-        for path in sorted(snap.span_totals):
-            count, seconds = snap.span_totals[path]
+        for path, span in sorted(state["spans"].items()):
             label = f"{{path={_label(path)}}}"
-            lines.append(f"repro_span_seconds_total{label} {seconds:g}")
-            lines.append(f"repro_span_count_total{label} {int(count)}")
-    if snap.profile:
+            lines.append(f"repro_span_seconds_total{label} {span['seconds']:g}")
+            lines.append(f"repro_span_count_total{label} {span['count']}")
+    if state["profile"]:
         lines.append("# TYPE repro_profile_ops_total counter")
         lines.append("# TYPE repro_profile_seconds_total counter")
-        for row in profile_rows(snap.profile):
+        for row in state["profile"]:
             label = (
                 f"{{phase={_label(row['phase'])},op={_label(row['kind'])},"
                 f"rank=\"{row['rank']}\"}}"
@@ -124,27 +134,7 @@ def render_metrics_json(
     recorder: Recorder, eta_s: float | None = None
 ) -> str:
     """The same live state as one JSON object (``/metrics?format=json``)."""
-    snap = recorder.snapshot()
-    blob = {
-        "counters": dict(snap.counters),
-        "gauges": _copy_racing(recorder.gauges),
-        "histograms": {
-            name: {
-                "count": len(values),
-                "sum": sum(values),
-                "min": min(values) if values else None,
-                "max": max(values) if values else None,
-            }
-            for name, values in snap.histograms.items()
-        },
-        "spans": {
-            path: {"count": int(count), "seconds": seconds}
-            for path, (count, seconds) in snap.span_totals.items()
-        },
-        "profile": profile_rows(snap.profile),
-        "eta_seconds": eta_s,
-    }
-    return json.dumps(blob, sort_keys=True) + "\n"
+    return json.dumps(_live_state(recorder, eta_s), sort_keys=True) + "\n"
 
 
 class _Handler(BaseHTTPRequestHandler):

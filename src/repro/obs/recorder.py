@@ -29,7 +29,7 @@ Metrics model
 * **gauges** — last-write-wins values (``campaign.trials_planned``,
   ``campaign.trials_done``), the live-telemetry view of "where is the
   run right now";
-* **histograms** — lists of observed samples
+* **histograms** — one ``[count, sum, min, max]`` summary per name
   (``taint.contamination_spread``, ``scheduler.blocked_ranks``);
 * **spans** — :meth:`Recorder.span` is the one way code opens a span.
   Phase categories (``campaign``, ``phase``, ``trial``) nest into
@@ -66,14 +66,17 @@ from repro.obs.events import Event, SpanEnd
 from repro.obs.sinks import Sink
 
 __all__ = [
-    "TRACE_ONLY", "ObsSnapshot", "Recorder", "get_recorder", "set_recorder",
-    "recording", "reset",
+    "HISTOGRAM_FIELDS", "TRACE_ONLY", "ObsSnapshot", "Recorder",
+    "get_recorder", "set_recorder", "recording", "reset",
 ]
 
 #: Span categories recorded in the causal tree only: they extend no
 #: phase path, accumulate no ``span_totals`` and emit no ``SpanEnd``, so
 #: the main event stream is the same with or without them.
 TRACE_ONLY = frozenset({"wave", "chunk", "lanes", "checkpoint"})
+
+#: What each histogram's summary list holds, in order.
+HISTOGRAM_FIELDS = ("count", "sum", "min", "max")
 
 
 def _copy_racing(mapping: dict, value_copy: Callable | None = None) -> dict:
@@ -99,12 +102,26 @@ def _copy_racing(mapping: dict, value_copy: Callable | None = None) -> dict:
     return out
 
 
+def _fold(summaries: dict, name: str, count, total, lo, hi) -> None:
+    """Merge ``count`` samples summing to ``total``, within ``lo..hi``."""
+    agg = summaries.get(name)
+    # whole-list writes, so a racing snapshot never copies a torn summary;
+    # a new name gets a fresh list, never one shared with a snapshot
+    if agg is None:
+        summaries[name] = [count, total, lo, hi]
+    else:
+        agg[:] = (agg[0] + count, agg[1] + total,
+                  min(agg[2], lo), max(agg[3], hi))
+
+
 @dataclass
 class ObsSnapshot:
     """Picklable aggregate of one recorder's state (plus buffered events).
 
     Produced by :meth:`Recorder.snapshot` in a worker process and merged
-    into the parent's recorder with :meth:`Recorder.absorb`.  ``profile``
+    into the parent's recorder with :meth:`Recorder.absorb`.
+    ``histograms`` maps a name to its ``[count, sum, min, max]`` summary,
+    so a snapshot's size does not grow with the samples.  ``profile``
     carries the hot-path profiler's attribution rows so per-(phase, op
     kind, rank) data survives worker aggregation exactly like counters
     do; ``trace`` carries the causal spans collected while
@@ -222,6 +239,7 @@ class Recorder:
         self.trace_ctx = trace_ctx
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
+        #: histogram name -> [count, sum, min, max]
         self.histograms: dict[str, list[float]] = {}
         #: span path -> [count, total_seconds]
         self.span_totals: dict[str, list[float]] = {}
@@ -250,10 +268,10 @@ class Recorder:
         self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
-        """Append ``value`` to histogram ``name`` (no-op while disabled)."""
+        """Fold ``value`` into histogram ``name`` (no-op while disabled)."""
         if not self.enabled:
             return
-        self.histograms.setdefault(name, []).append(value)
+        _fold(self.histograms, name, 1, value, value, value)
 
     # ------------------------------------------------------------------
     # hot-path profiling
@@ -371,17 +389,17 @@ class Recorder:
     def absorb(self, snapshot: ObsSnapshot, emit_events: bool = True) -> None:
         """Merge a worker's :class:`ObsSnapshot` into this recorder.
 
-        Counters add, histograms extend, span totals and profile rows
-        accumulate, trace spans append, and the snapshot's events are
-        re-emitted to this recorder's sinks in their original order.
+        Counters add, histogram summaries merge, span totals and profile
+        rows accumulate, trace spans append, and the snapshot's events
+        are re-emitted to this recorder's sinks in their original order.
         No-op while disabled.
         """
         if not self.enabled:
             return
         for name, value in snapshot.counters.items():
             self.counters[name] = self.counters.get(name, 0) + value
-        for name, values in snapshot.histograms.items():
-            self.histograms.setdefault(name, []).extend(values)
+        for name, (count, total, lo, hi) in snapshot.histograms.items():
+            _fold(self.histograms, name, count, total, lo, hi)
         for path, (count, total) in snapshot.span_totals.items():
             agg = self.span_totals.setdefault(path, [0, 0.0])
             agg[0] += count

@@ -290,11 +290,9 @@ def render_metrics_summary(recorder: Recorder) -> str:
     if recorder.histograms:
         rows = []
         for name in sorted(recorder.histograms):
-            values = recorder.histograms[name]
-            rows.append(
-                (name, len(values), round(min(values), 3),
-                 round(sum(values) / len(values), 3), round(max(values), 3))
-            )
+            count, total, lo, hi = recorder.histograms[name]
+            rows.append((name, count, round(lo, 3), round(total / count, 3),
+                         round(hi, 3)))
         sections.append(
             format_table(["histogram", "n", "min", "mean", "max"], rows,
                          title="Histograms")

@@ -27,6 +27,7 @@ forward, so exported nesting always matches the recorded causality.
 
 from __future__ import annotations
 
+import statistics
 from pathlib import Path
 from typing import Iterable
 
@@ -272,16 +273,6 @@ def otlp_trace(spans: Iterable[dict]) -> dict:
     }
 
 
-def _median(values: list[float]) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def worker_utilization(spans: Iterable[dict], k: float = STRAGGLER_K) -> dict:
     """Per-worker busy/idle/queue-wait fractions plus straggler chunks.
 
@@ -325,7 +316,7 @@ def worker_utilization(spans: Iterable[dict], k: float = STRAGGLER_K) -> dict:
         }
 
     durations = [max(s.get("dur", 0.0), 0.0) for s in chunks]
-    median = _median(durations)
+    median = statistics.median(durations) if durations else 0.0
     stragglers = [
         {
             "name": s["name"],

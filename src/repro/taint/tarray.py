@@ -179,12 +179,6 @@ class LaneSet:
             return self.div_lanes()
         return np.nonzero(self.div | self.gdrift)[0]
 
-    def golden_rows(self, golden: np.ndarray) -> np.ndarray:
-        """``(k,)+shape`` view of the per-lane golden values."""
-        if self.gstack is not None:
-            return self.gstack
-        return np.broadcast_to(golden, self.fstack.shape)
-
     def eject(self, mask: np.ndarray, reason: str) -> None:
         """Hand every lane set in ``mask`` back to the scalar path."""
         lanes = np.nonzero(mask)[0]

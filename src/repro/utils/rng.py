@@ -56,10 +56,6 @@ class SeedSequenceTree:
         """Materialize a PCG64 generator at this node."""
         return np.random.Generator(np.random.PCG64(self._ss))
 
-    @property
-    def seed_sequence(self) -> np.random.SeedSequence:
-        return self._ss
-
 
 def spawn_rng(seed: int, *keys: str | int) -> np.random.Generator:
     """Convenience: generator at path ``keys`` under master ``seed``."""

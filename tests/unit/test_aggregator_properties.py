@@ -58,9 +58,12 @@ def make_payload(lo: int, hi: int) -> ChunkPayload:
             planned=[{"rank": 0, "index": trial, "bit": trial % 52}],
             fired=[], timeline=[[trial, 0]],
         ))
+    spread = [t % 4 for t in range(lo, hi)]
     snapshot = ObsSnapshot(
         counters={f"campaign.trials.{_OUTCOMES[0].value}": hi - lo},
-        histograms={"taint.contamination_spread": [t % 4 for t in range(lo, hi)]},
+        histograms={"taint.contamination_spread": [
+            len(spread), sum(spread), min(spread), max(spread),
+        ]},
         span_totals={"campaign/trial": [hi - lo, 0.001 * (hi - lo)]},
         events=events,
     )
@@ -162,6 +165,36 @@ class TestArrivalOrderInvariance:
         lines = [json.loads(l) for l in raw.splitlines()]
         assert [d["trial"] for d in lines] == list(range(9))
         assert all("ts" not in d for d in lines)  # timestamp-free by contract
+
+
+class TestHistogramSummaries:
+    def test_any_split_absorbs_to_the_one_recorder_summary(self):
+        """Chunk snapshots of integer samples merge, in any arrival
+        order, to exactly the summary of observing every sample in one
+        recorder — so chunking can never change a histogram."""
+        rng = random.Random(0x4157)
+        for _ in range(200):
+            samples = [
+                (rng.choice("ab"), rng.randint(-50, 50))
+                for _ in range(rng.randint(1, 40))
+            ]
+            whole = Recorder(enabled=True)
+            for name, value in samples:
+                whole.observe(name, value)
+            cuts = sorted(rng.sample(range(1, len(samples)),
+                                     rng.randint(0, len(samples) - 1)))
+            bounds = list(zip([0, *cuts], [*cuts, len(samples)]))
+            snapshots = []
+            for lo, hi in bounds:
+                worker = Recorder(enabled=True)
+                for name, value in samples[lo:hi]:
+                    worker.observe(name, value)
+                snapshots.append(worker.snapshot())
+            rng.shuffle(snapshots)
+            merged = Recorder(enabled=True)
+            for snapshot in snapshots:
+                merged.absorb(snapshot)
+            assert merged.histograms == whole.histograms
 
 
 class TestRealEnginePayloads:

@@ -362,6 +362,77 @@ class TestCheckpointCorruption:
                                resume=True)
         assert retried.joint == clean.joint
 
+    def _metered_interrupted_store(self, app, dep):
+        """An interrupted checkpointed run whose chunks carry metrics."""
+        with obs.recording(obs.Recorder(enabled=True)):
+            return self._interrupted_store(app, dep)
+
+    @pytest.mark.parametrize("entry", [
+        "abc",                                    # any iterable used to load
+        [1, "x"],                                 # non-numeric sample
+        {"count": 2, "sum": 4, "min": 1},         # incomplete summary
+        {"count": 0, "sum": 0, "min": 0, "max": 0},  # summary of nothing
+        {"count": True, "sum": 1, "min": 1, "max": 1},
+    ])
+    def test_malformed_histogram_is_corrupt(self, entry):
+        app = EngineApp()
+        dep = Deployment(nprocs=1, trials=10, seed=11)
+        store = self._metered_interrupted_store(app, dep)
+        victim = sorted(store.dir.glob("chunk-*.json"))[0]
+        blob = json.loads(victim.read_text())
+        blob["obs"]["histograms"]["taint.contamination_spread"] = entry
+        victim.write_text(json.dumps(blob))
+
+        with obs.recording(obs.Recorder(enabled=True)) as rec:
+            with pytest.raises(CheckpointCorruptError, match="histogram"):
+                run_campaign(app, dep, jobs=1, checkpoint_every=3,
+                             resume=True)
+        assert rec.counters["checkpoint.corrupt"] == 1
+        assert not victim.exists()
+
+    def test_sample_list_chunks_still_resume(self, monkeypatch):
+        """A ckpt-v1 chunk written before histogram summaries holds each
+        histogram as its list of samples; it resumes to the same metrics
+        as an uninterrupted run."""
+        import repro.engine.chunks as chunks_mod
+
+        app = EngineApp()
+        dep = Deployment(nprocs=2, trials=10, seed=11)
+        with obs.recording(obs.Recorder(enabled=True)) as clean:
+            run_campaign(app, dep, jobs=1)
+
+        chunk_recorders = []
+
+        class SampleRecorder(obs.Recorder):
+            """A chunk recorder that also keeps every sample."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.samples = {}
+                chunk_recorders.append(self)
+
+            def observe(self, name, value):
+                super().observe(name, value)
+                self.samples.setdefault(name, []).append(value)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(chunks_mod, "Recorder", SampleRecorder)
+            store = self._metered_interrupted_store(app, dep)
+        chunk_files = sorted(store.dir.glob("chunk-*.json"))
+        assert len(chunk_files) == 2
+        for path, chunk_rec in zip(chunk_files, chunk_recorders):
+            blob = json.loads(path.read_text())
+            assert set(blob["obs"]["histograms"]) == set(chunk_rec.samples)
+            blob["obs"]["histograms"] = chunk_rec.samples
+            path.write_text(json.dumps(blob))
+
+        mem = obs.MemorySink()
+        with obs.recording(obs.Recorder([mem])) as resumed:
+            run_campaign(app, dep, jobs=1, checkpoint_every=3, resume=True)
+        (event,) = mem.of(obs.CampaignResumed)  # the list chunks were read
+        assert event.trials_done == 6
+        assert resumed.histograms == clean.histograms
+
     def test_foreign_manifest_is_stale_not_corrupt(self):
         app = EngineApp()
         dep = Deployment(nprocs=1, trials=10, seed=11)

@@ -17,6 +17,7 @@ import pytest
 
 import repro.fi.lanes as lanes_mod
 from repro import obs
+from repro.apps import get_app
 from repro.fi.cache import deployment_key
 from repro.fi.campaign import Deployment, run_campaign
 from repro.knobs import env_value
@@ -91,7 +92,7 @@ def _strip_times(line: str) -> dict:
 
 
 def _run_traced(app, deployment, tmp_path, tag, *, lanes, jobs=1):
-    """One campaign with a JSONL trace; returns (result, events, prov)."""
+    """One traced campaign; returns (result, events, prov, recorder)."""
     trace = tmp_path / f"{tag}.jsonl"
     previous = obs.get_recorder()
     rec = obs.configure(trace_path=trace)
@@ -104,7 +105,7 @@ def _run_traced(app, deployment, tmp_path, tag, *, lanes, jobs=1):
         obs.set_recorder(previous)
     events = [_strip_times(line) for line in trace.read_text().splitlines()]
     prov = provenance_path(trace).read_bytes()
-    return result, events, prov
+    return result, events, prov, rec
 
 
 class TestScalarParity:
@@ -114,13 +115,32 @@ class TestScalarParity:
     def test_records_joint_events_provenance_identical(self, tmp_path, lanes):
         app = LaneApp()
         dep = Deployment(nprocs=2, trials=24, seed=9)
-        base, ev1, pv1 = _run_traced(app, dep, tmp_path, "scalar", lanes=1)
-        got, ev, pv = _run_traced(app, dep, tmp_path, f"l{lanes}", lanes=lanes)
+        base, ev1, pv1, rec1 = _run_traced(
+            app, dep, tmp_path, "scalar", lanes=1
+        )
+        got, ev, pv, rec = _run_traced(
+            app, dep, tmp_path, f"l{lanes}", lanes=lanes
+        )
         assert got.joint == base.joint
         assert list(got.joint) == list(base.joint)
         assert got.records == base.records
         assert ev == ev1
         assert pv == pv1
+        # lane replay meters each trial once, exactly as the scalar loop
+        assert (rec.counters, rec.histograms) == (rec1.counters, rec1.histograms)
+
+    def test_cg_metrics_match_scalar(self, tmp_path):
+        dep = Deployment(nprocs=2, trials=8, seed=3)
+        runs = [
+            _run_traced(get_app("cg"), dep, tmp_path, f"cg{lanes}", lanes=lanes)
+            for lanes in (1, 4)
+        ]
+        (_, _, _, rec1), (_, _, _, rec4) = runs
+        assert rec4.counters == rec1.counters
+        assert rec4.histograms == rec1.histograms
+        # [count, sum, min, max]: a double-counted replay would inflate both
+        assert rec4.histograms["scheduler.blocked_ranks"] == [261, 504, 0, 2]
+        assert rec4.histograms["taint.contamination_spread"] == [8, 16, 2, 2]
 
     def test_lanes_compose_with_jobs(self, tmp_path):
         app = LaneApp()

@@ -270,6 +270,13 @@ class TestThreadSafety:
             for _ in range(300):
                 snap = rec.snapshot()
                 assert all(v >= 1 for v in snap.counters.values())
+                # every summary is whole: [count, sum, min, max] from
+                # one write, never a count ahead of its sum
+                assert all(
+                    count >= 1 and lo <= hi
+                    and lo * count <= total <= hi * count
+                    for count, total, lo, hi in snap.histograms.values()
+                )
                 events = ring.tail(16)
                 assert len(events) <= 16
                 json.loads(render_metrics_json(rec))

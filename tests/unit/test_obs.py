@@ -47,7 +47,8 @@ class TestRecorder:
         rec = obs.Recorder(enabled=True)
         rec.observe("h", 1)
         rec.observe("h", 3)
-        assert rec.histograms == {"h": [1, 3]}
+        # [count, sum, min, max]
+        assert rec.histograms == {"h": [2, 4, 1, 3]}
 
     def test_span_nesting_builds_paths(self):
         clock = FakeClock()
@@ -274,7 +275,7 @@ class TestSchedulerObservability:
         assert rec.counters["scheduler.steps"] >= 8  # 2 resumptions x 4 ranks
         assert rec.counters["scheduler.runs"] == 1
         # all four ranks were parked in the allreduce when the queue drained
-        assert 4 in rec.histograms["scheduler.blocked_ranks"]
+        assert rec.histograms["scheduler.blocked_ranks"][3] == 4  # max
 
 
 class TestConfigure:

@@ -232,8 +232,8 @@ class TestParallelObservability:
         _, _, parallel_rec = self._run(dep, jobs=2)
         # counters: identical work was metered, just in other processes
         assert parallel_rec.counters == serial_rec.counters
-        assert sorted(parallel_rec.histograms["taint.contamination_spread"]) == \
-            sorted(serial_rec.histograms["taint.contamination_spread"])
+        # integer histogram summaries merge exactly, in any chunk order
+        assert parallel_rec.histograms == serial_rec.histograms
         # span paths and counts line up (durations differ, of course)
         assert set(parallel_rec.span_totals) == set(serial_rec.span_totals)
         for path in ("campaign/trial", "campaign/trial/inject"):
