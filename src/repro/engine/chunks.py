@@ -32,11 +32,12 @@ if TYPE_CHECKING:  # circular at runtime: campaign dispatches into here
 
 __all__ = [
     "MAX_CHUNK_TRIALS", "ChunkPayload", "EngineContext", "chunk_bounds",
-    "execute_chunk", "plan_chunks",
+    "execute_chunk", "fold_record", "plan_chunks",
 ]
 
 #: Upper bound on trials per chunk: small enough that progress events
 #: flow and stragglers rebalance, large enough to amortize task overhead.
+#: It bounds a forked block too, which reports its trials when it ends.
 MAX_CHUNK_TRIALS = 50
 
 
@@ -140,6 +141,17 @@ class ChunkPayload:
         return self.stop - self.start
 
 
+def fold_record(joint: dict[tuple[Outcome, int, bool], int], record: TrialRecord) -> None:
+    """Count one finished trial into its chunk's joint distribution.
+
+    Every block kind's records pass through here one at a time, in
+    trial order — the one seam where a campaign can be interrupted
+    after N trials whichever execution path ran them.
+    """
+    key = (record.outcome, record.n_contaminated, record.activated)
+    joint[key] = joint.get(key, 0) + 1
+
+
 def execute_chunk(
     ctx: EngineContext,
     start: int,
@@ -148,6 +160,12 @@ def execute_chunk(
     live_sinks: Sequence[Sink] = (),
 ) -> ChunkPayload:
     """Run trials ``[start, stop)`` and fold them into one payload.
+
+    Trials run in blocks of one of three kinds: up to
+    :data:`MAX_CHUNK_TRIALS` trials forked off one fault-free execution
+    (a family that supports it, an unprofiled run, a process that may
+    fork, and a block large enough that forking pays), lane blocks of
+    ``ctx.lanes`` trials, or one trial at a time.
 
     ``capture=False`` records straight into the process-wide recorder —
     byte-for-byte the classic serial loop, used when the payload never
@@ -159,8 +177,14 @@ def execute_chunk(
     JSONL traces live while an inline checkpointed campaign runs.
     """
     from repro.fi.campaign import run_one_trial  # circular at import time
+    from repro.fi.scenarios import resolve_model
+    from repro.fi.scenarios.base import fork_pays, fork_safe
 
-    lanes = max(1, ctx.lanes)
+    model = resolve_model(ctx.deployment.scenario)
+    # profiling meters per-trial op counts and times, which a shared
+    # fault-free prefix cannot attribute
+    fork = model.supports_fork and not ctx.profiling and fork_safe()
+    block_size = MAX_CHUNK_TRIALS if fork else max(1, ctx.lanes)
     mem: MemorySink | None = None
     if not capture:
         rec = get_recorder()
@@ -183,24 +207,22 @@ def execute_chunk(
         "chunk", start, stop, cat="chunk",
         args={"start": start, "stop": stop, "trials": stop - start},
     ):
+        args = (ctx.app, ctx.deployment, ctx.profile, ctx.reference)
         trial = start
         while trial < stop:
-            block_stop = min(stop, trial + lanes)
+            block_stop = min(stop, trial + block_size)
+            if fork and not fork_pays(ctx.app, ctx.deployment, block_stop - trial):
+                block_stop = trial + 1
             if block_stop - trial == 1:
-                block_records = [run_one_trial(
-                    ctx.app, ctx.deployment, ctx.profile, ctx.reference,
-                    trial, rec,
-                )]
+                block_records = [run_one_trial(*args, trial, rec)]
+            elif fork:
+                block_records = model.run_block(*args, trial, block_stop, rec)
             else:
-                from repro.fi.lanes import run_lane_block  # circular at import
+                from repro.fi.lanes import run_lane_block  # lanes > 1 only
 
-                block_records = run_lane_block(
-                    ctx.app, ctx.deployment, ctx.profile, ctx.reference,
-                    trial, block_stop, rec,
-                )
+                block_records = run_lane_block(*args, trial, block_stop, rec)
             for record in block_records:
-                key = (record.outcome, record.n_contaminated, record.activated)
-                joint[key] = joint.get(key, 0) + 1
+                fold_record(joint, record)
                 if ctx.keep_records:
                     records.append(record)
             trial = block_stop

@@ -199,9 +199,9 @@ def run_one_trial(
     flips).  Every family guarantees that per-trial decisions depend
     only on ``(deployment.seed, trial)`` via
     :func:`~repro.utils.rng.trial_seed`, so trials can run in any order
-    — or in any process — and produce identical records.  Both the
-    serial campaign loop and the parallel workers
-    (:mod:`repro.engine`) call this one function.
+    — or in any process — and produce identical records.  The serial
+    loop and the parallel workers (:mod:`repro.engine`) run every trial
+    outside a lane block or a forked block through this one function.
     """
     model = resolve_model(deployment.scenario)
     return model.run_trial(app, deployment, profile, reference, trial, obs)
@@ -259,7 +259,9 @@ def run_campaign(
     see ``docs/scenarios.md``).  Scenarios compose with every knob
     above, except that only the bit-flip family supports lane batching
     — other families fall back to the scalar path with a one-line
-    warning.
+    warning.  Instead, rank-kill and message-corruption chunks fork
+    their trials off one shared fault-free execution (unprofiled runs,
+    in a process that may fork) — again bit-identical.
 
     ``backend`` pins *where* chunks execute — ``"inline"``,
     ``"process"``, or ``"distributed:host:port"`` (a controller socket

@@ -3,13 +3,12 @@
 A :class:`FaultModel` owns every scenario-specific decision of one
 fault-injection trial: sampling the trial's plan from the fault-free
 execution, arming the right seam (the instruction-level tracer, the
-scheduler's fail-stop controller, or its in-transit payload hook),
-mapping exceptions and outputs to an outcome, and shaping the
-provenance payload.  The campaign driver
-(:mod:`repro.fi.campaign`) dispatches each trial through
-``resolve_model(deployment.scenario).run_trial(...)`` and otherwise
-never names a concrete family — adding a scenario touches this package
-only.
+scheduler's fail-stop seam, or its in-transit payload hook), mapping
+exceptions and outputs to an outcome, and shaping the provenance
+payload.  The engine dispatches each trial through
+``resolve_model(deployment.scenario).run_trial(...)`` (or a whole block
+through :meth:`SiteFaultModel.run_block`) and otherwise never names a
+concrete family — adding a scenario touches this package only.
 
 Two invariants every model must uphold:
 
@@ -26,33 +25,68 @@ fault sites against the *fault-free execution extent* — total scheduler
 steps and total corruptible payload deliveries — probed once per
 ``(app, nprocs, max_steps)`` by :func:`execution_dynamics` and memoized
 per process.
+
+Their trials are *site-driven* (:class:`SiteFaultModel`): the
+fault-free execution runs with the family's hooks attached but unarmed,
+and each trial's fault lands at one site of it — a (kill step, victim)
+pair or a delivery index.  Everything before that site is the same for
+every trial, so :meth:`SiteFaultModel.run_block` runs it once per block
+and calls ``os.fork()`` at each site: the child arms its trial's fault in
+place, runs the suffix, and pipes back its record.  A trial run alone
+(:meth:`SiteFaultModel.run_trial`, the fallback where forking is
+missing, unsafe or does not pay) is the same site-driven run with its
+one site armed in place.  See ``docs/scenarios.md``, "Fork at the fault site".
 """
 
 from __future__ import annotations
 
 import abc
+import os
+import pickle
+import signal
+import struct
+import threading
+import time
+import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ClassVar, Protocol
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Protocol, Sequence
 
-from repro.errors import ConfigurationError
-from repro.obs.events import TrialProvenance
+from repro.errors import ConfigurationError, WorkerCrashError
+from repro.fi.outcomes import Outcome, TrialRecord
+from repro.obs import MemorySink, TrialFinished, recording
+from repro.obs.events import Event, TrialProvenance
 from repro.taint.tarray import TArray
+from repro.utils.rng import trial_seed
 
 if TYPE_CHECKING:  # avoid runtime cycles: campaign imports this package
     import numpy as np
 
     from repro.fi.campaign import AppProtocol, Deployment
-    from repro.fi.outcomes import TrialRecord
     from repro.fi.profile import InstructionProfile
 
 __all__ = [
     "ScenarioPlan",
     "FaultModel",
+    "SiteFaultModel",
+    "SiteRun",
     "ExecutionDynamics",
     "execution_dynamics",
     "count_corruptible",
     "emit_scenario_provenance",
+    "fork_safe",
+    "fork_pays",
 ]
+
+#: The cost model behind :func:`fork_pays`, fitted to blocks of 1 to 24
+#: trials of both families on MG (4 and 16 ranks), CG (4 and 16), LU
+#: and MiniFE (16); see ``docs/performance.md``, "Fork at the fault
+#: site".  A trial run alone re-runs about this share of the fault-free
+#: execution before its fault lands ...
+FORK_PREFIX_SHARE = 0.5
+#: ... and a forked child costs about this much on top (fork,
+#: copy-on-write faults, pipe, ``waitpid``).
+FORK_COST_S = 0.010
 
 
 class ScenarioPlan(Protocol):
@@ -73,6 +107,7 @@ class ExecutionDynamics:
 
     steps: int        #: total deterministic scheduler steps
     deliveries: int   #: corruptible payload deliveries (TArray leaves in transit)
+    seconds: float    #: wall time of the probe run in this process
 
 
 def count_corruptible(payload: Any) -> int:
@@ -116,7 +151,7 @@ def execution_dynamics(
     counting transit hook.  The result depends only on
     ``(app, nprocs, max_steps)`` — the scheduler is deterministic — so
     one probe per process serves every trial, and every worker process
-    measures the same numbers.
+    measures the same ``steps`` and ``deliveries``.
     """
     key = (app.cache_key(), deployment.nprocs, deployment.max_steps)
     hit = _DYNAMICS.get(key)
@@ -133,8 +168,12 @@ def execution_dynamics(
         deployment.nprocs, factory,
         max_steps=deployment.max_steps, transit=counter,
     )
+    started = time.perf_counter()
     scheduler.run()
-    dynamics = ExecutionDynamics(steps=scheduler.steps, deliveries=counter.count)
+    dynamics = ExecutionDynamics(
+        steps=scheduler.steps, deliveries=counter.count,
+        seconds=time.perf_counter() - started,
+    )
     _DYNAMICS[key] = dynamics
     return dynamics
 
@@ -174,9 +213,10 @@ class FaultModel(abc.ABC):
 
     Subclasses set :attr:`name` (the spec name used by
     ``--scenario``), :attr:`PARAMS` (accepted ``k=v`` spec parameters),
-    and :attr:`supports_lanes` (True only when ``run_trial`` semantics
-    are preserved by the lane-vectorized execution path — currently the
-    bit-flip family alone).
+    :attr:`supports_lanes` (True only when ``run_trial`` semantics are
+    preserved by the lane-vectorized execution path — currently the
+    bit-flip family alone) and :attr:`supports_fork` (set by
+    :class:`SiteFaultModel`).
     """
 
     name: ClassVar[str]
@@ -184,6 +224,9 @@ class FaultModel(abc.ABC):
     PARAMS: ClassVar[tuple[str, ...]] = ()
     #: whether lane batching (``lanes > 1``) may execute this family
     supports_lanes: ClassVar[bool] = False
+    #: whether blocks of trials may fork off one fault-free execution
+    #: (:meth:`SiteFaultModel.run_block`)
+    supports_fork: ClassVar[bool] = False
 
     def __init__(self, params: dict[str, str] | None = None):
         params = dict(params or {})
@@ -248,3 +291,337 @@ class FaultModel(abc.ABC):
         obs,
     ) -> "TrialRecord":
         """Execute one fault-injection test end to end (see invariants)."""
+
+
+# ----------------------------------------------------------------------
+# site-driven trials: fork at the fault site
+# ----------------------------------------------------------------------
+def fork_safe() -> bool:
+    """Whether this process may fork at fault sites.
+
+    Needs POSIX ``fork`` and no Python thread besides the caller's: a
+    thread holding a lock at fork time (the ``--serve-obs`` server, a
+    pooled worker's parent watch) would leave it held in the child.
+    """
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def fork_pays(app: "AppProtocol", deployment: "Deployment", trials: int) -> bool:
+    """Whether forking ``trials`` trials off one fault-free execution
+    beats running each on an execution of its own.
+
+    The block pays for one execution up front; each of its trials then
+    saves the prefix it would have re-run, less its child's cost.  Short
+    executions (CG at 4 ranks: about 10 ms) never pay; MG at 16 ranks
+    (about 100 ms) pays from 3 trials on.
+    """
+    run_s = execution_dynamics(app, deployment).seconds
+    return trials * (FORK_PREFIX_SHARE * run_s - FORK_COST_S) > run_s
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        # Python 3.12+ warns when fork() runs beside other OS threads.
+        # fork_safe() ruled out Python threads; what remains are native
+        # pools such as OpenBLAS's, which stops its workers in a
+        # pthread_atfork handler and restarts them on demand.
+        warnings.filterwarnings(
+            "ignore", message=r"This process .* is multi-threaded",
+            category=DeprecationWarning,
+        )
+        return os.fork()
+
+
+def _reap(pid: int, fd: int, trial: int) -> tuple:
+    """Read a child's report to EOF and reap it; typed failure otherwise.
+
+    An interruption (``KeyboardInterrupt`` included) kills and reaps the
+    child before it propagates, so no child outlives its parent's wait.
+    """
+    status = None
+    try:
+        with open(fd, "rb") as pipe:
+            blob = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    report = None
+    if len(blob) >= 8 and len(blob) == 8 + struct.unpack_from("<Q", blob)[0]:
+        report = pickle.loads(blob[8:])
+    if code == 0 and report is not None and report[0] is not None:
+        return report
+    if report is not None:
+        reason = f"raised {report[1]}"
+    elif code != 0:
+        reason = f"exited with status {code}"
+    else:
+        reason = "sent a short report"
+    raise WorkerCrashError(
+        f"forked trial {trial} {reason} before reporting its record",
+        chunk_start=trial, chunk_stop=trial + 1,
+    )
+
+
+class _Forker:
+    """Forks one child per reached fault site and collects its report.
+
+    The parent waits for each child before it continues, so at most one
+    child is alive at a time.  A child does no I/O except its pipe: its
+    report is a length-prefixed pickle of ``(record, obs snapshot)`` —
+    or ``(None, error)`` when it failed — and it leaves via ``os._exit``
+    (see :meth:`SiteFaultModel.run_block`).
+    """
+
+    def __init__(self) -> None:
+        #: the trial this process runs, once it is a forked child
+        self.child: int | None = None
+        #: trial -> (record, snapshot or None) of every reaped child
+        self.results: dict[int, tuple] = {}
+        self._pipe = -1
+
+    def fork(self, trial: int) -> bool:
+        """Fork at ``trial``'s site: True in the child; False in the
+        parent, once the child reported."""
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = _fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            os.close(read_fd)
+            self.child, self._pipe = trial, write_fd
+            warnings.simplefilter("ignore")  # no stderr: the pipe only
+            return True
+        os.close(write_fd)
+        self.results[trial] = _reap(pid, read_fd, trial)
+        return False
+
+    def report(self, payload: tuple) -> None:
+        """Child: send ``payload`` (a ``BrokenPipeError`` ends the child)."""
+        blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(struct.pack("<Q", len(blob)) + blob)
+        while view:
+            view = view[os.write(self._pipe, view):]
+
+
+class _TrialScope:
+    """One trial's spans: ``trial`` over ``plan``, ``inject``, ``classify``.
+
+    Opened where the trial's own execution starts — before the run when
+    the trial runs alone, at its fault site in a forked child — so both
+    record the same tree.  :meth:`close` is idempotent and also runs on
+    the way out of an exception.
+    """
+
+    def __init__(self, obs) -> None:
+        self._obs = obs
+        self._trial = ExitStack()
+        self._inject = ExitStack()
+        self.span = None
+
+    def open(self, trial: int, sample: Callable[[], Any] | None = None):
+        """Enter ``trial`` and ``inject``; returns ``sample()``, run in ``plan``."""
+        obs = self._obs
+        self.span = self._trial.enter_context(
+            obs.span("trial", trial, cat="trial", args={"trial": trial})
+        )
+        with obs.span("plan"):
+            plan = None if sample is None else sample()
+        self._inject.enter_context(obs.span("inject"))
+        return plan
+
+    def end_inject(self) -> None:
+        self._inject.close()
+
+    def close(self) -> None:
+        self._inject.close()
+        self._trial.close()
+
+
+class SiteRun(abc.ABC):
+    """The hooks of one site-driven execution (see :class:`SiteFaultModel`).
+
+    Built unarmed over a block's plans; at each plan's site it calls
+    ``reach(trial)`` and, when that returns True, arms that trial's
+    fault in place and drops every other site.  ``fired`` is the armed
+    fault's provenance payload once it landed.
+    """
+
+    fired: dict | None = None
+
+    @abc.abstractmethod
+    def execute(self, app: "AppProtocol", deployment: "Deployment") -> list:
+        """Run the application with these hooks; the ranks' outputs."""
+
+    def n_contaminated(self) -> int:
+        """Ranks the armed fault contaminated."""
+        return 0
+
+    def timeline(self) -> Sequence[tuple[int, int]]:
+        """``(step, rank)`` contamination marks, for provenance."""
+        return ()
+
+
+class SiteFaultModel(FaultModel):
+    """A system-level family whose fault lands at one site of the
+    fault-free execution.
+
+    Subclasses provide :attr:`FAILURES`, :meth:`attach` (the family's
+    :class:`SiteRun`), :meth:`complete` and :meth:`fired_event`; this
+    class owns trial execution — alone (:meth:`run_trial`) or a block
+    at a time (:meth:`run_block`) — and the record and events of each
+    trial, which both produce identically.
+    """
+
+    supports_fork = True
+    #: ``(exception type, detail label)`` in match order: the failures a
+    #: faulty run may end in (anything else propagates)
+    FAILURES: ClassVar[tuple[tuple[type[Exception], str], ...]] = ()
+
+    @abc.abstractmethod
+    def attach(
+        self, plans: dict[int, ScenarioPlan], reach: Callable[[int], bool]
+    ) -> SiteRun:
+        """Unarmed hooks visiting every plan's site, in site order."""
+
+    @abc.abstractmethod
+    def complete(self, outputs: list, reference: dict, app, obs) -> tuple[Outcome, str]:
+        """Outcome and detail of a run that completed."""
+
+    @abc.abstractmethod
+    def fired_event(self, trial: int, fired: dict) -> Event:
+        """The event announcing that trial's fault landed."""
+
+    # ------------------------------------------------------------------
+    def run_trial(self, app, deployment, profile, reference, trial, obs) -> TrialRecord:
+        """Trial ``trial`` on an execution of its own, its site armed in place."""
+        scope = _TrialScope(obs)
+        try:
+            plan = scope.open(trial, lambda: self.sample(
+                profile, trial_seed(deployment.seed, trial),
+                app=app, deployment=deployment,
+            ))
+            run = self.attach({trial: plan}, lambda _: True)
+            result = self._execute(run, app, deployment)
+            return self._conclude(app, reference, trial, plan, run, scope, result, obs)
+        finally:
+            scope.close()
+
+    def run_block(
+        self, app, deployment, profile, reference, start: int, stop: int, obs,
+    ) -> list[TrialRecord]:
+        """Trials ``[start, stop)`` forked off one fault-free execution.
+
+        The execution records into a recorder derived from ``obs``, so a
+        child inherits the prefix's counters and histograms and reports
+        what a trial run alone would have recorded.  Trials whose site
+        the execution never reaches fork at its end.  Children report in
+        site order; records and observations fold in trial order.
+        """
+        plans = {
+            trial: self.sample(
+                profile, trial_seed(deployment.seed, trial),
+                app=app, deployment=deployment,
+            )
+            for trial in range(start, stop)
+        }
+        mem = MemorySink()
+        rec = obs.derive([mem])
+        forker = _Forker()
+        scope = _TrialScope(rec)
+
+        def reach(trial: int) -> bool:
+            if not forker.fork(trial):
+                return False
+            scope.open(trial)
+            return True
+
+        run = self.attach(plans, reach)
+        status = 1
+        try:
+            with recording(rec):
+                result = self._execute(run, app, deployment)
+                for trial in plans:
+                    if forker.child is None and trial not in forker.results:
+                        reach(trial)  # site never reached
+                child = forker.child
+                if child is not None:
+                    record = self._conclude(
+                        app, reference, child, plans[child], run, scope,
+                        result, rec,
+                    )
+                    forker.report((
+                        record,
+                        rec.snapshot(events=mem.events) if rec.enabled else None,
+                    ))
+                    status = 0
+        except BaseException as exc:
+            if forker.child is None:
+                raise
+            # a child reports its failure and exits below: re-raising
+            # would unwind into a second copy of the campaign
+            forker.report((None, f"{type(exc).__name__}: {exc}"))
+        finally:
+            if forker.child is not None:
+                os._exit(status)  # never unwind into the caller's stack
+        records = []
+        for trial in plans:
+            record, snapshot = forker.results[trial]
+            if snapshot is not None:
+                for span in snapshot.trace:
+                    span["pid"] = os.getpid()  # the chunk's lane, not the child's
+                obs.absorb(snapshot)
+            records.append(record)
+        return records
+
+    # ------------------------------------------------------------------
+    def _execute(self, run: SiteRun, app, deployment):
+        """The run's rank outputs, or the failure it ended in."""
+        try:
+            return run.execute(app, deployment)
+        except tuple(kind for kind, _ in self.FAILURES) as exc:
+            return exc
+
+    def _conclude(
+        self, app, reference, trial, plan, run: SiteRun, scope: _TrialScope,
+        result, obs,
+    ) -> TrialRecord:
+        """Classify a finished run; record and report it as ``trial``."""
+        scope.end_inject()
+        if isinstance(result, Exception):
+            label = next(lb for kind, lb in self.FAILURES if isinstance(result, kind))
+            outcome, detail = Outcome.FAILURE, f"{label}: {result}"
+        else:
+            outcome, detail = self.complete(result, reference, app, obs)
+        span = scope.span
+        span.set(outcome=outcome.value)
+        scope.close()
+        record = TrialRecord(
+            outcome=outcome,
+            n_contaminated=run.n_contaminated(),
+            activated=run.fired is not None,
+            detail=detail,
+        )
+        if obs.enabled:
+            obs.counter(f"campaign.trials.{outcome.value}")
+            obs.observe("taint.contamination_spread", record.n_contaminated)
+            fired: list[dict] = []
+            if run.fired is not None:
+                obs.emit(self.fired_event(trial, run.fired))
+                fired = [run.fired]
+            obs.emit(TrialFinished(
+                trial=trial, outcome=outcome.value,
+                n_contaminated=record.n_contaminated,
+                activated=record.activated,
+                duration_s=span.duration,
+            ))
+            emit_scenario_provenance(
+                obs, trial, record, plan.to_payload(), fired,
+                timeline=tuple(run.timeline()),
+            )
+        return record

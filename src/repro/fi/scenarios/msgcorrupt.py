@@ -18,8 +18,9 @@ as success with contamination recorded honestly by the taint layer.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -29,19 +30,18 @@ from repro.errors import (
     DeadlockError,
     FaultActivatedError,
 )
-from repro.fi.outcomes import Outcome, TrialRecord, classify_outcome
+from repro.fi.outcomes import Outcome, classify_outcome
 from repro.fi.scenarios.base import (
-    FaultModel,
+    SiteFaultModel,
+    SiteRun,
     count_corruptible,
-    emit_scenario_provenance,
     execution_dynamics,
 )
 from repro.fi.tracer import Tracer, TracerMode
 from repro.mpisim.runner import execute_spmd
 from repro.numerics.bits import bit_width, flip_bit_scalar
-from repro.obs import MessageCorrupted, TrialFinished
+from repro.obs import MessageCorrupted
 from repro.taint.tarray import TArray
-from repro.utils.rng import trial_seed
 
 if TYPE_CHECKING:
     from repro.fi.campaign import AppProtocol, Deployment
@@ -70,21 +70,42 @@ class MessageCorruptionPlan:
         }]
 
 
-class _TransitCorruptor:
-    """Transit hook that corrupts the plan's target delivery, then idles.
+class _CorruptSites(SiteRun):
+    """Transit hook of a site-driven run: each plan's delivery site.
 
     Deliveries are counted in the scheduler's deterministic order, so a
-    fixed ``(seed, trial)`` corrupts the same payload in every run.
-    ``fired`` holds the observed corruption (or None when the execution
-    ended before the target delivery).
+    fixed ``(seed, trial)`` corrupts the same payload in every run.  The
+    armed trial's ``fired`` holds the observed corruption; a plan-less
+    tracer collects contamination marks and their timeline only — no
+    instruction-level injection.
     """
 
-    __slots__ = ("_plan", "_seen", "fired")
+    def __init__(
+        self,
+        plans: dict[int, MessageCorruptionPlan],
+        reach: Callable[[int], bool],
+    ):
+        self._plans = plans
+        self._reach = reach
+        #: pending ``(delivery, trial)`` sites, ascending
+        self._sites = deque(sorted(
+            (plan.delivery, trial) for trial, plan in plans.items()
+        ))
+        self._seen = 0  # corruptible leaves delivered so far
+        self._target: MessageCorruptionPlan | None = None
+        self.tracer = Tracer(TracerMode.PROFILE)
 
-    def __init__(self, plan: MessageCorruptionPlan):
-        self._plan = plan
-        self._seen = 0
-        self.fired: dict | None = None
+    def execute(self, app, deployment) -> list:
+        return execute_spmd(
+            app.program, deployment.nprocs, sink=self.tracer,
+            max_steps=deployment.max_steps, transit=self,
+        )
+
+    def n_contaminated(self) -> int:
+        return self.tracer.contaminated_count()
+
+    def timeline(self):
+        return self.tracer.contamination_timeline
 
     # -- TransitHook -----------------------------------------------------
     def on_p2p(self, src: int, dst: int, payload: Any) -> Any:
@@ -95,24 +116,27 @@ class _TransitCorruptor:
 
     # --------------------------------------------------------------------
     def _intercept(self, payload: Any, kind: str, src: int, dest: int) -> Any:
-        if self.fired is not None:
-            return payload
-        leaves = count_corruptible(payload)
-        if self._seen + leaves <= self._plan.delivery:
-            # cheap skip: the target delivery is not in this payload
-            self._seen += leaves
-            return payload
-        corrupted = self._visit(payload)
-        if self.fired is not None:
-            self.fired.update(kind=kind, src=src, dest=dest)
-        return corrupted
+        sites = self._sites
+        if not sites:
+            return payload  # fired, or every site visited
+        end = self._seen + count_corruptible(payload)
+        while sites and sites[0][0] < end:
+            _, trial = sites.popleft()
+            if self._reach(trial):
+                sites.clear()  # the armed trial corrupts its own site only
+                self._target = self._plans[trial]
+                corrupted = self._visit(payload)
+                self.fired.update(kind=kind, src=src, dest=dest)
+                return corrupted
+        self._seen = end
+        return payload
 
     def _visit(self, payload: Any) -> Any:
         """Rebuild ``payload`` with the target leaf corrupted."""
         if self.fired is not None:
             return payload
         if isinstance(payload, TArray):
-            if self._seen == self._plan.delivery:
+            if self._seen == self._target.delivery:
                 self._seen += 1
                 return self._corrupt_leaf(payload)
             self._seen += 1
@@ -126,13 +150,13 @@ class _TransitCorruptor:
     def _corrupt_leaf(self, arr: TArray) -> TArray:
         faulty = np.array(arr.faulty)  # the frozen faulty copy, writable
         flat = faulty.reshape(-1)
-        element = min(int(self._plan.element_u * flat.size), flat.size - 1)
-        bit = self._plan.bit % bit_width(faulty.dtype)
+        element = min(int(self._target.element_u * flat.size), flat.size - 1)
+        bit = self._target.bit % bit_width(faulty.dtype)
         pre = float(flat[element])
         post = flip_bit_scalar(pre, bit, faulty.dtype)
         flat[element] = post
         self.fired = {
-            "scenario": "msgcorrupt", "delivery": self._plan.delivery,
+            "scenario": "msgcorrupt", "delivery": self._target.delivery,
             "element": element, "bit": bit, "pre": pre, "post": post,
         }
         # golden stays shared: payload_diverged() sees the corruption and
@@ -140,11 +164,16 @@ class _TransitCorruptor:
         return TArray(arr.golden, faulty)
 
 
-class MessageCorruptionModel(FaultModel):
+class MessageCorruptionModel(SiteFaultModel):
     """Flip one sampled bit of one sampled payload delivery in transit."""
 
     name = "msgcorrupt"
     PARAMS = ("bit",)
+    FAILURES = (
+        (FaultActivatedError, "crash"),
+        (DeadlockError, "hang"),
+        (CommunicatorError, "hang"),
+    )
 
     def sample(
         self,
@@ -167,66 +196,19 @@ class MessageCorruptionModel(FaultModel):
         element_u = float(rng.random())
         return MessageCorruptionPlan(delivery, bit, element_u)
 
-    def run_trial(
+    def attach(
         self,
-        app: "AppProtocol",
-        deployment: "Deployment",
-        profile: "InstructionProfile",
-        reference: dict,
-        trial: int,
-        obs,
-    ) -> TrialRecord:
-        with obs.span(
-            "trial", trial, cat="trial", args={"trial": trial},
-        ) as span:
-            rng = trial_seed(deployment.seed, trial)
-            with obs.span("plan"):
-                plan = self.sample(profile, rng, app=app, deployment=deployment)
-            # a plan-less tracer: contamination marks and their timeline
-            # only — no instruction-level injection
-            tracer = Tracer(TracerMode.PROFILE)
-            corruptor = _TransitCorruptor(plan)
-            detail = ""
-            try:
-                with obs.span("inject"):
-                    outs = execute_spmd(
-                        app.program, deployment.nprocs, sink=tracer,
-                        max_steps=deployment.max_steps, transit=corruptor,
-                    )
-            except FaultActivatedError as exc:
-                outcome, detail = Outcome.FAILURE, f"crash: {exc}"
-            except (DeadlockError, CommunicatorError) as exc:
-                outcome, detail = Outcome.FAILURE, f"hang: {exc}"
-            else:
-                with obs.span("classify"):
-                    outcome = classify_outcome(outs[0], reference, app.verify)
-            span.set(outcome=outcome.value)
-        record = TrialRecord(
-            outcome=outcome,
-            n_contaminated=tracer.contaminated_count(),
-            activated=corruptor.fired is not None,
-            detail=detail,
+        plans: dict[int, MessageCorruptionPlan],
+        reach: Callable[[int], bool],
+    ) -> _CorruptSites:
+        return _CorruptSites(plans, reach)
+
+    def complete(self, outputs, reference, app, obs) -> tuple[Outcome, str]:
+        with obs.span("classify"):
+            return classify_outcome(outputs[0], reference, app.verify), ""
+
+    def fired_event(self, trial: int, fired: dict) -> MessageCorrupted:
+        return MessageCorrupted(
+            trial=trial, kind=fired["kind"], src=fired["src"],
+            dest=fired["dest"], element=fired["element"], bit=fired["bit"],
         )
-        if obs.enabled:
-            obs.counter(f"campaign.trials.{outcome.value}")
-            obs.observe("taint.contamination_spread", record.n_contaminated)
-            fired: list[dict] = []
-            if corruptor.fired is not None:
-                blob = corruptor.fired
-                obs.emit(MessageCorrupted(
-                    trial=trial, kind=blob["kind"], src=blob["src"],
-                    dest=blob["dest"], element=blob["element"],
-                    bit=blob["bit"],
-                ))
-                fired = [blob]
-            obs.emit(TrialFinished(
-                trial=trial, outcome=outcome.value,
-                n_contaminated=record.n_contaminated,
-                activated=record.activated,
-                duration_s=span.duration,
-            ))
-            emit_scenario_provenance(
-                obs, trial, record, plan.to_payload(), fired,
-                timeline=tuple(tracer.contamination_timeline),
-            )
-        return record

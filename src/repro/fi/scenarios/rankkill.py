@@ -4,9 +4,9 @@
 corruption — the other axis of the paper's resilience space.  Each
 trial samples a victim rank (uniform, or pinned with
 ``rankkill:rank=R``) and a scheduler step uniform over the fault-free
-execution's step count, arms the scheduler's
-:class:`~repro.mpisim.faults.RankFailure` controller, and classifies
-what the survivors do:
+execution's step count; the scheduler's fail-stop seam kills the victim
+at the first kill check past that step (its *kill site*), and the trial
+classifies what the survivors do:
 
 * ``abort`` — communication with the dead rank tore the job down
   (:class:`~repro.errors.CollectiveAbortError`): a send targeting it,
@@ -25,7 +25,7 @@ control flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import (
     CollectiveAbortError,
@@ -34,16 +34,10 @@ from repro.errors import (
     DeadlockError,
     FaultActivatedError,
 )
-from repro.fi.outcomes import Outcome, TrialRecord, classify_outcome
-from repro.fi.scenarios.base import (
-    FaultModel,
-    emit_scenario_provenance,
-    execution_dynamics,
-)
-from repro.mpisim.faults import RankFailure
+from repro.fi.outcomes import Outcome, classify_outcome
+from repro.fi.scenarios.base import SiteFaultModel, SiteRun, execution_dynamics
 from repro.mpisim.runner import execute_spmd
-from repro.obs import RankKilled, TrialFinished
-from repro.utils.rng import trial_seed
+from repro.obs import RankKilled
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,11 +59,17 @@ class RankKillPlan:
         return [{"scenario": "rankkill", "rank": self.rank, "step": self.step}]
 
 
-class RankKillModel(FaultModel):
+class RankKillModel(SiteFaultModel):
     """Fail-stop a uniformly sampled rank at a uniformly sampled step."""
 
     name = "rankkill"
     PARAMS = ("rank",)
+    FAILURES = (
+        (CollectiveAbortError, "abort"),
+        (DeadlockError, "deadlock"),
+        (FaultActivatedError, "crash"),
+        (CommunicatorError, "hang"),
+    )
 
     def sample(
         self,
@@ -91,70 +91,50 @@ class RankKillModel(FaultModel):
         step = int(rng.integers(1, max(2, dynamics.steps + 1)))
         return RankKillPlan(victim, step)
 
-    def run_trial(
-        self,
-        app: "AppProtocol",
-        deployment: "Deployment",
-        profile: "InstructionProfile",
-        reference: dict,
-        trial: int,
-        obs,
-    ) -> TrialRecord:
-        with obs.span(
-            "trial", trial, cat="trial", args={"trial": trial},
-        ) as span:
-            rng = trial_seed(deployment.seed, trial)
-            with obs.span("plan"):
-                plan = self.sample(profile, rng, app=app, deployment=deployment)
-            failure = RankFailure(rank=plan.rank, step=plan.step)
-            detail = ""
-            try:
-                with obs.span("inject"):
-                    outs = execute_spmd(
-                        app.program, deployment.nprocs,
-                        max_steps=deployment.max_steps, fail_stop=failure,
-                    )
-            except CollectiveAbortError as exc:
-                outcome, detail = Outcome.FAILURE, f"abort: {exc}"
-            except DeadlockError as exc:
-                outcome, detail = Outcome.FAILURE, f"deadlock: {exc}"
-            except FaultActivatedError as exc:
-                outcome, detail = Outcome.FAILURE, f"crash: {exc}"
-            except CommunicatorError as exc:
-                outcome, detail = Outcome.FAILURE, f"hang: {exc}"
-            else:
-                if outs[0] is None:
-                    outcome = Outcome.FAILURE
-                    detail = "lost: rank 0 fail-stopped; no output to verify"
-                else:
-                    with obs.span("classify"):
-                        outcome = classify_outcome(outs[0], reference, app.verify)
-            span.set(outcome=outcome.value)
-        record = TrialRecord(
-            outcome=outcome,
-            n_contaminated=0,
-            activated=failure.fired,
-            detail=detail,
+    def attach(
+        self, plans: dict[int, RankKillPlan], reach: Callable[[int], bool]
+    ) -> "_KillSites":
+        return _KillSites(plans, reach)
+
+    def complete(self, outputs, reference, app, obs) -> tuple[Outcome, str]:
+        if outputs[0] is None:
+            return Outcome.FAILURE, "lost: rank 0 fail-stopped; no output to verify"
+        with obs.span("classify"):
+            return classify_outcome(outputs[0], reference, app.verify), ""
+
+    def fired_event(self, trial: int, fired: dict) -> RankKilled:
+        return RankKilled(trial=trial, rank=fired["rank"], step=fired["step"])
+
+
+class _KillSites(SiteRun):
+    """The fail-stop seam of a site-driven run (:class:`~repro.mpisim.
+    faults.FailStop`): each plan's ``(step, victim)`` kill site."""
+
+    def __init__(
+        self, plans: dict[int, RankKillPlan], reach: Callable[[int], bool]
+    ):
+        self._reach = reach
+        #: victim -> pending ``(step, trial)`` sites, ascending
+        self._sites: dict[int, list[tuple[int, int]]] = {}
+        for trial, plan in plans.items():
+            self._sites.setdefault(plan.rank, []).append((plan.step, trial))
+        for sites in self._sites.values():
+            sites.sort()
+
+    def execute(self, app, deployment) -> list:
+        return execute_spmd(
+            app.program, deployment.nprocs,
+            max_steps=deployment.max_steps, fail_stop=self,
         )
-        if obs.enabled:
-            obs.counter(f"campaign.trials.{outcome.value}")
-            obs.observe("taint.contamination_spread", record.n_contaminated)
-            fired: list[dict] = []
-            if failure.fired:
-                obs.emit(RankKilled(
-                    trial=trial, rank=failure.rank, step=failure.fired_step,
-                ))
-                fired = [{
-                    "scenario": "rankkill",
-                    "rank": failure.rank, "step": failure.fired_step,
-                }]
-            obs.emit(TrialFinished(
-                trial=trial, outcome=outcome.value,
-                n_contaminated=record.n_contaminated,
-                activated=record.activated,
-                duration_s=span.duration,
-            ))
-            emit_scenario_provenance(
-                obs, trial, record, plan.to_payload(), fired,
-            )
-        return record
+
+    def due(self, rank: int) -> int | None:
+        sites = self._sites.get(rank)
+        return sites[0][0] if sites else None
+
+    def strike(self, rank: int, step: int) -> bool:
+        _, trial = self._sites[rank].pop(0)
+        if not self._reach(trial):
+            return False
+        self._sites.clear()  # the armed trial kills its own victim only
+        self.fired = {"scenario": "rankkill", "rank": rank, "step": step}
+        return True

@@ -5,11 +5,14 @@ scenario families (:mod:`repro.fi.scenarios`) can inject faults at the
 layers a real resilience study targets — the process and the network —
 without the simulator importing any fault-injection code:
 
-* :class:`RankFailure` — a fail-stop: one rank is terminated the first
-  time the scheduler's deterministic step counter reaches ``step``.
-  The scheduler records what actually happened (``fired`` /
-  ``fired_step``) on the controller, mirroring how a planned bit flip
-  can miss when the execution ends early.
+* a *fail-stop seam* (:class:`FailStop`) — consulted at the scheduler's
+  two kill checks: before each step a rank is about to execute, and
+  each time the ready queue drains (for ranks parked on
+  communication).  ``due(rank)`` names the earliest step at which the
+  rank may die; once the step counter reaches it, ``strike(rank,
+  step)`` decides whether the rank fail-stops right there.  A seam can
+  hold several pending kill sites and decline a strike, which lets one
+  fault-free execution visit every trial's kill site in order.
 * a *transit hook* (:class:`TransitHook`) — an object whose
   ``on_p2p(src, dst, payload)`` and ``on_collective(kind, rank,
   payload)`` methods see every payload at its delivery point and return
@@ -23,25 +26,26 @@ keeping the default bit-flip pipeline byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
-__all__ = ["RankFailure", "TransitHook"]
+__all__ = ["FailStop", "TransitHook"]
 
 
-@dataclass
-class RankFailure:
-    """One armed fail-stop: kill ``rank`` at scheduler step ``step``.
+@runtime_checkable
+class FailStop(Protocol):
+    """Rank fail-stop seam (duck-typed; see module docs)."""
 
-    ``fired``/``fired_step`` are written by the scheduler when the kill
-    actually happens; a victim that finishes before ``step`` leaves the
-    controller unfired (the scenario's ``activated=False`` analogue).
-    """
+    def due(self, rank: int) -> int | None:
+        """The earliest scheduler step at which ``rank`` may die, or None."""
+        ...
 
-    rank: int
-    step: int
-    fired: bool = False
-    fired_step: int = -1
+    def strike(self, rank: int, step: int) -> bool:
+        """``rank`` reached its due step at ``step``: True kills it now.
+
+        After a declined strike the scheduler asks :meth:`due` again, so
+        a seam drops the site it just declined.
+        """
+        ...
 
 
 @runtime_checkable

@@ -39,7 +39,7 @@ def execute_spmd(
     max_steps: int | None = None,
     ops_factory: Callable[[TraceSink | None, int], FPOps] | None = None,
     raw_outputs: bool = False,
-    fail_stop: "RankFailure | None" = None,
+    fail_stop: "FailStop | None" = None,
     transit: "TransitHook | None" = None,
 ) -> list[Any]:
     """Run ``program`` on ``size`` simulated ranks; return per-rank outputs.
@@ -52,7 +52,7 @@ def execute_spmd(
     returns rank outputs as the program produced them (TArrays intact)
     instead of normalizing to plain values.  ``fail_stop`` and
     ``transit`` arm the scheduler's system-level fault seams
-    (:mod:`repro.mpisim.faults`): a rank fail-stop controller and an
+    (:mod:`repro.mpisim.faults`): a rank fail-stop seam and an
     in-transit payload hook, used by the scenario families of
     :mod:`repro.fi.scenarios`.  A fail-stopped rank contributes ``None``
     as its output.

@@ -36,7 +36,7 @@ from repro.mpisim.collectives import (
     reduce_payloads,
 )
 from repro.mpisim.communicator import Communicator
-from repro.mpisim.faults import RankFailure, TransitHook
+from repro.mpisim.faults import FailStop, TransitHook
 from repro.mpisim.requests import (
     CollectiveKind,
     CollectiveRequest,
@@ -65,7 +65,7 @@ class _Envelope:
 class _RankState:
     generator: Generator[Request, Any, Any]
     done: bool = False
-    failed: bool = False        # fail-stopped by an armed RankFailure
+    failed: bool = False        # fail-stopped through the FailStop seam
     result: Any = None
     blocked_on: Request | None = None
     mailbox: deque = field(default_factory=deque)
@@ -81,7 +81,7 @@ class Scheduler:
         sink: TraceSink | None = None,
         max_steps: int | None = None,
         record_traffic: bool = False,
-        fail_stop: RankFailure | None = None,
+        fail_stop: FailStop | None = None,
         transit: TransitHook | None = None,
     ):
         if size < 1:
@@ -90,15 +90,13 @@ class Scheduler:
         self._sink: TraceSink = sink if sink is not None else NullSink()
         self._max_steps = max_steps
         self._steps = 0
-        # System-level fault seams (repro.mpisim.faults): an armed rank
-        # fail-stop and/or an in-transit payload hook.  Both default to
-        # None so the bit-flip pipeline pays one attribute test per seam.
-        if fail_stop is not None and not 0 <= fail_stop.rank < size:
-            raise CommunicatorError(
-                f"fail_stop rank {fail_stop.rank} outside communicator of size {size}"
-            )
+        # System-level fault seams (repro.mpisim.faults): a rank
+        # fail-stop seam and/or an in-transit payload hook.  Both default
+        # to None so the bit-flip pipeline pays one attribute test per seam.
         self._fail_stop = fail_stop
         self._transit = transit
+        #: (rank, step) of the fail-stop, once one happened
+        self._killed: tuple[int, int] | None = None
         # Provenance: let the sink date contamination marks with the
         # deterministic step counter (fault-spread timelines).  getattr
         # keeps minimal sinks (tests, NullSink substitutes) working.
@@ -161,16 +159,10 @@ class Scheduler:
             while self._ready:
                 rank, resume = self._ready.popleft()
                 self._advance(rank, resume)
-            if (
-                fail is not None
-                and not fail.fired
-                and self._steps >= fail.step
-                and not self._states[fail.rank].done
-            ):
-                # the victim crossed the kill step while parked on
+            if fail is not None and self._strike_parked(fail):
+                # a victim crossed its kill step while parked on
                 # communication (its own bursts are checked per step in
-                # _advance_impl) — fail-stop it now, then re-evaluate.
-                self._kill_rank()
+                # _advance_impl) — it is fail-stopped; re-evaluate.
                 continue
             if self._obs.enabled:
                 # gauge: ranks parked on communication each time the
@@ -219,12 +211,15 @@ class Scheduler:
         state = self._states[rank]
         state.blocked_on = None
         fail = self._fail_stop
-        watch = fail is not None and not fail.fired and rank == fail.rank
+        due = None if fail is None else fail.due(rank)
         while True:
-            if watch and self._steps >= fail.step:
-                # the victim dies mid-burst, before executing this step
-                self._kill_rank()
-                return
+            if due is not None and self._steps >= due:
+                if fail.strike(rank, self._steps):
+                    # the victim dies mid-burst, before executing this step
+                    self._kill_rank(rank)
+                    return
+                due = fail.due(rank)
+                continue
             self._steps += 1
             if self._max_steps is not None and self._steps > self._max_steps:
                 raise SimulatedHangError(
@@ -413,8 +408,24 @@ class Scheduler:
     # ------------------------------------------------------------------
     # fail-stop
     # ------------------------------------------------------------------
-    def _kill_rank(self) -> None:
-        """Fail-stop the armed victim rank at the current step.
+    def _strike_parked(self, fail: FailStop) -> bool:
+        """Offer every unfinished rank past its due step to ``fail``.
+
+        True once a strike fail-stopped a rank (at most one per call).
+        """
+        for rank, state in enumerate(self._states):
+            if state.done or state.failed:
+                continue
+            due = fail.due(rank)
+            while due is not None and self._steps >= due:
+                if fail.strike(rank, self._steps):
+                    self._kill_rank(rank)
+                    return True
+                due = fail.due(rank)
+        return False
+
+    def _kill_rank(self, rank: int) -> None:
+        """Fail-stop ``rank`` at the current step.
 
         The rank's generator is closed, any queued resumptions are
         dropped, and a pending collective post is withdrawn — from here
@@ -423,19 +434,14 @@ class Scheduler:
         (:class:`CollectiveAbortError` on contact), or wedge
         (:class:`InjectedDeadlockError` from :meth:`_raise_deadlock`).
         """
-        fail = self._fail_stop
-        assert fail is not None
-        state = self._states[fail.rank]
-        fail.fired = True
-        fail.fired_step = self._steps
+        state = self._states[rank]
+        self._killed = (rank, self._steps)
         state.failed = True
         state.blocked_on = None
         state.generator.close()
-        self._collective_posts.pop(fail.rank, None)
+        self._collective_posts.pop(rank, None)
         if self._ready:
-            self._ready = deque(
-                (r, v) for r, v in self._ready if r != fail.rank
-            )
+            self._ready = deque((r, v) for r, v in self._ready if r != rank)
         if self._obs.enabled:
             self._obs.counter("scheduler.rank_kills")
 
@@ -461,10 +467,10 @@ class Scheduler:
             self._obs.emit(SchedulerDeadlock(
                 blocked_ranks=ranks, pending_ops=waiting, steps=self._steps,
             ))
-        fail = self._fail_stop
-        if fail is not None and fail.fired:
+        if self._killed is not None:
+            victim, step = self._killed
             message = (
-                f"rank {fail.rank} fail-stopped at step {fail.fired_step}: "
+                f"rank {victim} fail-stopped at step {step}: "
                 + "; ".join(waiting)
             )
             if in_collective:

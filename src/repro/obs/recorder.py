@@ -252,6 +252,15 @@ class Recorder:
         self._prof_stack: list[str] = []
         self._clock = clock
 
+    def derive(self, sinks: Sequence[Sink]) -> "Recorder":
+        """A fresh recorder in this one's place: same switches, span path
+        and trace parent, empty aggregates, ``sinks`` for its events."""
+        return Recorder(
+            sinks, enabled=self.enabled, clock=self._clock,
+            span_prefix=self._span_stack, profiling=self.profiling,
+            tracing=self.tracing, trace_ctx=self.trace_ctx,
+        )
+
     # ------------------------------------------------------------------
     # metrics
     # ------------------------------------------------------------------

@@ -41,13 +41,13 @@ def main() -> None:
     os.environ["REPRO_CACHE"] = "0"  # isolate from the result cache
     os.environ["REPRO_CACHE_DIR"] = cache_dir  # checkpoints live here
 
-    import repro.fi.campaign as campaign_mod
+    import repro.engine.chunks as chunks_mod
     from repro.experiments.cli import main as cli_main
 
     argv = [*CLI_ARGS, "--trace-out", trace]
 
     if mode == "crash":
-        real = campaign_mod.run_one_trial
+        real = chunks_mod.fold_record
         calls = {"n": 0}
 
         def dying(*args, **kwargs):
@@ -56,7 +56,7 @@ def main() -> None:
                 os._exit(EXIT_STATUS)  # no flush, no atexit — a hard kill
             return real(*args, **kwargs)
 
-        campaign_mod.run_one_trial = dying
+        chunks_mod.fold_record = dying
         cli_main(argv + ["--checkpoint-every", "7"])
         raise SystemExit("crash mode must never complete")
 

@@ -33,14 +33,14 @@ def main() -> None:
 
     from repro import Deployment, obs, run_campaign
     from repro.apps import get_app
-    import repro.fi.campaign as campaign_mod
+    import repro.engine.chunks as chunks_mod
 
     app = get_app("cg")
     dep = Deployment(nprocs=2, trials=10, seed=13)
     recorder = obs.configure(trace_path=trace)
 
     if mode == "crash":
-        real = campaign_mod.run_one_trial
+        real = chunks_mod.fold_record
         calls = {"n": 0}
 
         def dying(*args, **kwargs):
@@ -49,7 +49,7 @@ def main() -> None:
                 os._exit(EXIT_STATUS)  # no flush, no atexit — a hard kill
             return real(*args, **kwargs)
 
-        campaign_mod.run_one_trial = dying
+        chunks_mod.fold_record = dying
         run_campaign(app, dep, jobs=1, checkpoint_every=3)
         raise SystemExit("crash mode must never complete")
 

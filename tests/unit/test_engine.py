@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro
-import repro.fi.campaign as campaign_mod
+import repro.engine.chunks as chunks_mod
 from repro import obs
 from repro.engine import (
     CheckpointStore,
@@ -95,12 +95,13 @@ class FlagCrashApp(EngineApp):
 
 
 def _interrupt_after(n_trials: int):
-    """Patch ``run_one_trial`` to raise KeyboardInterrupt after N calls.
+    """Patch ``fold_record`` to raise KeyboardInterrupt after N trials.
 
-    Returns the restore callable; the engine resolves ``run_one_trial``
-    at call time, so the patch reaches inline chunk execution.
+    Returns the restore callable; ``execute_chunk`` resolves
+    ``fold_record`` at call time, so the patch reaches inline chunk
+    execution whichever block kind ran the trials.
     """
-    real = campaign_mod.run_one_trial
+    real = chunks_mod.fold_record
     calls = {"n": 0}
 
     def interrupted(*args, **kwargs):
@@ -109,8 +110,8 @@ def _interrupt_after(n_trials: int):
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
-    campaign_mod.run_one_trial = interrupted
-    return lambda: setattr(campaign_mod, "run_one_trial", real)
+    chunks_mod.fold_record = interrupted
+    return lambda: setattr(chunks_mod, "fold_record", real)
 
 
 @pytest.fixture(autouse=True)
@@ -394,8 +395,6 @@ class TestCheckpointCorruption:
         """A ckpt-v1 chunk written before histogram summaries holds each
         histogram as its list of samples; it resumes to the same metrics
         as an uninterrupted run."""
-        import repro.engine.chunks as chunks_mod
-
         app = EngineApp()
         dep = Deployment(nprocs=2, trials=10, seed=11)
         with obs.recording(obs.Recorder(enabled=True)) as clean:

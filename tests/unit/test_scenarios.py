@@ -34,7 +34,7 @@ import pytest
 from repro import obs
 from repro.apps import get_app
 from repro.errors import ConfigurationError
-from repro.fi import campaign as campaign_mod
+from repro.engine import chunks as chunks_mod
 from repro.fi.cache import deployment_key
 from repro.fi.campaign import Deployment, run_campaign
 from repro.fi.outcomes import Outcome
@@ -127,8 +127,8 @@ def _golden(name: str):
 
 
 def _interrupt_after(n_trials: int):
-    """Patch ``run_one_trial`` to raise KeyboardInterrupt after N calls."""
-    real = campaign_mod.run_one_trial
+    """Patch ``fold_record`` to raise KeyboardInterrupt after N trials."""
+    real = chunks_mod.fold_record
     calls = {"n": 0}
 
     def interrupted(*args, **kwargs):
@@ -137,8 +137,8 @@ def _interrupt_after(n_trials: int):
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
-    campaign_mod.run_one_trial = interrupted
-    return lambda: setattr(campaign_mod, "run_one_trial", real)
+    chunks_mod.fold_record = interrupted
+    return lambda: setattr(chunks_mod, "fold_record", real)
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +409,7 @@ class TestScenarioSpecs:
         dynamics = execution_dynamics(app, deployment)
         assert dynamics.steps > 0
         assert dynamics.deliveries > 0
+        assert dynamics.seconds > 0
         assert execution_dynamics(app, deployment) is dynamics  # memoized
 
 

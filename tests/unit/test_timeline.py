@@ -384,12 +384,12 @@ class TestCheckpointExcludesTrace:
         assert restored.trace == []  # old/new checkpoints both load
 
     def test_resume_retraces_only_missing_chunks(self, tmp_cache):
-        import repro.fi.campaign as campaign_mod
+        import repro.engine.chunks as chunks_mod
 
         dep = Deployment(nprocs=2, trials=10, seed=7, checkpoint_every=2)
         clean, clean_mem, _ = _traced_run(dep)
 
-        real = campaign_mod.run_one_trial
+        real = chunks_mod.fold_record
         calls = {"n": 0}
 
         def interrupted(*args, **kwargs):
@@ -398,12 +398,12 @@ class TestCheckpointExcludesTrace:
                 raise KeyboardInterrupt
             return real(*args, **kwargs)
 
-        campaign_mod.run_one_trial = interrupted
+        chunks_mod.fold_record = interrupted
         try:
             with pytest.raises(KeyboardInterrupt):
                 _traced_run(dep)
         finally:
-            campaign_mod.run_one_trial = real
+            chunks_mod.fold_record = real
 
         resumed, mem, _ = _traced_run(dep, jobs=1, resume=True)
         assert resumed.joint == clean.joint
