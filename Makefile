@@ -3,7 +3,7 @@
 PYTHON ?= python
 TRIALS ?= 300
 
-.PHONY: install test test-fast coverage bench bench-smoke experiments report obs-demo clean-cache loc
+.PHONY: install test test-fast coverage bench experiments report obs-demo clean-cache loc
 
 install:
 	$(PYTHON) setup.py develop
@@ -27,13 +27,6 @@ coverage:
 bench:
 	REPRO_TRIALS=$(TRIALS) PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
 		$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Quick serial-vs-parallel campaign throughput check; writes
-# results/BENCH_campaign.json (full mode asserts >=1.8x at jobs=4 on
-# a >=4-core machine: `python benchmarks/bench_campaign.py`).
-bench-smoke:
-	PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
-		$(PYTHON) benchmarks/bench_campaign.py --quick --out results/BENCH_campaign.json
 
 experiments:
 	REPRO_TRIALS=$(TRIALS) $(PYTHON) -m repro.experiments all

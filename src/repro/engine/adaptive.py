@@ -87,7 +87,7 @@ def worst_case_trials(target: float, z: float = Z_95) -> int:
 
     This is what a fixed-N campaign must budget when nothing is known
     about the rates up front — the baseline adaptive campaigns are
-    measured against in ``benchmarks/bench_campaign.py``.
+    measured against in ``tests/unit/test_adaptive.py``.
     """
     hi = 2
     while wilson_halfwidth(hi // 2, hi, z) > target:

@@ -11,7 +11,6 @@ from shared mutable generator state.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 import numpy as np
 
@@ -70,10 +69,3 @@ def trial_seed(master_seed: int, trial_index: int, purpose: str = "trial") -> np
     """
     return spawn_rng(master_seed, purpose, trial_index)
 
-
-def stable_choice(rng: np.random.Generator, items: Iterable) -> object:
-    """Uniform choice over a materialized sequence (tuple order preserved)."""
-    seq = list(items)
-    if not seq:
-        raise ValueError("cannot choose from an empty sequence")
-    return seq[int(rng.integers(0, len(seq)))]

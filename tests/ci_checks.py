@@ -4,6 +4,8 @@ Usage::
 
     python tests/ci_checks.py events A.jsonl B.jsonl [--drop-operational]
     python tests/ci_checks.py selfcontained FILE [--min-svg N] [--refresh] [--svg]
+    PYTHONPATH=src python tests/ci_checks.py chrome FILE [--min-pids N] [--otlp FILE]
+    PYTHONPATH=src python tests/ci_checks.py lanes-floor
 
 ``events`` asserts two JSONL event streams are identical once the
 per-event wall-clock fields are dropped; ``--drop-operational`` also
@@ -16,6 +18,19 @@ external references: an HTML document (``--min-svg N`` inline SVG
 charts at least, ``--refresh`` an auto-refresh meta tag) or, with
 ``--svg``, a well-formed standalone SVG document.
 
+``chrome`` asserts an ``obs-timeline --chrome`` export is valid (sorted
+timestamps, balanced B/E pairs), that every event carries ``pid`` and
+``tid``, and that it spans at least ``--min-pids`` processes; with
+``--otlp``, that the OTLP export's spans all carry non-empty trace and
+span ids.
+
+``lanes-floor`` runs one CG deployment (4 ranks, 96 trials, seed 123)
+at ``lanes=1``, 8 and 32, best of 2 after one ``lanes=1`` warm-up. It
+asserts the batched joints equal the ``lanes=1`` joint in values and
+key order, and that ``lanes=32`` reaches at least 4x the ``lanes=1``
+trials/sec. Lane batching is single-process numpy work, so the floor
+holds on any runner.
+
 Exits non-zero with the failed assertion's message on any mismatch.
 """
 
@@ -24,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import time
 import xml.etree.ElementTree as ET
 from html.parser import HTMLParser
 from pathlib import Path
@@ -35,6 +51,10 @@ WALL_CLOCK = ("ts", "duration_s", "profile_time", "injection_time")
 OPERATIONAL = {"worker_joined", "worker_lost", "chunk_requeued",
                "checkpoint_written", "campaign_resumed", "cache_hit",
                "cache_miss", "cache_write", "cache_corrupt"}
+
+#: lane counts timed against ``lanes=1``, and the floor the last must reach
+LANE_COUNTS = (8, 32)
+LANES_FLOOR = 4.0
 
 EXTERNAL_REF = re.compile(
     r"""(?:src|href)\s*=\s*["']?(?:[a-z]+:)?//[^\s"'>]+""", re.I
@@ -81,6 +101,59 @@ def check_selfcontained(args) -> None:
     print(f"{args.file} OK: {len(text)} bytes, self-contained")
 
 
+def check_chrome(args) -> None:
+    from repro.obs.timeline import validate_chrome_trace
+
+    blob = json.loads(Path(args.file).read_text())
+    pairs = validate_chrome_trace(blob)  # sorted ts, balanced B/E
+    for event in blob["traceEvents"]:
+        assert "pid" in event and "tid" in event, event
+    pids = {e["pid"] for e in blob["traceEvents"]}
+    assert len(pids) >= args.min_pids, (
+        f"expected at least {args.min_pids} pids, got {sorted(pids)}"
+    )
+    if args.otlp:
+        otlp = json.loads(Path(args.otlp).read_text())
+        spans = otlp["resourceSpans"][0]["scopeSpans"][0]["spans"]
+        assert spans, f"{args.otlp} has no spans"
+        assert all(s["traceId"] and s["spanId"] for s in spans), (
+            f"{args.otlp} has a span with an empty trace or span id"
+        )
+    print(f"chrome trace OK: {pairs} span pairs across {len(pids)} pids")
+
+
+def check_lanes_floor(args) -> None:
+    from repro.apps import get_app
+    from repro.fi.campaign import Deployment, run_campaign
+
+    app = get_app("cg")
+    deployment = Deployment(nprocs=4, trials=96, seed=123)
+    run_campaign(app, deployment, jobs=1, lanes=1)  # warm-up
+    times: dict[int, float] = {}
+    joints: dict[int, dict] = {}
+    for lanes in (1, *LANE_COUNTS):
+        best = float("inf")
+        for _ in range(2):
+            t0 = time.perf_counter()
+            result = run_campaign(app, deployment, jobs=1, lanes=lanes)
+            best = min(best, time.perf_counter() - t0)
+        times[lanes] = best
+        joints[lanes] = result.joint
+        print(f"lanes={lanes:<3d} {best:6.2f}s  "
+              f"{deployment.trials / best:7.1f} trials/s  "
+              f"speedup {times[1] / best:.2f}x")
+    for lanes in LANE_COUNTS:  # values and key order
+        assert list(joints[lanes].items()) == list(joints[1].items()), (
+            f"lanes={lanes} joint diverged from lanes=1"
+        )
+    top = LANE_COUNTS[-1]
+    speedup = times[1] / times[top]
+    assert speedup >= LANES_FLOOR, (
+        f"lanes={top} speedup {speedup:.2f}x < {LANES_FLOOR}x"
+    )
+    print(f"lanes floor OK: lanes={top} at {speedup:.2f}x >= {LANES_FLOOR}x")
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,6 +168,13 @@ def main(argv: list[str] | None = None) -> None:
     page.add_argument("--refresh", action="store_true")
     page.add_argument("--svg", action="store_true")
     page.set_defaults(run=check_selfcontained)
+    chrome = sub.add_parser("chrome", help="valid Chrome (and OTLP) trace")
+    chrome.add_argument("file")
+    chrome.add_argument("--min-pids", type=int, default=1)
+    chrome.add_argument("--otlp")
+    chrome.set_defaults(run=check_chrome)
+    floor = sub.add_parser("lanes-floor", help="lanes=32 >= 4x lanes=1")
+    floor.set_defaults(run=check_lanes_floor)
     args = parser.parse_args(argv)
     args.run(args)
 

@@ -11,6 +11,9 @@ Two layers of testing for :mod:`repro.engine.adaptive`:
   converged campaigns achieve the requested half-width and that the
   reported Wilson intervals keep close to their nominal 95 % coverage
   despite the optional stopping.
+
+A real MG campaign then checks the saving on injected trials at
+``jobs=1`` and ``jobs=2``, and the CLI runs kill-and-resume end to end.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import pytest
 
 import repro
 
+from repro.apps import get_app
 from repro.engine.adaptive import (
     MIN_WAVE_TRIALS,
     AdaptiveStopper,
@@ -35,7 +39,9 @@ from repro.engine.adaptive import (
     wilson_halfwidth,
     worst_case_trials,
 )
+from repro.fi.campaign import Deployment, run_campaign
 from repro.fi.outcomes import Outcome
+from repro.obs import CampaignConverged, MemorySink, Recorder, recording
 from repro.obs.confidence import wilson_interval
 
 
@@ -213,6 +219,38 @@ class TestStatisticalGuarantee:
         a = simulate_adaptive(0.1, 0.05, 1000, 7)
         b = simulate_adaptive(0.1, 0.05, 1000, 7)
         assert (a[0], a[1], a[2]) == (b[0], b[1], b[2])
+
+
+# ----------------------------------------------------------------------
+# a real campaign: the saving holds on injected trials, at any --jobs
+# ----------------------------------------------------------------------
+def run_adaptive_campaign(jobs: int):
+    """MG at 4 ranks, ±0.08, capped at the fixed-N worst-case budget."""
+    target = 0.08
+    deployment = Deployment(
+        nprocs=4, trials=worst_case_trials(target), seed=123,
+        ci_halfwidth=target,
+    )
+    mem = MemorySink()
+    with recording(Recorder([mem])):
+        result = run_campaign(get_app("mg"), deployment, jobs=jobs)
+    (converged,) = mem.of(CampaignConverged)
+    return result.joint, converged
+
+
+class TestRealCampaign:
+    def test_skewed_campaign_saves_trials_at_any_jobs(self):
+        joint, conv = run_adaptive_campaign(jobs=1)
+        assert conv.trials_cap == worst_case_trials(0.08) == 147
+        assert conv.converged
+        assert max(conv.halfwidths.values()) <= 0.08
+        assert conv.trials_used <= 0.75 * conv.trials_cap, (
+            f"adaptive used {conv.trials_used} of cap {conv.trials_cap}: "
+            f"expected >=25% savings"
+        )
+        pooled_joint, pooled = run_adaptive_campaign(jobs=2)
+        assert list(pooled_joint.items()) == list(joint.items())  # and order
+        assert pooled.trials_used == conv.trials_used
 
 
 # ----------------------------------------------------------------------

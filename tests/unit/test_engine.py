@@ -26,6 +26,7 @@ from repro.engine import (
     ChunkAggregator,
     ChunkPayload,
     InlineBackend,
+    LocalDirStore,
     ProcessPoolBackend,
     chunk_bounds,
     plan_chunks,
@@ -213,6 +214,49 @@ class TestCheckpointedParity:
         app, dep = EngineApp(), Deployment(nprocs=1, trials=6, seed=1)
         run_campaign(app, dep, jobs=1, checkpoint_every=2)
         assert not CheckpointStore(app, dep).dir.exists()
+
+
+class TestCheckpointCost:
+    """The durability tax is one store write per chunk, plus the manifest."""
+
+    @staticmethod
+    def _count_puts(monkeypatch) -> list[str]:
+        keys: list[str] = []
+        real = LocalDirStore.put
+
+        def put(self, key, data):
+            if key.startswith("checkpoints/"):
+                keys.append(key)
+            return real(self, key, data)
+
+        monkeypatch.setattr(LocalDirStore, "put", put)
+        return keys
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_write_per_chunk_and_one_manifest(self, monkeypatch, jobs):
+        keys = self._count_puts(monkeypatch)
+        dep = Deployment(nprocs=2, trials=10, seed=5)
+        run_campaign(EngineApp(), dep, jobs=jobs, checkpoint_every=3)
+        chunks = plan_chunks(dep.trials, jobs, 3)
+        manifests = [k for k in keys if k.endswith("/meta.json")]
+        assert len(manifests) == 1
+        assert len(keys) == len(chunks) + 1
+        # every chunk written exactly once
+        assert len(set(keys)) == len(keys)
+
+    def test_adaptive_writes_one_manifest_per_wave(self, monkeypatch):
+        keys = self._count_puts(monkeypatch)
+        dep = Deployment(nprocs=2, trials=400, seed=5, ci_halfwidth=0.12)
+        mem = obs.MemorySink()
+        with obs.recording(obs.Recorder([mem])):
+            run_campaign(EngineApp(), dep, jobs=1, checkpoint_every=7)
+        (converged,) = mem.of(obs.CampaignConverged)
+        written = mem.of(obs.CheckpointWritten)
+        manifests = [k for k in keys if k.endswith("/meta.json")]
+        assert converged.waves > 1
+        assert len(manifests) == converged.waves
+        assert len(keys) == len(written) + converged.waves
+        assert len(set(keys) - set(manifests)) == len(written)
 
 
 class TestInterruptAndResume:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.utils.rng import SeedSequenceTree, spawn_rng, stable_choice, trial_seed
+from repro.utils.rng import SeedSequenceTree, spawn_rng, trial_seed
 from repro.utils.tables import format_table
 from repro.utils.validation import (
     check_positive_int,
@@ -42,12 +42,6 @@ class TestRng:
         a = SeedSequenceTree(0).child("1").generator().integers(0, 1 << 30)
         b = SeedSequenceTree(0).child(1).generator().integers(0, 1 << 30)
         assert a != b  # astronomically unlikely to collide
-
-    def test_stable_choice(self):
-        rng = np.random.default_rng(0)
-        assert stable_choice(rng, [42]) == 42
-        with pytest.raises(ValueError):
-            stable_choice(rng, [])
 
 
 class TestValidation:
