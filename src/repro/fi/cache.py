@@ -43,7 +43,9 @@ __all__ = [
     "store_unique_fraction",
 ]
 
-_CACHE_VERSION = "v1"
+#: v2: lane campaigns at 8 or more ranks wrote wrong ``n_contaminated``
+#: counts under v1, and ``lanes`` is not part of the key
+_CACHE_VERSION = "v2"
 
 
 def cache_enabled() -> bool:

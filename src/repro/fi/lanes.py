@@ -27,11 +27,11 @@ from typing import Callable, Sequence
 
 from repro.fi.outcomes import TrialRecord, classify_outcome
 from repro.fi.plan import InjectionPlan, PlannedFlip, sample_plan
+from repro.fi.scenarios import resolve_model
+from repro.fi.scenarios.base import TrialRun, TrialScope
 from repro.mpisim.runner import execute_spmd
-from repro.obs import (
-    FaultInjected, ObsSnapshot, Recorder, TrialFinished, recording,
-)
-from repro.obs.provenance import FlipObservation, build_trial_provenance
+from repro.obs import ObsSnapshot, Recorder, recording
+from repro.obs.provenance import FlipObservation
 from repro.taint.laneops import LaneFPOps
 from repro.taint.tarray import TArray
 from repro.taint.tracer_api import LaneInjection, OpKind, Operand
@@ -82,10 +82,9 @@ class BatchTracer:
 
     Mirrors :class:`repro.fi.tracer.Tracer` per lane: activated flips,
     flip observations, contaminated-rank sets and contamination
-    timelines are collected in per-lane lists, and
-    :meth:`lane_view` exposes one lane's slice with the scalar tracer's
-    interface (for classification and provenance).  The batch's own
-    golden/faulty pair never diverges, so the plain
+    timelines are collected in per-lane lists, which each lane's
+    :class:`_LaneRun` reads where a trial run alone reads its tracer.
+    The batch's own golden/faulty pair never diverges, so the plain
     :meth:`mark_contaminated` channel is a no-op; per-lane marks arrive
     via :meth:`mark_lanes_from_op` (taint layer, metered) and
     :meth:`mark_lanes_contaminated` (scheduler delivery, unmetered —
@@ -237,9 +236,6 @@ class BatchTracer:
     # ------------------------------------------------------------------
     # post-run queries
     # ------------------------------------------------------------------
-    def lane_view(self, lane: int) -> "_LaneView":
-        return _LaneView(self, lane)
-
     def contaminated_ranks(self, lane: int) -> set[int]:
         """Ranks marked contaminated for ``lane`` during the pass."""
         return {rank for rank, cont in self._cont.items() if cont[lane]}
@@ -253,110 +249,84 @@ class BatchTracer:
         )
 
 
-class _LaneView:
-    """One lane's slice of a batch, with the scalar Tracer's interface."""
-
-    __slots__ = ("_batch", "_lane")
-
-    def __init__(self, batch: BatchTracer, lane: int):
-        self._batch = batch
-        self._lane = lane
-
-    @property
-    def plan(self) -> InjectionPlan:
-        return self._batch.plans[self._lane]
-
-    @property
-    def activated_flips(self) -> list[PlannedFlip]:
-        return self._batch.activated[self._lane]
-
-    @property
-    def flip_observations(self) -> list[FlipObservation]:
-        return self._batch.observations[self._lane]
-
-    @property
-    def contamination_timeline(self) -> list[tuple[int, int]]:
-        return self._batch.timelines[self._lane]
-
-    @property
-    def all_flips_activated(self) -> bool:
-        return len(self.activated_flips) == self.plan.n_errors
-
-    def contaminated_count(self) -> int:
-        contaminated = self._batch.contaminated_ranks(self._lane)
-        contaminated.update(f.rank for f in self.activated_flips)
-        return len(contaminated)
-
-
 # ----------------------------------------------------------------------
 # block execution
 # ----------------------------------------------------------------------
-def _lane_output(raw: dict | None, lane: int):
-    """Extract one lane's plain-value output from a raw (TArray) output."""
-    if not isinstance(raw, dict):
-        return raw
-    out = {}
-    for key, val in raw.items():
-        if isinstance(val, TArray):
-            ls = val.lanes
-            row = ls.fstack[lane] if ls is not None else val.faulty
-            out[key] = (
-                float(np.asarray(row).reshape(())) if row.size == 1
-                else np.asarray(row)
-            )
-        else:
-            out[key] = val
-    return out
+class _LaneRun(TrialRun):
+    """One lane of a batched pass, as the bit-flip trial it replays.
+
+    It reads the lane's slice of the batch where a
+    :class:`~repro.fi.scenarios.bitflip.FlipRun` reads its tracer.  The
+    pass metered once for the whole block, so its captured counters and
+    histograms are exactly one trial's worth (``fp.*`` per rank,
+    scheduler steps and runs, ...); :meth:`replay` records them with the
+    lane's own ``taint.contaminated_reports.rank*`` tallies.
+    """
+
+    def __init__(self, batch: BatchTracer, lane: int, raw, snap: ObsSnapshot):
+        self._batch, self._lane, self._raw, self._snap = batch, lane, raw, snap
+
+    def execute(self, app, deployment) -> list:
+        """Rank 0's output in this lane, from the batched pass's."""
+        if not isinstance(self._raw, dict):
+            return [self._raw]
+        out = {}
+        for key, val in self._raw.items():
+            if isinstance(val, TArray):
+                ls = val.lanes
+                row = ls.fstack[self._lane] if ls is not None else val.faulty
+                out[key] = (
+                    float(np.asarray(row).reshape(())) if row.size == 1
+                    else np.asarray(row)
+                )
+            else:
+                out[key] = val
+        return [out]
+
+    def flips(self) -> list[PlannedFlip]:
+        return self._batch.activated[self._lane]
+
+    def activated(self) -> bool:
+        return len(self.flips()) == self._batch.plans[self._lane].n_errors
+
+    def n_contaminated(self) -> int:
+        contaminated = self._batch.contaminated_ranks(self._lane)
+        contaminated.update(f.rank for f in self.flips())
+        return len(contaminated)
+
+    def observations(self) -> list[FlipObservation]:
+        return self._batch.observations[self._lane]
+
+    def timeline(self) -> list[tuple[int, int]]:
+        return self._batch.timelines[self._lane]
+
+    def replay(self, obs) -> None:
+        obs.absorb(self._snap, emit_events=False)
+        for rank, n in self._batch.report_items(self._lane):
+            obs.counter(f"taint.contaminated_reports.rank{rank}", n)
 
 
 def _replay_lane(
     app, deployment, reference, trial: int, lane: int,
     batch: BatchTracer, raw, snap, obs,
 ) -> TrialRecord:
-    """Emit one lane's record/events exactly as the scalar loop would.
+    """Classify one lane's output; record and report it as its trial.
 
-    The span structure (trial > plan/inject/classify) is replayed so
-    event *order* matches ``run_one_trial``; durations differ (they are
-    wall-clock) and are excluded from the parity contract.
+    The trial's spans open only now, with ``plan`` and ``inject`` empty
+    (the batched pass did both for every lane), so the span tree and
+    event order match a trial run alone; durations are wall-clock and
+    outside the parity contract.
     """
-    with obs.span("trial", trial, cat="trial", args={"trial": trial}) as span:
-        with obs.span("plan"):
-            pass
-        with obs.span("inject"):
-            pass
-        output = _lane_output(raw, lane)
+    run = _LaneRun(batch, lane, raw, snap)
+    with TrialScope(obs) as scope:
+        scope.open(trial)
+        scope.end_inject()
+        output = run.execute(app, deployment)[0]
         with obs.span("classify"):
             outcome = classify_outcome(output, reference, app.verify)
-        span.set(outcome=outcome.value)
-    view = batch.lane_view(lane)
-    record = TrialRecord(
-        outcome=outcome,
-        n_contaminated=view.contaminated_count(),
-        activated=view.all_flips_activated,
-        detail="",
-    )
-    if obs.enabled:
-        # replay the batch pass's shared metering — accounting ran once
-        # for the whole block, so the captured counters are exactly one
-        # trial's worth (fp.* per rank, scheduler steps/runs, ...)
-        obs.absorb(snap, emit_events=False)
-        for rank, n in batch.report_items(lane):
-            obs.counter(f"taint.contaminated_reports.rank{rank}", n)
-        obs.counter(f"campaign.trials.{outcome.value}")
-        obs.observe("taint.contamination_spread", record.n_contaminated)
-        for flip in view.activated_flips:
-            obs.emit(FaultInjected(
-                trial=trial, rank=flip.rank, region=flip.region.value,
-                index=flip.index, bit=flip.bit,
-            ))
-        obs.emit(TrialFinished(
-            trial=trial, outcome=outcome.value,
-            n_contaminated=record.n_contaminated,
-            activated=record.activated,
-            duration_s=span.duration,
-        ))
-        obs.emit(build_trial_provenance(trial, view.plan, view, record))
-    return record
+        return resolve_model(deployment.scenario).finish(
+            trial, batch.plans[lane], run, scope, outcome, "", obs,
+        )
 
 
 def run_lane_block(

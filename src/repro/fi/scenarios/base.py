@@ -3,9 +3,14 @@
 A :class:`FaultModel` owns every scenario-specific decision of one
 fault-injection trial: sampling the trial's plan from the fault-free
 execution, arming the right seam (the instruction-level tracer, the
-scheduler's fail-stop seam, or its in-transit payload hook), mapping
-exceptions and outputs to an outcome, and shaping the provenance
-payload.  The engine dispatches each trial through
+scheduler's fail-stop seam, or its in-transit payload hook) as a
+:class:`TrialRun`, the failures a run may end in, classifying a run that
+completed, and the events of the faults that landed.  The lifecycle is
+the base class's: a trial run alone, a forked child of a site-driven
+block and a lane replayed from a batched pass (:mod:`repro.fi.lanes`)
+all open the same spans (:class:`TrialScope`) and end in
+:meth:`FaultModel.finish`, which records and reports the trial.  The
+engine dispatches each trial through
 ``resolve_model(deployment.scenario).run_trial(...)`` (or a whole block
 through :meth:`SiteFaultModel.run_block`) and otherwise never names a
 concrete family — adding a scenario touches this package only.
@@ -50,12 +55,13 @@ import time
 import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Protocol, Sequence
 
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.fi.outcomes import Outcome, TrialRecord
 from repro.obs import MemorySink, TrialFinished, recording
-from repro.obs.events import Event, TrialProvenance
+from repro.obs.events import Event
+from repro.obs.provenance import ScenarioObservation, build_trial_provenance
 from repro.taint.tarray import TArray
 from repro.utils.rng import trial_seed
 
@@ -68,12 +74,13 @@ if TYPE_CHECKING:  # avoid runtime cycles: campaign imports this package
 __all__ = [
     "ScenarioPlan",
     "FaultModel",
+    "TrialRun",
+    "TrialScope",
     "SiteFaultModel",
     "SiteRun",
     "ExecutionDynamics",
     "execution_dynamics",
     "count_corruptible",
-    "emit_scenario_provenance",
     "fork_safe",
     "fork_pays",
 ]
@@ -178,45 +185,17 @@ def execution_dynamics(
     return dynamics
 
 
-def emit_scenario_provenance(
-    obs,
-    trial: int,
-    record: "TrialRecord",
-    planned: list[dict],
-    fired: list[dict],
-    timeline=(),
-) -> None:
-    """Emit the provenance event for one system-level scenario trial.
-
-    The scenario counterpart of
-    :func:`repro.obs.provenance.build_trial_provenance`: same event
-    type, same sidecar routing, but ``planned``/``fired`` carry
-    scenario payloads (dicts with a ``"scenario"`` key) instead of
-    bit-flip sites, and the contamination ``timeline`` is whatever the
-    scenario's sink observed.  No wall-clock fields, so scenario
-    provenance files stay bit-identical for any ``jobs`` count too.
-    """
-    obs.emit(TrialProvenance(
-        trial=trial,
-        outcome=record.outcome.value,
-        n_contaminated=record.n_contaminated,
-        activated=record.activated,
-        detail=record.detail,
-        planned=[dict(p) for p in planned],
-        fired=[dict(p) for p in fired],
-        timeline=[[step, rank] for step, rank in timeline],
-    ))
-
-
 class FaultModel(abc.ABC):
     """One pluggable fault-scenario family (see module docstring).
 
     Subclasses set :attr:`name` (the spec name used by
     ``--scenario``), :attr:`PARAMS` (accepted ``k=v`` spec parameters),
-    :attr:`supports_lanes` (True only when ``run_trial`` semantics are
-    preserved by the lane-vectorized execution path — currently the
-    bit-flip family alone) and :attr:`supports_fork` (set by
-    :class:`SiteFaultModel`).
+    :attr:`FAILURES`, :attr:`supports_lanes` (True only when the trial's
+    semantics are preserved by the lane-vectorized execution path —
+    currently the bit-flip family alone) and :attr:`supports_fork` (set
+    by :class:`SiteFaultModel`), and supply :meth:`sample`, :meth:`arm`,
+    :meth:`complete` and :meth:`fired_events`.  This class runs the
+    trial and records and reports it.
     """
 
     name: ClassVar[str]
@@ -227,6 +206,9 @@ class FaultModel(abc.ABC):
     #: whether blocks of trials may fork off one fault-free execution
     #: (:meth:`SiteFaultModel.run_block`)
     supports_fork: ClassVar[bool] = False
+    #: ``(exception type, detail label)`` in match order: the failures a
+    #: faulty run may end in (anything else propagates)
+    FAILURES: ClassVar[tuple[tuple[type[Exception], str], ...]] = ()
 
     def __init__(self, params: dict[str, str] | None = None):
         params = dict(params or {})
@@ -281,16 +263,145 @@ class FaultModel(abc.ABC):
         """Sample this trial's plan; consumes only ``rng`` state."""
 
     @abc.abstractmethod
-    def run_trial(
-        self,
-        app: "AppProtocol",
-        deployment: "Deployment",
-        profile: "InstructionProfile",
-        reference: dict,
-        trial: int,
-        obs,
-    ) -> "TrialRecord":
+    def arm(self, trial: int, plan: ScenarioPlan) -> "TrialRun":
+        """Hooks that inject ``plan`` when their run executes."""
+
+    @abc.abstractmethod
+    def complete(self, outputs: list, reference: dict, app, obs) -> tuple[Outcome, str]:
+        """Outcome and detail of a run that completed."""
+
+    @abc.abstractmethod
+    def fired_events(self, trial: int, run: "TrialRun") -> Iterable[Event]:
+        """The events announcing which of the trial's faults landed."""
+
+    # ------------------------------------------------------------------
+    def run_trial(self, app, deployment, profile, reference, trial, obs) -> TrialRecord:
         """Execute one fault-injection test end to end (see invariants)."""
+        with TrialScope(obs) as scope:
+            plan = scope.open(trial, lambda: self.sample(
+                profile, trial_seed(deployment.seed, trial),
+                app=app, deployment=deployment,
+            ))
+            run = self.arm(trial, plan)
+            result = self._execute(run, app, deployment)
+            return self._conclude(app, reference, trial, plan, run, scope, result, obs)
+
+    def _execute(self, run: "TrialRun", app, deployment):
+        """The run's rank outputs, or the failure it ended in."""
+        try:
+            return run.execute(app, deployment)
+        except tuple(kind for kind, _ in self.FAILURES) as exc:
+            return exc
+
+    def _conclude(
+        self, app, reference, trial, plan, run: "TrialRun", scope: "TrialScope",
+        result, obs,
+    ) -> TrialRecord:
+        """Classify a finished run, then :meth:`finish` it."""
+        scope.end_inject()
+        if isinstance(result, Exception):
+            label = next(lb for kind, lb in self.FAILURES if isinstance(result, kind))
+            outcome, detail = Outcome.FAILURE, f"{label}: {result}"
+        else:
+            outcome, detail = self.complete(result, reference, app, obs)
+        return self.finish(trial, plan, run, scope, outcome, detail, obs)
+
+    def finish(
+        self, trial: int, plan: ScenarioPlan, run: "TrialRun",
+        scope: "TrialScope", outcome: Outcome, detail: str, obs,
+    ) -> TrialRecord:
+        """Close a classified trial's spans; record and report it (the
+        counters, events and provenance of every trial on every path)."""
+        span = scope.span
+        span.set(outcome=outcome.value)
+        scope.close()
+        record = TrialRecord(
+            outcome=outcome,
+            n_contaminated=run.n_contaminated(),
+            activated=run.activated(),
+            detail=detail,
+        )
+        if obs.enabled:
+            run.replay(obs)
+            obs.counter(f"campaign.trials.{outcome.value}")
+            obs.observe("taint.contamination_spread", record.n_contaminated)
+            for event in self.fired_events(trial, run):
+                obs.emit(event)
+            obs.emit(TrialFinished(
+                trial=trial, outcome=outcome.value,
+                n_contaminated=record.n_contaminated,
+                activated=record.activated,
+                duration_s=span.duration,
+            ))
+            obs.emit(build_trial_provenance(trial, plan, run, record))
+        return record
+
+
+class TrialRun(abc.ABC):
+    """One trial's hooks (:meth:`FaultModel.arm`) and what they observed:
+    whether every planned fault landed, the ranks they contaminated, and
+    for provenance the applied faults and ``(step, rank)`` marks."""
+
+    @abc.abstractmethod
+    def execute(self, app: "AppProtocol", deployment: "Deployment") -> list:
+        """Run the application with these hooks; the ranks' outputs."""
+
+    @abc.abstractmethod
+    def activated(self) -> bool: ...
+
+    def n_contaminated(self) -> int:
+        return 0
+
+    def observations(self) -> Sequence:
+        return ()
+
+    def timeline(self) -> Sequence[tuple[int, int]]:
+        return ()
+
+    def replay(self, obs) -> None:
+        """Record what the trial metered outside ``obs`` (a lane's share
+        of its batched pass)."""
+
+
+class TrialScope:
+    """One trial's spans: ``trial`` over ``plan``, ``inject``, ``classify``.
+
+    Opened where the trial's own execution starts — before the run when
+    the trial runs alone, at its fault site in a forked child, after the
+    batched pass for a lane — so every path records the same tree.
+    :meth:`close` is idempotent and also runs on the way out of an
+    exception (or of a ``with`` block).
+    """
+
+    def __init__(self, obs) -> None:
+        self._obs = obs
+        self._trial = ExitStack()
+        self._inject = ExitStack()
+        self.span = None
+
+    def __enter__(self) -> "TrialScope":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def open(self, trial: int, sample: Callable[[], Any] | None = None):
+        """Enter ``trial`` and ``inject``; returns ``sample()``, run in ``plan``."""
+        obs = self._obs
+        self.span = self._trial.enter_context(
+            obs.span("trial", trial, cat="trial", args={"trial": trial})
+        )
+        with obs.span("plan"):
+            plan = None if sample is None else sample()
+        self._inject.enter_context(obs.span("inject"))
+        return plan
+
+    def end_inject(self) -> None:
+        self._inject.close()
+
+    def close(self) -> None:
+        self._inject.close()
+        self._trial.close()
 
 
 # ----------------------------------------------------------------------
@@ -409,41 +520,7 @@ class _Forker:
             view = view[os.write(self._pipe, view):]
 
 
-class _TrialScope:
-    """One trial's spans: ``trial`` over ``plan``, ``inject``, ``classify``.
-
-    Opened where the trial's own execution starts — before the run when
-    the trial runs alone, at its fault site in a forked child — so both
-    record the same tree.  :meth:`close` is idempotent and also runs on
-    the way out of an exception.
-    """
-
-    def __init__(self, obs) -> None:
-        self._obs = obs
-        self._trial = ExitStack()
-        self._inject = ExitStack()
-        self.span = None
-
-    def open(self, trial: int, sample: Callable[[], Any] | None = None):
-        """Enter ``trial`` and ``inject``; returns ``sample()``, run in ``plan``."""
-        obs = self._obs
-        self.span = self._trial.enter_context(
-            obs.span("trial", trial, cat="trial", args={"trial": trial})
-        )
-        with obs.span("plan"):
-            plan = None if sample is None else sample()
-        self._inject.enter_context(obs.span("inject"))
-        return plan
-
-    def end_inject(self) -> None:
-        self._inject.close()
-
-    def close(self) -> None:
-        self._inject.close()
-        self._trial.close()
-
-
-class SiteRun(abc.ABC):
+class SiteRun(TrialRun):
     """The hooks of one site-driven execution (see :class:`SiteFaultModel`).
 
     Built unarmed over a block's plans; at each plan's site it calls
@@ -454,17 +531,11 @@ class SiteRun(abc.ABC):
 
     fired: dict | None = None
 
-    @abc.abstractmethod
-    def execute(self, app: "AppProtocol", deployment: "Deployment") -> list:
-        """Run the application with these hooks; the ranks' outputs."""
+    def activated(self) -> bool:
+        return self.fired is not None
 
-    def n_contaminated(self) -> int:
-        """Ranks the armed fault contaminated."""
-        return 0
-
-    def timeline(self) -> Sequence[tuple[int, int]]:
-        """``(step, rank)`` contamination marks, for provenance."""
-        return ()
+    def observations(self) -> Sequence[ScenarioObservation]:
+        return () if self.fired is None else (ScenarioObservation(self.fired),)
 
 
 class SiteFaultModel(FaultModel):
@@ -472,16 +543,13 @@ class SiteFaultModel(FaultModel):
     fault-free execution.
 
     Subclasses provide :attr:`FAILURES`, :meth:`attach` (the family's
-    :class:`SiteRun`), :meth:`complete` and :meth:`fired_event`; this
-    class owns trial execution — alone (:meth:`run_trial`) or a block
-    at a time (:meth:`run_block`) — and the record and events of each
-    trial, which both produce identically.
+    :class:`SiteRun`), :meth:`complete` and :meth:`fired_events`; this
+    class runs trials alone (:meth:`run_trial`, the site armed in place)
+    or a block at a time (:meth:`run_block`), and both record and report
+    each trial identically.
     """
 
     supports_fork = True
-    #: ``(exception type, detail label)`` in match order: the failures a
-    #: faulty run may end in (anything else propagates)
-    FAILURES: ClassVar[tuple[tuple[type[Exception], str], ...]] = ()
 
     @abc.abstractmethod
     def attach(
@@ -489,28 +557,8 @@ class SiteFaultModel(FaultModel):
     ) -> SiteRun:
         """Unarmed hooks visiting every plan's site, in site order."""
 
-    @abc.abstractmethod
-    def complete(self, outputs: list, reference: dict, app, obs) -> tuple[Outcome, str]:
-        """Outcome and detail of a run that completed."""
-
-    @abc.abstractmethod
-    def fired_event(self, trial: int, fired: dict) -> Event:
-        """The event announcing that trial's fault landed."""
-
-    # ------------------------------------------------------------------
-    def run_trial(self, app, deployment, profile, reference, trial, obs) -> TrialRecord:
-        """Trial ``trial`` on an execution of its own, its site armed in place."""
-        scope = _TrialScope(obs)
-        try:
-            plan = scope.open(trial, lambda: self.sample(
-                profile, trial_seed(deployment.seed, trial),
-                app=app, deployment=deployment,
-            ))
-            run = self.attach({trial: plan}, lambda _: True)
-            result = self._execute(run, app, deployment)
-            return self._conclude(app, reference, trial, plan, run, scope, result, obs)
-        finally:
-            scope.close()
+    def arm(self, trial: int, plan: ScenarioPlan) -> SiteRun:
+        return self.attach({trial: plan}, lambda _: True)
 
     def run_block(
         self, app, deployment, profile, reference, start: int, stop: int, obs,
@@ -533,7 +581,7 @@ class SiteFaultModel(FaultModel):
         mem = MemorySink()
         rec = obs.derive([mem])
         forker = _Forker()
-        scope = _TrialScope(rec)
+        scope = TrialScope(rec)
 
         def reach(trial: int) -> bool:
             if not forker.fork(trial):
@@ -578,50 +626,3 @@ class SiteFaultModel(FaultModel):
                 obs.absorb(snapshot)
             records.append(record)
         return records
-
-    # ------------------------------------------------------------------
-    def _execute(self, run: SiteRun, app, deployment):
-        """The run's rank outputs, or the failure it ended in."""
-        try:
-            return run.execute(app, deployment)
-        except tuple(kind for kind, _ in self.FAILURES) as exc:
-            return exc
-
-    def _conclude(
-        self, app, reference, trial, plan, run: SiteRun, scope: _TrialScope,
-        result, obs,
-    ) -> TrialRecord:
-        """Classify a finished run; record and report it as ``trial``."""
-        scope.end_inject()
-        if isinstance(result, Exception):
-            label = next(lb for kind, lb in self.FAILURES if isinstance(result, kind))
-            outcome, detail = Outcome.FAILURE, f"{label}: {result}"
-        else:
-            outcome, detail = self.complete(result, reference, app, obs)
-        span = scope.span
-        span.set(outcome=outcome.value)
-        scope.close()
-        record = TrialRecord(
-            outcome=outcome,
-            n_contaminated=run.n_contaminated(),
-            activated=run.fired is not None,
-            detail=detail,
-        )
-        if obs.enabled:
-            obs.counter(f"campaign.trials.{outcome.value}")
-            obs.observe("taint.contamination_spread", record.n_contaminated)
-            fired: list[dict] = []
-            if run.fired is not None:
-                obs.emit(self.fired_event(trial, run.fired))
-                fired = [run.fired]
-            obs.emit(TrialFinished(
-                trial=trial, outcome=outcome.value,
-                n_contaminated=record.n_contaminated,
-                activated=record.activated,
-                duration_s=span.duration,
-            ))
-            emit_scenario_provenance(
-                obs, trial, record, plan.to_payload(), fired,
-                timeline=tuple(run.timeline()),
-            )
-        return record

@@ -207,8 +207,10 @@ class MessageCorruptionModel(SiteFaultModel):
         with obs.span("classify"):
             return classify_outcome(outputs[0], reference, app.verify), ""
 
-    def fired_event(self, trial: int, fired: dict) -> MessageCorrupted:
-        return MessageCorrupted(
-            trial=trial, kind=fired["kind"], src=fired["src"],
-            dest=fired["dest"], element=fired["element"], bit=fired["bit"],
-        )
+    def fired_events(self, trial: int, run: _CorruptSites):
+        fired = run.fired
+        if fired is not None:
+            yield MessageCorrupted(
+                trial=trial, kind=fired["kind"], src=fired["src"],
+                dest=fired["dest"], element=fired["element"], bit=fired["bit"],
+            )

@@ -102,8 +102,10 @@ class RankKillModel(SiteFaultModel):
         with obs.span("classify"):
             return classify_outcome(outputs[0], reference, app.verify), ""
 
-    def fired_event(self, trial: int, fired: dict) -> RankKilled:
-        return RankKilled(trial=trial, rank=fired["rank"], step=fired["step"])
+    def fired_events(self, trial: int, run: "_KillSites"):
+        fired = run.fired
+        if fired is not None:
+            yield RankKilled(trial=trial, rank=fired["rank"], step=fired["step"])
 
 
 class _KillSites(SiteRun):

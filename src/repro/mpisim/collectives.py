@@ -12,7 +12,10 @@ Lane-batched payloads (:mod:`repro.taint.laneops`) reduce the same way
 per lane: the per-rank lane stacks are stacked along a new leading rank
 axis and reduced over it, so every lane sees exactly the association
 order its scalar trial would have used (the lane axis rides along at
-position 1 and does not participate in the reduction).
+position 1 and does not participate in the reduction).  Memory layout
+sets the order too: numpy sums a contiguous vector pairwise (8-way
+unrolled from 8 addends on) but a strided axis in sequence, so per-rank
+scalars reduce over a contiguous rank axis on both paths.
 """
 
 from __future__ import annotations
@@ -41,6 +44,14 @@ _PYTHON_REDUCERS = {
 }
 
 
+def _reduce_lanes(reducer, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Reduce one ``(k, ...)`` lane stack per rank, in scalar order."""
+    stack = np.stack(stacks)
+    if stack.ndim == 2:  # per-rank scalars: make the rank axis contiguous
+        stack = np.ascontiguousarray(stack.T).T
+    return reducer(stack)
+
+
 def reduce_payloads(payloads: Sequence[Any], op: str) -> Any:
     """Reduce one payload per rank into a single result.
 
@@ -56,19 +67,19 @@ def reduce_payloads(payloads: Sequence[Any], op: str) -> Any:
         if lane_sets:
             ls0 = lane_sets[0]
             k = ls0.k
-            fstack = reducer(np.stack([
+            fstack = _reduce_lanes(reducer, [
                 p.lanes.fstack if p.lanes is not None
                 else np.broadcast_to(p.faulty, (k,) + p.faulty.shape)
                 for p in payloads
-            ]))
+            ])
             gstack = None
             if any(ls.gstack is not None for ls in lane_sets):
-                gstack = reducer(np.stack([
+                gstack = _reduce_lanes(reducer, [
                     p.lanes.gstack
                     if p.lanes is not None and p.lanes.gstack is not None
                     else np.broadcast_to(p.golden, (k,) + p.golden.shape)
                     for p in payloads
-                ]))
+                ])
             return TArray.batched(golden, fstack, gstack, ls0.tracer)
         if not any(p.diverged for p in payloads):
             return TArray(golden)

@@ -39,7 +39,7 @@ from repro.obs.profiler import (
     traced_op_share,
 )
 from repro.obs.provenance import FaultProvenance, load_provenance, provenance_path
-from repro.obs.report import aggregate_spans
+from repro.obs.report import aggregate_spans, phase_rows
 from repro.obs.sinks import load_trace
 from repro.obs.timeline import (
     STRAGGLER_K,
@@ -290,12 +290,10 @@ def _phase_section(events: list[Event]) -> str:
     totals = aggregate_spans(events)
     if not totals:
         return "<p class='meta'>(no timing spans in trace)</p>"
-    rows = []
-    for path in sorted(totals):
-        count, total = totals[path]
-        count = int(count)
-        mean_ms = 1000.0 * total / count if count else 0.0
-        rows.append((path, count, f"{total:.3f}", f"{mean_ms:.3f}"))
+    rows = [
+        (path, count, f"{total:.3f}", f"{mean_ms:.3f}")
+        for path, count, total, mean_ms in phase_rows(totals)
+    ]
     return _html_table(["phase", "count", "total s", "mean ms"], rows)
 
 

@@ -25,8 +25,8 @@ files are **bit-identical** for any ``jobs`` count.
 
 System-level scenario families (:mod:`repro.fi.scenarios`) reuse the
 same event with scenario payloads — dicts carrying a ``"scenario"``
-key — in ``planned``/``fired``; loaders wrap those as
-:class:`ScenarioObservation` instead of :class:`FlipObservation`.
+key — in ``planned``/``fired``; their runs report, and loaders rebuild,
+those as :class:`ScenarioObservation` instead of :class:`FlipObservation`.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from repro.obs.events import TrialProvenance
 
 if TYPE_CHECKING:  # avoid a runtime obs -> fi import cycle
     from repro.fi.outcomes import TrialRecord
-    from repro.fi.plan import InjectionPlan
-    from repro.fi.tracer import Tracer
+    from repro.fi.scenarios.base import ScenarioPlan, TrialRun
 
 __all__ = [
     "FlipObservation",
@@ -171,15 +170,16 @@ class FaultProvenance:
 
 def build_trial_provenance(
     trial: int,
-    plan: "InjectionPlan",
-    tracer: "Tracer",
+    plan: "ScenarioPlan",
+    run: "TrialRun",
     record: "TrialRecord",
 ) -> TrialProvenance:
     """Assemble the provenance event for one finished trial.
 
-    Called by :func:`repro.fi.campaign.run_one_trial` after outcome
-    classification, while the trial's tracer still holds the flip
-    observations and contamination timeline.
+    Called by :meth:`repro.fi.scenarios.base.FaultModel.finish` for every
+    trial of every family, after outcome classification, while the
+    trial's run still holds the applied faults and the contamination
+    timeline.
     """
     return FaultProvenance(
         trial=trial,
@@ -188,8 +188,8 @@ def build_trial_provenance(
         activated=record.activated,
         detail=record.detail,
         planned=tuple(plan.to_payload()),
-        fired=tuple(tracer.flip_observations),
-        timeline=tuple(tracer.contamination_timeline),
+        fired=tuple(run.observations()),
+        timeline=tuple(run.timeline()),
     ).to_event()
 
 

@@ -31,6 +31,7 @@ from repro.utils.tables import format_table
 
 __all__ = [
     "aggregate_spans",
+    "phase_rows",
     "phase_table",
     "outcome_counts",
     "checkpoint_summary",
@@ -62,15 +63,24 @@ def aggregate_spans(events: Iterable[Event]) -> dict[str, list[float]]:
     return totals
 
 
+def phase_rows(
+    span_totals: dict[str, Sequence[float]],
+) -> list[tuple[str, int, float, float]]:
+    """``(path, count, total s, mean ms)`` per phase, sorted by path,
+    from ``path -> (count, seconds)``."""
+    return [
+        (path, int(count), total, 1000.0 * total / count if count else 0.0)
+        for path, (count, total) in sorted(span_totals.items())
+    ]
+
+
 def phase_table(span_totals: dict[str, Sequence[float]], title: str) -> str:
     """Per-phase time/throughput table from ``path -> (count, seconds)``."""
-    rows = []
-    for path in sorted(span_totals):
-        count, total = span_totals[path]
-        count = int(count)
-        mean_ms = 1000.0 * total / count if count else 0.0
-        throughput = count / total if total > 0 else float("nan")
-        rows.append((path, count, round(total, 3), round(mean_ms, 3), round(throughput, 1)))
+    rows = [
+        (path, count, round(total, 3), round(mean_ms, 3),
+         round(count / total if total > 0 else float("nan"), 1))
+        for path, count, total, mean_ms in phase_rows(span_totals)
+    ]
     return format_table(
         ["phase", "count", "total s", "mean ms", "per s"], rows, title=title
     )

@@ -29,7 +29,9 @@ at ``lanes=1``, 8 and 32, best of 2 after one ``lanes=1`` warm-up. It
 asserts the batched joints equal the ``lanes=1`` joint in values and
 key order, and that ``lanes=32`` reaches at least 4x the ``lanes=1``
 trials/sec. Lane batching is single-process numpy work, so the floor
-holds on any runner.
+holds on any runner. It first asserts the same joint parity, untimed,
+for CG at 8 ranks (32 trials), the smallest scale at which numpy sums
+the per-rank scalars of a reduction pairwise rather than in order.
 
 Exits non-zero with the failed assertion's message on any mismatch.
 """
@@ -55,6 +57,8 @@ OPERATIONAL = {"worker_joined", "worker_lost", "chunk_requeued",
 #: lane counts timed against ``lanes=1``, and the floor the last must reach
 LANE_COUNTS = (8, 32)
 LANES_FLOOR = 4.0
+#: the untimed joint-parity deployment of ``lanes-floor``
+WIDE_PARITY = dict(nprocs=8, trials=32, seed=123)
 
 EXTERNAL_REF = re.compile(
     r"""(?:src|href)\s*=\s*["']?(?:[a-z]+:)?//[^\s"'>]+""", re.I
@@ -127,6 +131,14 @@ def check_lanes_floor(args) -> None:
     from repro.fi.campaign import Deployment, run_campaign
 
     app = get_app("cg")
+    wide = Deployment(**WIDE_PARITY)
+    scalar = run_campaign(app, wide, jobs=1, lanes=1).joint
+    for lanes in LANE_COUNTS:  # values and key order
+        joint = run_campaign(app, wide, jobs=1, lanes=lanes).joint
+        assert list(joint.items()) == list(scalar.items()), (
+            f"nprocs={wide.nprocs} lanes={lanes} joint diverged from lanes=1"
+        )
+    print(f"lanes parity OK at nprocs={wide.nprocs}: lanes {LANE_COUNTS} = lanes=1")
     deployment = Deployment(nprocs=4, trials=96, seed=123)
     run_campaign(app, deployment, jobs=1, lanes=1)  # warm-up
     times: dict[int, float] = {}

@@ -4,7 +4,7 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/goldens/gen_bitflip_goldens.py
 
-Captures, for a small CG and MG campaign at jobs=1 / lanes=1:
+Captures, for a small CG, MG and PENNANT campaign at jobs=1 / lanes=1:
 
 * ``<app>.provenance.jsonl`` — the provenance sidecar, byte-exact;
 * ``<app>.events.jsonl`` — the main trace with wall-clock fields
@@ -12,10 +12,11 @@ Captures, for a small CG and MG campaign at jobs=1 / lanes=1:
   stripped, one canonical JSON object per line;
 * ``<app>.joint.json`` — the joint distribution in insertion order.
 
-The goldens were produced by the pre-scenario-refactor bit-flip
-pipeline; ``tests/unit/test_scenarios.py`` asserts the refactored
-:class:`BitFlipModel` reproduces them byte-for-byte for any
-jobs × lanes × resume combination.
+The CG and MG goldens were produced by the pre-scenario-refactor
+bit-flip pipeline, and the PENNANT one (bit-flip failures) before the
+families shared one trial lifecycle; ``tests/unit/test_scenarios.py``
+asserts the refactored :class:`BitFlipModel` reproduces them
+byte-for-byte for any jobs × lanes × resume combination.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent
 CASES = {
     "cg": dict(nprocs=4, trials=24, seed=7),
     "mg": dict(nprocs=4, trials=24, seed=7),
+    # 8-bit flips crash PENNANT's guards: the one golden with failures
+    "pennant": dict(nprocs=4, trials=24, seed=7, bits_per_error=8),
 }
 
 #: wall-clock fields stripped from main-trace events before comparison

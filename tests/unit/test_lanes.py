@@ -162,6 +162,40 @@ class TestScalarParity:
         assert got.records == base.records
 
 
+class TestScaleParity:
+    """Lanes match lanes=1 from 8 ranks on, where numpy starts summing a
+    contiguous vector of per-rank scalars pairwise instead of in order."""
+
+    @pytest.mark.parametrize("nprocs", [8, 16])
+    @pytest.mark.parametrize("name", ["cg", "mg", "ft", "lu"])
+    def test_apps_match_scalar(self, tmp_path, name, nprocs):
+        dep = Deployment(nprocs=nprocs, trials=16, seed=0)
+        app = get_app(name)
+        base, ev1, pv1, _ = _run_traced(app, dep, tmp_path, "scalar", lanes=1)
+        got, ev, pv, _ = _run_traced(app, dep, tmp_path, "lanes", lanes=8)
+        assert got.records == base.records
+        assert list(got.joint) == list(base.joint)
+        assert ev == ev1
+        assert pv == pv1
+
+    @pytest.mark.parametrize("nprocs", [2, 4, 8, 9, 16, 64])
+    def test_lane_sum_matches_scalar_order(self, nprocs):
+        from repro.mpisim.collectives import reduce_payloads
+
+        rng = np.random.default_rng(nprocs)
+        k = 5
+        golden = rng.standard_normal(nprocs) * 10.0 ** rng.integers(-8, 8, nprocs)
+        fstack = golden * (1 + rng.standard_normal((k, nprocs)) * 1e-3)
+        batched = reduce_payloads(
+            [TArray.batched(golden[r], fstack[:, r]) for r in range(nprocs)], "sum"
+        )
+        for lane in range(k):
+            scalar = reduce_payloads(
+                [TArray(golden[r], fstack[lane, r]) for r in range(nprocs)], "sum"
+            )
+            assert batched.lanes.fstack[lane].tobytes() == scalar.faulty.tobytes()
+
+
 class TestInterruptResume:
     def test_resume_matches_uninterrupted_scalar(self, monkeypatch):
         app = LaneApp()

@@ -146,7 +146,7 @@ def _interrupt_after(n_trials: int):
 # ----------------------------------------------------------------------
 class TestBitFlipByteIdentity:
     @pytest.mark.parametrize("name", sorted(goldens.CASES))
-    @pytest.mark.parametrize("jobs,lanes", [(1, 1), (1, 16)])
+    @pytest.mark.parametrize("jobs,lanes", [(1, 1), (1, 8), (1, 16)])
     def test_inline_paths_match_pre_refactor_goldens(self, name, jobs, lanes):
         app = get_app(name)
         deployment = Deployment(**goldens.CASES[name])
@@ -158,7 +158,9 @@ class TestBitFlipByteIdentity:
         assert events == gold_events
         assert joint == gold_joint
 
-    @pytest.mark.parametrize("name,jobs,lanes", [("cg", 4, 1), ("mg", 4, 16)])
+    @pytest.mark.parametrize(
+        "name,jobs,lanes", [("cg", 4, 1), ("mg", 4, 16), ("pennant", 2, 4)]
+    )
     def test_worker_pool_matches_pre_refactor_goldens(self, name, jobs, lanes):
         app = get_app(name)
         deployment = Deployment(**goldens.CASES[name])
