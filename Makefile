@@ -29,10 +29,12 @@ bench:
 		$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 experiments:
-	REPRO_TRIALS=$(TRIALS) $(PYTHON) -m repro.experiments all
+	REPRO_TRIALS=$(TRIALS) PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
+		$(PYTHON) -m repro.experiments all
 
 report:
-	REPRO_TRIALS=$(TRIALS) $(PYTHON) -m repro.experiments report
+	REPRO_TRIALS=$(TRIALS) PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
+		$(PYTHON) -m repro.experiments report
 
 # Smoke test for the observability layer: run a tiny uncached campaign
 # with a JSONL trace + live progress, render the trace, and build the

@@ -47,12 +47,7 @@ from repro.engine.chunks import (
 )
 from repro.engine.core import run_trials, select_backend
 from repro.engine.distributed import DistributedBackend, worker_main
-from repro.engine.store import (
-    LocalDirStore,
-    MemoryStore,
-    ResultStore,
-    RetryStore,
-)
+from repro.engine.store import LocalDirStore, MemoryStore, ResultStore
 
 __all__ = [
     "AdaptiveStopper",
@@ -69,7 +64,6 @@ __all__ = [
     "LocalDirStore",
     "MemoryStore",
     "ResultStore",
-    "RetryStore",
     "canonical_backend",
     "chunk_bounds",
     "execute_chunk",

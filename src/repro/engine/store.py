@@ -5,11 +5,9 @@ cache (:mod:`repro.fi.cache`) and the crash-safe checkpoint store
 (:mod:`repro.engine.checkpoint`) — used to speak to the filesystem
 directly.  :class:`ResultStore` extracts the five operations they
 actually need (get / put / delete / keys / delete_prefix) behind one
-protocol, so a campaign's durable state can live on a local directory,
-in memory (tests, ephemeral workers), or behind a retry wrapper for
-flaky shared filesystems — and a future multi-host deployment can point
-every worker at one shared store without touching cache or checkpoint
-logic.
+protocol, so a campaign's durable state can live on a local directory
+or in memory (tests, ephemeral workers) without touching cache or
+checkpoint logic.
 
 Keys are relative POSIX-style paths (``"checkpoints/cg-abc123/meta.json"``).
 The contract every implementation honors:
@@ -22,25 +20,18 @@ The contract every implementation honors:
   corrupt-entry recovery (delete, then recompute) never races itself.
 * **Prefix enumeration.** ``keys(prefix)`` returns a sorted list, so
   callers iterate deterministically.
-
-:class:`RetryStore` wraps any store with bounded exponential backoff on
-:class:`OSError` — transient NFS/overlay hiccups retry, programming
-errors propagate immediately.  The clock and sleep function are
-injectable so its backoff schedule is testable without waiting.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path, PurePosixPath
-from typing import Callable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 __all__ = [
     "LocalDirStore",
     "MemoryStore",
     "ResultStore",
-    "RetryStore",
 ]
 
 
@@ -175,57 +166,3 @@ class MemoryStore:
 
     def describe(self, key: str) -> str:
         return f"memory:{_check_key(key)}"
-
-
-class RetryStore:
-    """Bounded exponential backoff around a flaky inner store.
-
-    Retries :class:`OSError` only — the failure mode of real shared
-    filesystems — up to ``attempts`` total tries per operation, sleeping
-    ``base_delay * 2**n`` between tries.  Everything else (bad keys,
-    corrupt-data errors raised by callers) propagates immediately.
-    ``sleep`` is injectable so tests verify the schedule with a fake
-    clock instead of wall time.
-    """
-
-    def __init__(
-        self,
-        inner: ResultStore,
-        attempts: int = 3,
-        base_delay: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        if attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        self.inner = inner
-        self.attempts = attempts
-        self.base_delay = base_delay
-        self._sleep = sleep
-
-    def _retry(self, op: Callable, *args):
-        for attempt in range(self.attempts):
-            try:
-                return op(*args)
-            except OSError:
-                if attempt == self.attempts - 1:
-                    raise
-                self._sleep(self.base_delay * (2 ** attempt))
-        raise AssertionError("unreachable")
-
-    def get(self, key: str) -> bytes | None:
-        return self._retry(self.inner.get, key)
-
-    def put(self, key: str, data: bytes) -> int:
-        return self._retry(self.inner.put, key, data)
-
-    def delete(self, key: str) -> None:
-        return self._retry(self.inner.delete, key)
-
-    def keys(self, prefix: str = "") -> list[str]:
-        return self._retry(self.inner.keys, prefix)
-
-    def delete_prefix(self, prefix: str) -> None:
-        return self._retry(self.inner.delete_prefix, prefix)
-
-    def describe(self, key: str) -> str:
-        return self.inner.describe(key)

@@ -8,18 +8,12 @@ from __future__ import annotations
 
 from repro.apps import get_app
 from repro.apps.base import AppSpec
-from repro.fi.cache import (
-    cached_campaign,
-    load_unique_fraction_stats,
-    store_unique_fraction,
-)
+from repro.fi.cache import cached_campaign, cached_unique_fraction_stats
 from repro.fi.campaign import CampaignResult, Deployment
-from repro.fi.tracer import Tracer, TracerMode
 from repro.knobs import env_value
 from repro.model.predictor import PredictionInputs, ResiliencePredictor
 from repro.model.result import FaultInjectionResult
 from repro.model.sampling import SerialSamplePlan
-from repro.mpisim.runner import execute_spmd
 from repro.taint.region import Region
 
 __all__ = [
@@ -123,16 +117,7 @@ def unique_fraction_stats(app: AppSpec, nprocs: int) -> tuple[float, int]:
     """
     key = (app.cache_key(), nprocs)
     if key not in _fraction_cache:
-        stats = load_unique_fraction_stats(app, nprocs)
-        if stats is None:
-            tracer = Tracer(TracerMode.PROFILE)
-            execute_spmd(app.program, nprocs, sink=tracer)
-            profile = tracer.profile
-            fraction = profile.parallel_unique_fraction()
-            candidates = sum(profile.candidates(r) for r in profile.ranks)
-            store_unique_fraction(app, nprocs, fraction, candidates)
-            stats = (fraction, candidates)
-        _fraction_cache[key] = stats
+        _fraction_cache[key] = cached_unique_fraction_stats(app, nprocs)
     return _fraction_cache[key]
 
 
@@ -183,7 +168,8 @@ def build_predictor(
     )
     probe = FaultInjectionResult.from_campaign(cached_campaign(app, probe_dep))
 
-    fractions = {small_nprocs: unique_fraction(app, small_nprocs)}
+    # the small campaign's own profiling pass already measured its share
+    fractions = {small_nprocs: small.parallel_unique_fraction}
     if prob2_mode == "profile":
         fractions[target_nprocs] = unique_fraction(app, target_nprocs)
     elif prob2_mode == "extrapolate":

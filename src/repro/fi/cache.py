@@ -1,17 +1,28 @@
-"""Disk cache for campaign results.
+"""Disk cache for campaign results and parallel-unique profiles.
 
 Campaigns are deterministic given (app configuration, deployment), so
 their aggregate results can be cached and shared across experiment
 harnesses and repeated benchmark runs.  The cache stores only the
 aggregate joint distribution and profile summary — everything
 downstream analyses consume — as JSON under ``REPRO_CACHE_DIR``
-(default ``.repro-cache/`` in the working directory).
+(default ``.repro-cache/`` in the working directory).  The layout:
+
+* ``<app>-<digest>.json`` — one campaign result per (app, deployment);
+* ``fractions/<app>-<digest>.json`` — one parallel-unique share and
+  its candidate count per (app, nprocs), from one fault-free profiling
+  run.  Kept out of the top level, where every ``<app>-*.json`` is a
+  campaign entry.
+
+Both kinds go through one read/write path (:func:`_cached_entry`):
+hits, misses, writes and corrupt entries are counted and emitted alike.
+A ``unique_fractions.json`` left by earlier versions (one shared table
+of all fractions) is never read; ``make clean-cache`` removes it with
+the rest of the directory.
 
 Persistence goes through the :class:`~repro.engine.store.ResultStore`
 abstraction (a :class:`~repro.engine.store.LocalDirStore` rooted at
 :func:`cache_dir`), the same layer the engine's checkpoint store uses —
 one place owns atomic write-then-rename and corrupt-entry deletion.
-The on-disk layout is unchanged from the pre-store versions.
 
 Set ``REPRO_CACHE=0`` to disable, e.g. while modifying the substrate.
 """
@@ -22,7 +33,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from repro import knobs
 from repro.fi.campaign import (
@@ -32,16 +43,19 @@ from repro.fi.campaign import (
     run_campaign,
 )
 from repro.fi.outcomes import Outcome
+from repro.fi.tracer import Tracer, TracerMode
+from repro.mpisim.runner import execute_spmd
 from repro.obs import CacheCorrupt, CacheHit, CacheMiss, CacheWrite, get_recorder
 
 if TYPE_CHECKING:
     from repro.engine.store import ResultStore
 
 __all__ = [
-    "cached_campaign", "cache_dir", "cache_enabled", "deployment_key",
-    "load_unique_fraction", "load_unique_fraction_stats",
-    "store_unique_fraction",
+    "cached_campaign", "cached_unique_fraction_stats", "cache_dir",
+    "cache_enabled", "deployment_key", "load_unique_fraction_stats",
 ]
+
+_T = TypeVar("_T")
 
 #: v2: lane campaigns at 8 or more ranks wrote wrong ``n_contaminated``
 #: counts under v1, and ``lanes`` is not part of the key
@@ -93,15 +107,14 @@ def _store() -> "ResultStore":
     return LocalDirStore(cache_dir())
 
 
-def _cache_key(app: AppProtocol, deployment: Deployment) -> str:
-    key = f"{_CACHE_VERSION}|{app.cache_key()}|{deployment_key(deployment)}"
+def _entry_key(app: AppProtocol, identity: str) -> str:
+    key = f"{_CACHE_VERSION}|{app.cache_key()}|{identity}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
     return f"{app.name}-{digest}.json"
 
 
 def _serialize(result: CampaignResult) -> dict:
     return {
-        "version": _CACHE_VERSION,
         "app_name": result.app_name,
         "joint": [
             [outcome.value, ncont, activated, count]
@@ -133,96 +146,27 @@ def _deserialize(blob: dict, deployment: Deployment) -> CampaignResult:
     )
 
 
-# ----------------------------------------------------------------------
-# parallel-unique profile fractions (one fault-free run per (app, p))
-# ----------------------------------------------------------------------
-_FRACTIONS_KEY = "unique_fractions.json"
+def _cached_entry(
+    key: str,
+    decode: Callable[[dict], _T],
+    compute: Callable[[], _T] | None = None,
+    encode: Callable[[_T], dict] | None = None,
+) -> _T | None:
+    """Serve entry ``key`` from the cache, or compute and write it.
 
-
-def _fraction_key(app: AppProtocol, nprocs: int) -> str:
-    return f"{_CACHE_VERSION}|{app.cache_key()}|p={nprocs}"
-
-
-def _read_fractions(store: "ResultStore") -> dict:
-    raw = store.get(_FRACTIONS_KEY)
-    if raw is None:
-        return {}
-    try:
-        blob = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        store.delete(_FRACTIONS_KEY)  # corrupt: recompute and rewrite
-        return {}
-    return blob if isinstance(blob, dict) else {}
-
-
-def load_unique_fraction(app: AppProtocol, nprocs: int) -> float | None:
-    """Disk-cached parallel-unique fraction for ``(app, nprocs)``, if any.
-
-    Target-scale profiling runs (p=64/128) are the costliest fault-free
-    executions of the pipeline; persisting their one-number result means
-    a fresh process never redoes them.  Accepts both the legacy bare
-    float entries and the current ``{"fraction", "candidates"}`` records.
-    """
-    stats = load_unique_fraction_stats(app, nprocs)
-    if stats is not None:
-        return stats[0]
-    if not cache_enabled():
-        return None
-    value = _read_fractions(_store()).get(_fraction_key(app, nprocs))
-    return float(value) if isinstance(value, (int, float)) else None
-
-
-def load_unique_fraction_stats(
-    app: AppProtocol, nprocs: int
-) -> tuple[float, int] | None:
-    """Cached ``(fraction, candidate_instructions)`` for ``(app, nprocs)``.
-
-    The candidate count is the denominator behind the fraction, needed
-    for confidence intervals on the share.  Legacy bare-float cache
-    entries (pre-count schema) return None so callers re-profile once
-    and rewrite the entry in the current format.
+    The one read and write path of every cache entry; it stamps and
+    checks each entry's ``version``.  A blob that no longer parses as
+    JSON (truncated by a killed process, disk corruption) is deleted
+    immediately and a :class:`~repro.obs.CacheCorrupt` event records
+    the incident; a blob of another version or schema is recomputed
+    and overwritten.  Hits, misses and writes are counted with byte
+    sizes when observability is enabled.  Without ``compute`` this is
+    a lookup: a miss returns None and writes nothing.
     """
     if not cache_enabled():
-        return None
-    value = _read_fractions(_store()).get(_fraction_key(app, nprocs))
-    if isinstance(value, dict) and "fraction" in value:
-        return float(value["fraction"]), int(value.get("candidates", 0))
-    return None
-
-
-def store_unique_fraction(
-    app: AppProtocol, nprocs: int, value: float, candidates: int = 0
-) -> None:
-    """Persist a measured parallel-unique fraction (atomic rewrite)."""
-    if not cache_enabled():
-        return
-    store = _store()
-    blob = _read_fractions(store)
-    blob[_fraction_key(app, nprocs)] = {
-        "fraction": float(value), "candidates": int(candidates),
-    }
-    store.put(_FRACTIONS_KEY, json.dumps(blob, sort_keys=True).encode())
-
-
-def cached_campaign(app: AppProtocol, deployment: Deployment) -> CampaignResult:
-    """Run (or load) a campaign; results persist across processes.
-
-    A cache file that no longer parses as JSON (truncated by a killed
-    process, disk corruption) is deleted immediately and the campaign
-    recomputed; a :class:`~repro.obs.CacheCorrupt` event records the
-    incident.  Hits, misses and writes are counted with byte sizes when
-    observability is enabled.
-    """
-    # pin the effective knobs before keying: the precision target and
-    # the fault scenario change what the trials execute, so they must
-    # never share a cache entry (or checkpoint identity) with other
-    # settings
-    deployment = knobs.resolve(deployment)
-    if not cache_enabled():
-        return run_campaign(app, deployment)
+        return None if compute is None else compute()
     obs = get_recorder()
     store = _store()
-    key = _cache_key(app, deployment)
     path = store.describe(key)
     raw = store.get(key)
     if raw is not None:
@@ -238,22 +182,92 @@ def cached_campaign(app: AppProtocol, deployment: Deployment) -> CampaignResult:
         else:
             try:
                 if blob.get("version") == _CACHE_VERSION:
-                    result = _deserialize(blob, deployment)
+                    value = decode(blob)
                     if obs.enabled:
                         obs.counter("cache.hits")
                         obs.counter("cache.hit_bytes", len(text))
                         obs.emit(CacheHit(path=path, size_bytes=len(text)))
-                    return result
-            except (KeyError, ValueError, TypeError):
+                    return value
+            except (AttributeError, KeyError, ValueError, TypeError):
                 pass  # stale schema: recompute below (overwrites entry)
     if obs.enabled:
         obs.counter("cache.misses")
         obs.emit(CacheMiss(path=path))
-    result = run_campaign(app, deployment)
-    payload = json.dumps(_serialize(result))
-    size = store.put(key, payload.encode())
+    if compute is None:
+        return None
+    value = compute()
+    blob = {"version": _CACHE_VERSION, **encode(value)}
+    size = store.put(key, json.dumps(blob).encode())
     if obs.enabled:
         obs.counter("cache.writes")
         obs.counter("cache.write_bytes", size)
         obs.emit(CacheWrite(path=path, size_bytes=size))
-    return result
+    return value
+
+
+def cached_campaign(app: AppProtocol, deployment: Deployment) -> CampaignResult:
+    """Run (or load) a campaign; results persist across processes."""
+    # pin the effective knobs before keying: the precision target and
+    # the fault scenario change what the trials execute, so they must
+    # never share a cache entry (or checkpoint identity) with other
+    # settings
+    deployment = knobs.resolve(deployment)
+    return _cached_entry(
+        _entry_key(app, deployment_key(deployment)),
+        lambda blob: _deserialize(blob, deployment),
+        lambda: run_campaign(app, deployment),
+        _serialize,
+    )
+
+
+# ----------------------------------------------------------------------
+# parallel-unique profile fractions (one fault-free run per (app, p))
+# ----------------------------------------------------------------------
+def _fraction_key(app: AppProtocol, nprocs: int) -> str:
+    return "fractions/" + _entry_key(app, f"p={nprocs}")
+
+
+def _decode_fraction(blob: dict) -> tuple[float, int]:
+    return float(blob["fraction"]), int(blob["candidates"])
+
+
+def _encode_fraction(stats: tuple[float, int]) -> dict:
+    fraction, candidates = stats
+    return {"fraction": float(fraction), "candidates": int(candidates)}
+
+
+def _profile_unique_fraction(app: AppProtocol, nprocs: int) -> tuple[float, int]:
+    tracer = Tracer(TracerMode.PROFILE)
+    execute_spmd(app.program, nprocs, sink=tracer)
+    profile = tracer.profile
+    candidates = sum(profile.candidates(r) for r in profile.ranks)
+    return profile.parallel_unique_fraction(), candidates
+
+
+def cached_unique_fraction_stats(
+    app: AppProtocol, nprocs: int
+) -> tuple[float, int]:
+    """``(parallel-unique share, candidate instructions)`` at ``nprocs``.
+
+    Measured by one fault-free profiling run on a miss.  Target-scale
+    runs (p=64/128) are the costliest fault-free executions of the
+    pipeline; persisting their result means a fresh process never
+    redoes them.
+    """
+    return _cached_entry(
+        _fraction_key(app, nprocs),
+        _decode_fraction,
+        lambda: _profile_unique_fraction(app, nprocs),
+        _encode_fraction,
+    )
+
+
+def load_unique_fraction_stats(
+    app: AppProtocol, nprocs: int
+) -> tuple[float, int] | None:
+    """Cached ``(fraction, candidate_instructions)`` for ``(app, nprocs)``.
+
+    None when the cache is disabled or holds no valid entry; never
+    profiles.
+    """
+    return _cached_entry(_fraction_key(app, nprocs), _decode_fraction)

@@ -6,6 +6,7 @@ Usage::
     python tests/ci_checks.py selfcontained FILE [--min-svg N] [--refresh] [--svg]
     PYTHONPATH=src python tests/ci_checks.py chrome FILE [--min-pids N] [--otlp FILE]
     PYTHONPATH=src python tests/ci_checks.py lanes-floor
+    python tests/ci_checks.py cache-warm COLD.jsonl WARM.jsonl --entries N
 
 ``events`` asserts two JSONL event streams are identical once the
 per-event wall-clock fields are dropped; ``--drop-operational`` also
@@ -33,6 +34,10 @@ holds on any runner. It first asserts the same joint parity, untimed,
 for CG at 8 ranks (32 trials), the smallest scale at which numpy sums
 the per-rank scalars of a reduction pairwise rather than in order.
 
+``cache-warm`` asserts a run on an empty cache wrote ``--entries``
+cache entries and that the rerun on the filled cache served every one
+of them as a hit, with no miss.
+
 Exits non-zero with the failed assertion's message on any mismatch.
 """
 
@@ -43,6 +48,7 @@ import json
 import re
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 from html.parser import HTMLParser
 from pathlib import Path
 
@@ -166,6 +172,19 @@ def check_lanes_floor(args) -> None:
     print(f"lanes floor OK: lanes={top} at {speedup:.2f}x >= {LANES_FLOOR}x")
 
 
+def check_cache_warm(args) -> None:
+    def types(path: str) -> Counter:
+        with open(path) as fh:
+            return Counter(json.loads(line)["type"] for line in fh)
+
+    cold, warm = types(args.cold), types(args.warm)
+    assert cold["cache_write"] == args.entries, f"{args.cold}: {dict(cold)}"
+    assert warm["cache_hit"] == args.entries and not warm["cache_miss"], (
+        f"{args.warm}: {dict(warm)}"
+    )
+    print(f"cache OK: {args.entries} entries written cold, all hits warm")
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -187,6 +206,11 @@ def main(argv: list[str] | None = None) -> None:
     chrome.set_defaults(run=check_chrome)
     floor = sub.add_parser("lanes-floor", help="lanes=32 >= 4x lanes=1")
     floor.set_defaults(run=check_lanes_floor)
+    warm = sub.add_parser("cache-warm", help="a warm rerun only hits")
+    warm.add_argument("cold")
+    warm.add_argument("warm")
+    warm.add_argument("--entries", type=int, required=True)
+    warm.set_defaults(run=check_cache_warm)
     args = parser.parse_args(argv)
     args.run(args)
 

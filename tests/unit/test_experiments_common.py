@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.apps import get_app
 from repro.experiments import common
 from repro.experiments.common import (
@@ -14,7 +15,7 @@ from repro.experiments.common import (
     unique_campaign,
     unique_fraction,
 )
-from repro.fi.cache import cache_dir, load_unique_fraction, store_unique_fraction
+from repro.fi.cache import cache_dir, load_unique_fraction_stats
 from repro.model.predictor import extrapolate_unique_fraction
 from repro.taint.region import Region
 
@@ -107,14 +108,22 @@ class TestFractionPersistence:
         common._fraction_cache.clear()
         common._fraction_cache.update(saved)
 
+    @staticmethod
+    def _entries(app_name: str) -> list:
+        return sorted(cache_dir().glob(f"fractions/{app_name}-*.json"))
+
     def test_fraction_written_to_disk(self):
         app = get_app("cg")
         value = unique_fraction(app, 2)
-        path = cache_dir() / "unique_fractions.json"
-        assert path.is_file()
-        entries = json.loads(path.read_text()).values()
-        match = [e for e in entries if e["fraction"] == value]
-        assert match and match[0]["candidates"] > 0
+        (path,) = self._entries("cg")
+        entry = json.loads(path.read_text())
+        assert entry["fraction"] == value and entry["candidates"] > 0
+
+    def test_fraction_entries_stay_out_of_campaign_glob(self):
+        # every top-level <app>-*.json is read as a campaign entry
+        unique_fraction(get_app("cg"), 2)
+        assert list(cache_dir().glob("cg-*.json")) == []
+        assert len(self._entries("cg")) == 1
 
     def test_fresh_process_reads_disk_not_reprofiles(self):
         """Simulated restart: empty memory cache, poisoned disk entry.
@@ -124,24 +133,56 @@ class TestFractionPersistence:
         """
         app = get_app("cg")
         unique_fraction(app, 2)
-        store_unique_fraction(app, 2, 0.123456)
+        (path,) = self._entries("cg")
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps({**entry, "fraction": 0.123456}))
         common._fraction_cache.clear()
         assert unique_fraction(app, 2) == 0.123456
 
     def test_corrupt_fraction_file_recomputed(self):
         app = get_app("cg")
         true_value = unique_fraction(app, 2)
-        path = cache_dir() / "unique_fractions.json"
+        (path,) = self._entries("cg")
         path.write_text("{ not json")
         common._fraction_cache.clear()
         assert unique_fraction(app, 2) == true_value
+        assert json.loads(path.read_text())["fraction"] == true_value
+
+    def test_corrupt_entry_counted_and_others_served(self):
+        app = get_app("cg")
+        true_value = unique_fraction(app, 2)
+        (corrupted,) = self._entries("cg")
+        unique_fraction(app, 4)
+        (kept,) = set(self._entries("cg")) - {corrupted}
+        corrupted.write_text("{ not json")
+        common._fraction_cache.clear()
+        mem = obs.MemorySink()
+        with obs.recording(obs.Recorder([mem])) as rec:
+            assert unique_fraction(app, 2) == true_value
+            unique_fraction(app, 4)
+        (corrupt,) = mem.of(obs.CacheCorrupt)
+        assert corrupt.path == str(corrupted)
+        assert rec.counters["cache.corrupt"] == 1
+        assert [w.path for w in mem.of(obs.CacheWrite)] == [str(corrupted)]
+        assert [h.path for h in mem.of(obs.CacheHit)] == [str(kept)]
+
+    def test_build_predictor_reuses_small_campaign_share(self):
+        # the small campaign's profiling pass already measured p=4; only
+        # the target scale gets a profiling run (and a fraction entry)
+        predictor = build_predictor("cg", small_nprocs=4, target_nprocs=64,
+                                    trials=TRIALS)
+        app = get_app("cg")
+        assert load_unique_fraction_stats(app, 4) is None
+        assert load_unique_fraction_stats(app, 64) is not None
+        small = predictor.inputs.small_campaign
+        assert predictor.inputs.unique_fractions[4] == small.parallel_unique_fraction
 
     def test_disabled_cache_skips_disk(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
         app = get_app("cg")
         unique_fraction(app, 2)
-        assert load_unique_fraction(app, 2) is None
-        assert not (cache_dir() / "unique_fractions.json").exists()
+        assert load_unique_fraction_stats(app, 2) is None
+        assert not cache_dir().exists()
 
 
 class TestExtrapolationEdgeCases:

@@ -8,9 +8,7 @@ slash-separated strings.  The contract every implementation must hold:
   never a torn write (local stores stage to a sibling temp file and
   rename);
 * ``keys`` enumerates sorted, ``delete``/``delete_prefix`` are
-  idempotent, and the local store never leaks staging files;
-* ``RetryStore`` retries transient ``OSError`` with exponential
-  backoff and re-raises everything else untouched.
+  idempotent, and the local store never leaks staging files.
 
 Mirrors the brute-force style of test_aggregator_properties: seeded
 random op sequences replayed against both implementations must agree
@@ -24,12 +22,7 @@ import random
 import pytest
 
 from repro.engine.checkpoint import CheckpointStore
-from repro.engine.store import (
-    LocalDirStore,
-    MemoryStore,
-    ResultStore,
-    RetryStore,
-)
+from repro.engine.store import LocalDirStore, MemoryStore, ResultStore
 from repro.errors import CheckpointCorruptError
 
 
@@ -97,6 +90,10 @@ class TestStoreContract:
         assert leftovers == []
         assert len(store.keys()) == 10
 
+    def test_satisfies_protocol(self, tmp_path):
+        for store in both_stores(tmp_path):
+            assert isinstance(store, ResultStore)
+
     def test_random_op_sequences_agree(self, tmp_path):
         """Seeded random workloads: both implementations stay in lockstep."""
         rng = random.Random(20260808)
@@ -122,82 +119,6 @@ class TestStoreContract:
                     local.delete_prefix(prefix)
                     memory.delete_prefix(prefix)
             assert local.keys() == memory.keys()
-
-
-# ----------------------------------------------------------------------
-class FlakyStore:
-    """Delegates to a MemoryStore, failing the first N calls per op."""
-
-    def __init__(self, failures: int, exc: Exception | None = None):
-        self.inner = MemoryStore()
-        self.failures = failures
-        self.exc = exc if exc is not None else OSError("transient")
-        self.calls = 0
-
-    def _maybe_fail(self):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise self.exc
-
-    def get(self, key):
-        self._maybe_fail()
-        return self.inner.get(key)
-
-    def put(self, key, data):
-        self._maybe_fail()
-        return self.inner.put(key, data)
-
-    def delete(self, key):
-        self._maybe_fail()
-        self.inner.delete(key)
-
-    def keys(self, prefix=""):
-        self._maybe_fail()
-        return self.inner.keys(prefix)
-
-    def delete_prefix(self, prefix):
-        self._maybe_fail()
-        self.inner.delete_prefix(prefix)
-
-    def describe(self, key):
-        return self.inner.describe(key)
-
-
-class TestRetryStore:
-    def test_transient_errors_retried_with_backoff(self):
-        naps: list[float] = []
-        flaky = FlakyStore(failures=2)
-        store = RetryStore(flaky, attempts=3, base_delay=0.05,
-                           sleep=naps.append)
-        assert store.put("k", b"v") == 1
-        assert store.get("k") == b"v"              # failures exhausted
-        assert naps == [0.05, 0.1]                 # exponential schedule
-
-    def test_exhausted_attempts_reraise(self):
-        naps: list[float] = []
-        flaky = FlakyStore(failures=99)
-        store = RetryStore(flaky, attempts=3, base_delay=0.05,
-                           sleep=naps.append)
-        with pytest.raises(OSError, match="transient"):
-            store.get("k")
-        assert naps == [0.05, 0.1]                 # slept between, not after
-
-    def test_non_oserror_propagates_immediately(self):
-        naps: list[float] = []
-        flaky = FlakyStore(failures=1, exc=KeyError("not transient"))
-        store = RetryStore(flaky, attempts=5, base_delay=0.05,
-                           sleep=naps.append)
-        with pytest.raises(KeyError):
-            store.get("k")
-        assert naps == []
-
-    def test_bad_attempts_rejected(self):
-        with pytest.raises(ValueError):
-            RetryStore(MemoryStore(), attempts=0)
-
-    def test_satisfies_protocol(self):
-        assert isinstance(RetryStore(MemoryStore()), ResultStore)
-        assert isinstance(MemoryStore(), ResultStore)
 
 
 # ----------------------------------------------------------------------
@@ -259,15 +180,3 @@ class TestCheckpointStoreOnResultStore:
         layout, payloads = _checkpoint_store(backing).load()
         assert layout == [(0, 4), (4, 8)]
         assert payloads == []
-
-    def test_retry_wrapped_local_store(self, tmp_path):
-        naps: list[float] = []
-        backing = RetryStore(
-            LocalDirStore(tmp_path / "ckpt"), sleep=naps.append
-        )
-        store = _checkpoint_store(backing)
-        store.begin(8, [(0, 4), (4, 8)])
-        store.write(self._payload(4, 8))
-        layout, payloads = _checkpoint_store(backing).load()
-        assert [(p.start, p.stop) for p in payloads] == [(4, 8)]
-        assert naps == []                          # healthy disk: no retries
