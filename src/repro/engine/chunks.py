@@ -31,14 +31,25 @@ if TYPE_CHECKING:  # circular at runtime: campaign dispatches into here
     from repro.fi.profile import InstructionProfile
 
 __all__ = [
-    "MAX_CHUNK_TRIALS", "ChunkPayload", "EngineContext", "chunk_bounds",
-    "execute_chunk", "fold_record", "plan_chunks",
+    "LANE_EJECT_SHARE", "MAX_CHUNK_TRIALS", "ChunkPayload", "EngineContext",
+    "chunk_bounds", "execute_chunk", "fold_record", "plan_chunks",
 ]
 
 #: Upper bound on trials per chunk: small enough that progress events
 #: flow and stragglers rebalance, large enough to amortize task overhead.
 #: It bounds a forked block too, which reports its trials when it ends.
 MAX_CHUNK_TRIALS = 50
+
+#: The lane pay rule: a lane block that ejected more than this share of
+#: its lanes paid for the batched pass and then re-ran those trials one
+#: at a time, so the rest of its chunk runs one trial at a time.  A
+#: block of ``k`` lanes with ``e`` ejected costs about ``P + e`` scalar
+#: trials; on PENNANT, the one app that ejects, the pass ``P`` costs
+#: 0.13k to 0.29k, so its blocks pay while fewer than 71-87% of their
+#: lanes eject (see docs/performance.md, "The lane pay rule").
+#: Ejection depends on a trial alone, so the switch is as deterministic
+#: as the records, which do not depend on it.
+LANE_EJECT_SHARE = 0.6
 
 
 def chunk_bounds(
@@ -165,7 +176,9 @@ def execute_chunk(
     :data:`MAX_CHUNK_TRIALS` trials forked off one fault-free execution
     (a family that supports it, an unprofiled run, a process that may
     fork, and a block large enough that forking pays), lane blocks of
-    ``ctx.lanes`` trials, or one trial at a time.
+    ``ctx.lanes`` trials, or one trial at a time.  After a lane block
+    that ejected more than :data:`LANE_EJECT_SHARE` of its lanes, the
+    rest of the chunk runs one trial at a time (``fi.lanes.unpaid``).
 
     ``capture=False`` records straight into the process-wide recorder —
     byte-for-byte the classic serial loop, used when the payload never
@@ -220,7 +233,14 @@ def execute_chunk(
             else:
                 from repro.fi.lanes import run_lane_block  # lanes > 1 only
 
-                block_records = run_lane_block(*args, trial, block_stop, rec)
+                block_records, ejected = run_lane_block(
+                    *args, trial, block_stop, rec
+                )
+                unpaid = (block_stop < stop and
+                          ejected > LANE_EJECT_SHARE * (block_stop - trial))
+                rec.counter("fi.lanes.unpaid", int(unpaid))
+                if unpaid:
+                    block_size = 1
             for record in block_records:
                 fold_record(joint, record)
                 if ctx.keep_records:

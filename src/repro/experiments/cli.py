@@ -22,11 +22,12 @@ Besides the experiment harnesses, the CLI wires the observability layer
 
 ``--jobs N`` fans every campaign's trials over N worker processes
 (deterministic: results are bit-identical to serial; see
-docs/performance.md).  ``--lanes N`` batches N trials into each
-lane-vectorized pass through the application — also bit-identical, and
-freely combined with ``--jobs``.  ``--checkpoint-every N`` makes campaign progress
-durable every N trials, and ``--resume`` restarts an interrupted run
-from its last checkpoint (see docs/engine.md).  ``--ci-halfwidth H``
+docs/performance.md).  ``--lanes N`` (default 32) batches N bit-flip
+trials into each lane-vectorized pass through the application — also
+bit-identical, and freely combined with ``--jobs``.
+``--checkpoint-every N`` makes campaign progress durable every N
+trials, and ``--resume`` restarts an interrupted run from its last
+checkpoint (see docs/engine.md).  ``--ci-halfwidth H``
 turns every campaign adaptive: ``--trials`` becomes a cap and each
 deployment stops as soon as its outcome rates reach the requested 95%
 Wilson half-width (see docs/adaptive.md).  ``--scenario NAME[:k=v,...]``

@@ -58,8 +58,9 @@ __all__ = [
 _T = TypeVar("_T")
 
 #: v2: lane campaigns at 8 or more ranks wrote wrong ``n_contaminated``
-#: counts under v1, and ``lanes`` is not part of the key
-_CACHE_VERSION = "v2"
+#: counts under v1, and ``lanes`` is not part of the key; v3: MG lane
+#: campaigns dropped some injected flips under v2
+_CACHE_VERSION = "v3"
 
 
 def cache_enabled() -> bool:
@@ -211,10 +212,12 @@ def cached_campaign(app: AppProtocol, deployment: Deployment) -> CampaignResult:
     # the fault scenario change what the trials execute, so they must
     # never share a cache entry (or checkpoint identity) with other
     # settings
-    deployment = knobs.resolve(deployment)
+    resolved = knobs.resolve(deployment)
     return _cached_entry(
-        _entry_key(app, deployment_key(deployment)),
-        lambda blob: _deserialize(blob, deployment),
+        _entry_key(app, deployment_key(resolved)),
+        lambda blob: _deserialize(blob, resolved),
+        # the deployment as given: run_campaign resolves it the same
+        # way, and tells a knob that was set from one left to default
         lambda: run_campaign(app, deployment),
         _serialize,
     )

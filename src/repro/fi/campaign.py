@@ -258,10 +258,11 @@ def run_campaign(
     (``"bitflip"`` — the default — ``"rankkill"``, ``"msgcorrupt"``;
     see ``docs/scenarios.md``).  Scenarios compose with every knob
     above, except that only the bit-flip family supports lane batching
-    — other families fall back to the scalar path with a one-line
-    warning.  Instead, rank-kill and message-corruption chunks fork
-    their trials off one shared fault-free execution (unprofiled runs,
-    in a process that may fork) — again bit-identical.
+    — other families fall back to the scalar path, with a one-line
+    warning when ``lanes`` > 1 was set rather than left to its default.
+    Instead, rank-kill and message-corruption chunks fork their trials
+    off one shared fault-free execution (unprofiled runs, in a process
+    that may fork) — again bit-identical.
 
     ``backend`` pins *where* chunks execute — ``"inline"``,
     ``"process"``, or ``"distributed:host:port"`` (a controller socket
@@ -270,21 +271,25 @@ def run_campaign(
     knob: results stay bit-identical across backends, worker counts and
     worker churn.
     """
+    lanes_asked = knobs.is_set("lanes", deployment, lanes)
     deployment = knobs.resolve(
         deployment, jobs=jobs, lanes=lanes, checkpoint_every=checkpoint_every,
         ci_halfwidth=ci_halfwidth, scenario=scenario, backend=backend,
     )
     do_resume = knobs.env_value("resume") if resume is None else resume
     obs = get_recorder()
-    # the one lane-fallback decision: the engine runs what it is given
+    # the one lane-fallback decision: the engine runs what it is given.
+    # Only a lane count someone asked for is worth a warning; the
+    # built-in default falls back silently.
     n_lanes = deployment.lanes
     model = resolve_model(deployment.scenario)
     if n_lanes > 1 and not model.supports_lanes:
-        print(
-            f"repro: warning: scenario {model.name!r} does not support "
-            f"lane batching; running trials on the scalar path",
-            file=sys.stderr,
-        )
+        if lanes_asked:
+            print(
+                f"repro: warning: scenario {model.name!r} does not support "
+                f"lane batching; running trials on the scalar path",
+                file=sys.stderr,
+            )
         n_lanes = 1
     # profiling meters per-trial op counts, which a batched pass cannot
     if obs.enabled and obs.profiling:

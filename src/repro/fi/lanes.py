@@ -19,6 +19,13 @@ re-executed on the classic scalar path; everything still in the batch
 shares the golden control flow, so one pass is exact for all of them.
 A batch that fails outright (any exception) falls back to scalar
 execution of the whole block — lanes are a pure fast path.
+
+Each block counts its ejected lanes (``fi.lanes.ejected``, and by reason
+``fi.lanes.ejected.<reason>``) and whole-block fallbacks
+(``fi.lanes.fallback``), zero included, and returns its ejection count
+to the chunk loop, whose pay rule
+(:data:`repro.engine.chunks.LANE_EJECT_SHARE`) may then run the rest of
+the chunk one trial at a time.
 """
 
 from __future__ import annotations
@@ -331,7 +338,7 @@ def _replay_lane(
 
 def run_lane_block(
     app, deployment, profile, reference, start: int, stop: int, obs,
-) -> list[TrialRecord]:
+) -> tuple[list[TrialRecord], int]:
     """Execute trials ``[start, stop)`` as lanes of one batched pass.
 
     Samples each trial's plan exactly as :func:`repro.fi.campaign.
@@ -340,6 +347,7 @@ def run_lane_block(
     then replays per-lane records/events in trial order.  Ejected lanes
     — and the whole block, if the batched pass raises — re-execute on
     the scalar path, so any trial's result is identical to lanes=1.
+    Returns the records in trial order and how many lanes re-executed.
     """
     from repro.fi.campaign import run_one_trial  # circular at import time
 
@@ -380,10 +388,12 @@ def run_lane_block(
             # succeeded); if it somehow does, the scalar path is always
             # right
             block.set(ejected=stop - start)
+            obs.counter("fi.lanes.ejected", stop - start)
+            obs.counter("fi.lanes.fallback")
             return [
                 run_one_trial(app, deployment, profile, reference, trial, obs)
                 for trial in range(start, stop)
-            ]
+            ], stop - start
         raw = outputs[0]
         snap = ObsSnapshot(counters=private.counters,
                            histograms=private.histograms)
@@ -401,4 +411,8 @@ def run_lane_block(
                     snap, obs,
                 ))
         block.set(ejected=len(batch.ejected))
-    return records
+        obs.counter("fi.lanes.ejected", len(batch.ejected))
+        obs.counter("fi.lanes.fallback", 0)
+        for reason in batch.eject_reasons.values():
+            obs.counter(f"fi.lanes.ejected.{reason}")
+    return records, len(batch.ejected)

@@ -7,9 +7,9 @@ variable, and a built-in default.  :data:`KNOBS` has one row per knob:
 :func:`resolve` applies the precedence to the rows with a field,
 ``Deployment`` validates its fields through the rows,
 ``deployment_key`` appends the keyed rows, and the experiments CLI
-declares and relays the flag rows.  :func:`env_value` is the one reader
-of knob variables; path settings (``REPRO_CACHE_DIR``, ...) are read
-where they are used.
+declares and relays the flag rows.  :func:`env_value` and
+:func:`is_set` are the only readers of knob variables; path settings
+(``REPRO_CACHE_DIR``, ...) are read where they are used.
 
 A leaf of the import graph: the error type and the backend and scenario
 parsers are imported when first needed.
@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Knob", "KNOBS", "FIELD_KNOBS", "KEYED_KNOBS", "FLAG_KNOBS",
-    "env_value", "resolve",
+    "env_value", "is_set", "resolve",
 ]
 
 
@@ -130,11 +130,14 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
              "Results are bit-identical for any N; see docs/performance.md",
     ),
     Knob(
-        "lanes", "REPRO_LANES", _positive_int, 1, field="lanes",
+        "lanes", "REPRO_LANES", _positive_int, 32, field="lanes",
         flag="--lanes", metavar="N",
         help="fault-injection trials batched per lane-vectorized pass "
-             "through the application (default: $REPRO_LANES or 1). "
-             "Results are bit-identical for any N; see docs/performance.md",
+             "through the application, bit-flip campaigns only (default: "
+             "$REPRO_LANES or 32; 1 turns batching off). Once a pass sends "
+             "most of its trials back to run alone, the rest of that chunk "
+             "runs one trial at a time. Results are bit-identical for any "
+             "N; see docs/performance.md",
     ),
     Knob(
         "checkpoint_every", "REPRO_CHECKPOINT_EVERY", _positive_int,
@@ -223,6 +226,21 @@ def env_value(name: str) -> Any:
             )
             _ENV_MEMO[memo] = knob.default
     return _ENV_MEMO[memo]
+
+
+def is_set(name: str, deployment: "Deployment", arg: Any = None) -> bool:
+    """Whether a field knob was given, not left to its built-in default.
+
+    True when ``arg`` (a ``run_campaign`` argument) is not None, the
+    deployment's field is set, or the knob's variable is non-blank.
+    Call it before :func:`resolve`, which fills every field.
+    """
+    knob = KNOBS[name]
+    return (
+        arg is not None
+        or getattr(deployment, knob.field) is not None
+        or bool(os.environ.get(knob.env, "").strip())
+    )
 
 
 def resolve(deployment: "Deployment", **args: Any) -> "Deployment":

@@ -205,15 +205,15 @@ class LaneFPOps(FPOps):
                 else tb.golden
             )
             gstack[gd] = ufunc(ga, gb)
-        per_lane = _by_lane(injections)
-        if per_lane:
-            # flat (k, size) view of the stack: row views stay writable
-            # even for scalar-shaped outputs
-            fmat = fstack.reshape(k, -1)
-        for lane, lane_injs in sorted(per_lane.items()):
+        for lane, lane_injs in sorted(_by_lane(injections).items()):
             fa_lane = np.asarray(lsa.fstack[lane]) if lsa is not None else ta.faulty
             fb_lane = np.asarray(lsb.fstack[lane]) if lsb is not None else tb.faulty
-            row_flat = fmat[lane]
+            # Write through the lane's row view (0-d for scalar-shaped
+            # outputs) in C order, whatever the stack's layout: numpy's
+            # default 'K' order can leave the lane axis inner, and a
+            # flat reshape of such a stack is a copy that would swallow
+            # the flip.
+            row_flat = fstack[lane, ...].flat
             on_flip = self._batch.lane_flip_reporter(
                 lane, self.rank, self._region, kind
             )

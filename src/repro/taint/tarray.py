@@ -382,7 +382,7 @@ class TArray:
             raise ValueError(f"value requires a single-element TArray, shape {self.shape}")
         if self.lanes is not None:
             ls = self.lanes
-            ls.eject(self._vs_golden_mask(ls), "value read")
+            ls.eject(self._vs_golden_mask(ls), "value")
         return float(self.faulty.reshape(()))
 
     @property
@@ -393,7 +393,7 @@ class TArray:
         if self.lanes is not None and self.lanes.gstack is not None:
             ls = self.lanes
             ls.eject(
-                lane_rows_differ(ls.gstack, self.golden), "golden_value read"
+                lane_rows_differ(ls.gstack, self.golden), "golden_value"
             )
         return float(self.golden.reshape(()))
 
@@ -401,7 +401,7 @@ class TArray:
         """Read-only view of the faulty-path array."""
         if self.lanes is not None:
             ls = self.lanes
-            ls.eject(self._vs_golden_mask(ls), "to_numpy read")
+            ls.eject(self._vs_golden_mask(ls), "to_numpy")
         return self.faulty
 
     def golden_numpy(self) -> np.ndarray:
@@ -409,7 +409,7 @@ class TArray:
         if self.lanes is not None and self.lanes.gstack is not None:
             ls = self.lanes
             ls.eject(
-                lane_rows_differ(ls.gstack, self.golden), "golden_numpy read"
+                lane_rows_differ(ls.gstack, self.golden), "golden_numpy"
             )
         return self.golden
 

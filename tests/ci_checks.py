@@ -6,6 +6,7 @@ Usage::
     python tests/ci_checks.py selfcontained FILE [--min-svg N] [--refresh] [--svg]
     PYTHONPATH=src python tests/ci_checks.py chrome FILE [--min-pids N] [--otlp FILE]
     PYTHONPATH=src python tests/ci_checks.py lanes-floor
+    PYTHONPATH=src python tests/ci_checks.py lanes-parity [--apps A,B] [--seeds N]
     python tests/ci_checks.py cache-warm COLD.jsonl WARM.jsonl --entries N
 
 ``events`` asserts two JSONL event streams are identical once the
@@ -34,6 +35,15 @@ holds on any runner. It first asserts the same joint parity, untimed,
 for CG at 8 ranks (32 trials), the smallest scale at which numpy sums
 the per-rank scalars of a reduction pairwise rather than in order.
 
+``lanes-parity`` is the seeded lane-parity sweep: every paper app (or
+``--apps``) at 1, 4, 8 and 16 ranks, with 1 and 8 errors per trial
+(multi-error deployments pin rank 0), over ``--seeds`` seeds (default
+5), runs one traced 16-trial campaign at ``lanes=8``, with the lane pay
+rule off, and one at ``lanes=1``. It asserts their records, joint key
+order, event streams (minus wall-clock fields) and provenance bytes are
+identical, and lists every cell that differs.
+``tests/unit/test_lanes.py`` runs a slice of the same cells.
+
 ``cache-warm`` asserts a run on an empty cache wrote ``--entries``
 cache entries and that the rerun on the filled cache served every one
 of them as a hit, with no miss.
@@ -46,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import tempfile
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -65,6 +76,13 @@ LANE_COUNTS = (8, 32)
 LANES_FLOOR = 4.0
 #: the untimed joint-parity deployment of ``lanes-floor``
 WIDE_PARITY = dict(nprocs=8, trials=32, seed=123)
+
+#: the ``lanes-parity`` sweep: every app x these scales x error counts
+PARITY_NPROCS = (1, 4, 8, 16)
+PARITY_ERRORS = (1, 8)
+#: trials per cell: two lane blocks at ``PARITY_LANES``
+PARITY_TRIALS = 16
+PARITY_LANES = 8
 
 EXTERNAL_REF = re.compile(
     r"""(?:src|href)\s*=\s*["']?(?:[a-z]+:)?//[^\s"'>]+""", re.I
@@ -172,6 +190,69 @@ def check_lanes_floor(args) -> None:
     print(f"lanes floor OK: lanes={top} at {speedup:.2f}x >= {LANES_FLOOR}x")
 
 
+def lane_parity(app: str, nprocs: int, n_errors: int, seed: int,
+                workdir: str | Path, trials: int = PARITY_TRIALS,
+                lanes: int = PARITY_LANES) -> list[str]:
+    """How one traced campaign at ``lanes`` differs from ``lanes=1``.
+
+    Compares records, joint key order, the event stream without its
+    wall-clock fields, and the provenance bytes; returns one line per
+    difference (an empty list when the runs agree).  The lane pay rule
+    is off, so every block of the campaign runs batched however many
+    lanes it ejects.
+    """
+    import repro.engine.chunks as chunks
+    from repro import obs
+    from repro.apps import get_app
+    from repro.fi.campaign import Deployment, run_campaign
+
+    deployment = Deployment(
+        nprocs=nprocs, trials=trials, seed=seed, n_errors=n_errors,
+        target_rank=0 if n_errors > 1 and nprocs > 1 else None,
+    )
+    runs = []
+    for n_lanes in (1, lanes):
+        trace = Path(workdir) / f"{app}-p{nprocs}-x{n_errors}-s{seed}-l{n_lanes}.jsonl"
+        previous = obs.get_recorder()
+        recorder = obs.configure(trace_path=trace)
+        share, chunks.LANE_EJECT_SHARE = chunks.LANE_EJECT_SHARE, 1.0
+        try:
+            result = run_campaign(get_app(app), deployment, keep_records=True,
+                                  jobs=1, lanes=n_lanes)
+        finally:
+            chunks.LANE_EJECT_SHARE = share
+            recorder.close()
+            obs.set_recorder(previous)
+        runs.append((result.records, list(result.joint),
+                     strip(str(trace), drop_operational=False),
+                     obs.provenance_path(trace).read_bytes()))
+    cell = f"{app} p={nprocs} x={n_errors} seed={seed}"
+    return [
+        f"{cell}: {what} differ at lanes={lanes}"
+        for what, a, b in zip(("records", "joint order", "events", "provenance"),
+                              *runs)
+        if a != b
+    ]
+
+
+def check_lanes_parity(args) -> None:
+    from repro.apps import paper_apps
+
+    apps = args.apps.split(",") if args.apps else paper_apps()
+    cells = [(app, p, x, seed) for app in apps for p in PARITY_NPROCS
+             for x in PARITY_ERRORS for seed in range(args.seeds)]
+    failures = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for cell in cells:
+            t0 = time.perf_counter()
+            found = lane_parity(*cell, workdir)
+            failures.extend(found)
+            print(f"{'DIFF' if found else 'ok  '} {cell} "
+                  f"{time.perf_counter() - t0:5.1f}s", flush=True)
+    assert not failures, "lane parity broken:\n" + "\n".join(failures)
+    print(f"lane parity OK: {len(cells)} cells, lanes={PARITY_LANES} = lanes=1")
+
+
 def check_cache_warm(args) -> None:
     def types(path: str) -> Counter:
         with open(path) as fh:
@@ -206,6 +287,10 @@ def main(argv: list[str] | None = None) -> None:
     chrome.set_defaults(run=check_chrome)
     floor = sub.add_parser("lanes-floor", help="lanes=32 >= 4x lanes=1")
     floor.set_defaults(run=check_lanes_floor)
+    parity = sub.add_parser("lanes-parity", help="seeded lanes=8 vs lanes=1 sweep")
+    parity.add_argument("--apps", help="comma-separated apps (default: all)")
+    parity.add_argument("--seeds", type=int, default=5)
+    parity.set_defaults(run=check_lanes_parity)
     warm = sub.add_parser("cache-warm", help="a warm rerun only hits")
     warm.add_argument("cold")
     warm.add_argument("warm")

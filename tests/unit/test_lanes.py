@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.engine.chunks as chunks_mod
 import repro.fi.lanes as lanes_mod
 from repro import obs
 from repro.apps import get_app
@@ -23,6 +24,7 @@ from repro.fi.campaign import Deployment, run_campaign
 from repro.knobs import env_value
 from repro.obs import provenance_path
 from repro.taint.tarray import TArray
+from tests.ci_checks import lane_parity
 
 
 class LaneApp:
@@ -91,6 +93,13 @@ def _strip_times(line: str) -> dict:
     return event
 
 
+def _trial_counters(rec) -> dict:
+    """Counters without the lane-execution ones (``fi.lanes.*``), which
+    describe how trials ran, not what they did."""
+    return {k: v for k, v in rec.counters.items()
+            if not k.startswith("fi.lanes.")}
+
+
 def _run_traced(app, deployment, tmp_path, tag, *, lanes, jobs=1):
     """One traced campaign; returns (result, events, prov, recorder)."""
     trace = tmp_path / f"{tag}.jsonl"
@@ -127,7 +136,8 @@ class TestScalarParity:
         assert ev == ev1
         assert pv == pv1
         # lane replay meters each trial once, exactly as the scalar loop
-        assert (rec.counters, rec.histograms) == (rec1.counters, rec1.histograms)
+        assert _trial_counters(rec) == rec1.counters
+        assert rec.histograms == rec1.histograms
 
     def test_cg_metrics_match_scalar(self, tmp_path):
         dep = Deployment(nprocs=2, trials=8, seed=3)
@@ -136,7 +146,7 @@ class TestScalarParity:
             for lanes in (1, 4)
         ]
         (_, _, _, rec1), (_, _, _, rec4) = runs
-        assert rec4.counters == rec1.counters
+        assert _trial_counters(rec4) == rec1.counters
         assert rec4.histograms == rec1.histograms
         # [count, sum, min, max]: a double-counted replay would inflate both
         assert rec4.histograms["scheduler.blocked_ranks"] == [261, 504, 0, 2]
@@ -169,14 +179,8 @@ class TestScaleParity:
     @pytest.mark.parametrize("nprocs", [8, 16])
     @pytest.mark.parametrize("name", ["cg", "mg", "ft", "lu"])
     def test_apps_match_scalar(self, tmp_path, name, nprocs):
-        dep = Deployment(nprocs=nprocs, trials=16, seed=0)
-        app = get_app(name)
-        base, ev1, pv1, _ = _run_traced(app, dep, tmp_path, "scalar", lanes=1)
-        got, ev, pv, _ = _run_traced(app, dep, tmp_path, "lanes", lanes=8)
-        assert got.records == base.records
-        assert list(got.joint) == list(base.joint)
-        assert ev == ev1
-        assert pv == pv1
+        assert lane_parity(name, nprocs, 1, 0, tmp_path) == []
+
 
     @pytest.mark.parametrize("nprocs", [2, 4, 8, 9, 16, 64])
     def test_lane_sum_matches_scalar_order(self, nprocs):
@@ -194,6 +198,51 @@ class TestScaleParity:
                 [TArray(golden[r], fstack[lane, r]) for r in range(nprocs)], "sum"
             )
             assert batched.lanes.fstack[lane].tobytes() == scalar.faulty.tobytes()
+
+
+class TestSeededParity:
+    """A tier-1 slice of ``tests/ci_checks.py lanes-parity``: records,
+    joint order, events and provenance bytes at lanes 8 vs 1."""
+
+    @pytest.mark.parametrize("nprocs, seed, trials", [
+        (4, 6, 16), (4, 62000, 10), (16, 20016, 10),
+    ])
+    def test_mg_flips_survive_inner_lane_axis(self, tmp_path, nprocs, seed,
+                                              trials):
+        """Each of these MG campaigns injects one flip into an
+        elementwise op whose lane stack keeps its lane axis inner."""
+        assert lane_parity("mg", nprocs, 1, seed, tmp_path, trials=trials) == []
+
+    @pytest.mark.parametrize("nprocs", [1, 4])
+    @pytest.mark.parametrize(
+        "name", ["cg", "ft", "mg", "lu", "minife", "pennant"]
+    )
+    def test_multi_error_campaigns(self, tmp_path, name, nprocs):
+        assert lane_parity(name, nprocs, 8, 1, tmp_path) == []
+
+    def test_flip_lands_in_stack_with_inner_lane_axis(self):
+        from repro.fi.lanes import BatchTracer
+        from repro.fi.plan import InjectionPlan, PlannedFlip
+        from repro.taint.laneops import LaneFPOps
+        from repro.taint.region import Region
+        from repro.taint.tracer_api import Operand
+
+        k, index = 3, 5
+        flip = PlannedFlip(rank=0, region=Region.COMMON, index=index,
+                           operand=Operand.A, bit=62)
+        batch = BatchTracer([InjectionPlan(())] * (k - 1)
+                            + [InjectionPlan((flip,))])
+        golden = np.arange(1.0, 7.0).reshape(3, 2)
+        # a (k, 3, 2) stack stored lane-axis-second, as a stacked or
+        # transposed operand leaves it; lane 0 diverged
+        stack = np.repeat(golden[:, np.newaxis], k, axis=1).transpose(1, 0, 2)
+        stack[0, 0, 0] += 1.0
+        a = TArray.batched(golden, stack, None, batch)
+        out = LaneFPOps(batch, 0, batch).add(a, np.ones((3, 2)))
+        row = out.lanes.fstack[k - 1].reshape(-1)
+        assert len(batch.observations[k - 1]) == 1
+        assert row[index] != golden.reshape(-1)[index] + 1.0
+        assert row[index] == batch.observations[k - 1][0].post + 1.0
 
 
 class TestInterruptResume:
@@ -271,13 +320,93 @@ class TestEjection:
         assert got.records == base.records
 
 
+class TestPayRule:
+    """A block that ejects most of its lanes sends the rest of its chunk
+    down the scalar path; results cannot tell."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """``(lanes, ejected)`` of every lane block run."""
+        seen = []
+        real = lanes_mod.run_lane_block
+
+        def spying(*args):
+            records, ejected = real(*args)
+            seen.append((args[5] - args[4], ejected))
+            return records, ejected
+
+        monkeypatch.setattr(lanes_mod, "run_lane_block", spying)
+        return seen
+
+    def _run(self, lanes):
+        rec = obs.Recorder(enabled=True)
+        with obs.recording(rec):
+            result = run_campaign(
+                get_app("pennant"), Deployment(nprocs=1, trials=24, seed=11),
+                keep_records=True, jobs=1, lanes=lanes,
+            )
+        return result, rec
+
+    def test_unpaid_chunk_finishes_scalar_with_identical_records(self, blocks):
+        got, rec = self._run(lanes=8)
+        base, rec1 = self._run(lanes=1)
+        assert got.records == base.records
+        assert list(got.joint) == list(base.joint)
+        # the drop follows the first block that ejected more than
+        # LANE_EJECT_SHARE of its lanes; no lane block runs after it
+        share = chunks_mod.LANE_EJECT_SHARE
+        size, ejected = blocks[-1]
+        assert ejected > share * size
+        assert all(e <= share * n for n, e in blocks[:-1])
+        assert sum(n for n, _ in blocks) < 24
+        assert rec.counters["fi.lanes.unpaid"] == 1
+        by_reason = sum(v for k, v in rec.counters.items()
+                        if k.startswith("fi.lanes.ejected."))
+        assert by_reason == rec.counters["fi.lanes.ejected"]
+        assert by_reason == sum(e for _, e in blocks)
+        assert _trial_counters(rec) == rec1.counters
+        assert not any(k.startswith("fi.lanes.") for k in rec1.counters)
+
+    def test_whole_block_fallback_counted(self, monkeypatch):
+        def broken_pass(*args, **kwargs):
+            raise RuntimeError("batched pass failed")
+
+        monkeypatch.setattr(lanes_mod, "execute_spmd", broken_pass)
+        rec = obs.Recorder(enabled=True)
+        with obs.recording(rec):
+            got = run_campaign(LaneApp(), Deployment(nprocs=2, trials=8, seed=2),
+                               keep_records=True, jobs=1, lanes=4)
+        base = run_campaign(LaneApp(), Deployment(nprocs=2, trials=8, seed=2),
+                            keep_records=True, jobs=1, lanes=1)
+        assert got.records == base.records
+        # the first failed block re-ran all four lanes: an unpaid drop
+        assert rec.counters["fi.lanes.fallback"] == 1
+        assert rec.counters["fi.lanes.ejected"] == 4
+        assert rec.counters["fi.lanes.unpaid"] == 1
+
+    def test_metrics_summary_lists_lane_counters_at_zero(self):
+        from repro.obs import render_metrics_summary
+
+        dep = Deployment(nprocs=2, trials=8, seed=3)
+        rec = obs.Recorder(enabled=True)
+        with obs.recording(rec):
+            got = run_campaign(get_app("cg"), dep, keep_records=True, jobs=1)
+        summary = render_metrics_summary(rec)
+        for name in ("fi.lanes.ejected", "fi.lanes.fallback", "fi.lanes.unpaid"):
+            assert rec.counters[name] == 0
+            assert name in summary
+        # counting changes nothing the campaign reports
+        unobserved = run_campaign(get_app("cg"), dep, keep_records=True, jobs=1)
+        assert got.records == unobserved.records
+
+
 class TestLanesKnob:
-    def test_malformed_env_falls_back_to_one(self, monkeypatch, capsys):
+    def test_malformed_env_falls_back_to_default(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_LANES", "many")
-        assert env_value("lanes") == 1
+        assert env_value("lanes") == 32
         assert "REPRO_LANES" in capsys.readouterr().err
         monkeypatch.setenv("REPRO_LANES", "0")
-        assert env_value("lanes") == 1
+        assert env_value("lanes") == 32
 
     def test_cache_key_excludes_lanes(self):
         dep = Deployment(nprocs=2, trials=10, seed=5)

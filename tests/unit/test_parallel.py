@@ -211,10 +211,11 @@ class TestWorkerFailure:
 class TestParallelObservability:
     """Events and aggregates must match serial-run semantics exactly."""
 
-    def _run(self, deployment, jobs):
+    def _run(self, deployment, jobs, lanes=None):
         mem = obs.MemorySink()
         with obs.recording(obs.Recorder([mem])) as rec:
-            result = run_campaign(ParityApp(), deployment, jobs=jobs)
+            result = run_campaign(ParityApp(), deployment, jobs=jobs,
+                                  lanes=lanes)
         return result, mem, rec
 
     def test_trial_events_complete_and_ordered(self):
@@ -228,8 +229,8 @@ class TestParallelObservability:
 
     def test_aggregates_match_serial(self):
         dep = Deployment(nprocs=2, trials=12, seed=9)
-        _, _, serial_rec = self._run(dep, jobs=1)
-        _, _, parallel_rec = self._run(dep, jobs=2)
+        _, _, serial_rec = self._run(dep, jobs=1, lanes=1)
+        _, _, parallel_rec = self._run(dep, jobs=2, lanes=1)
         # counters: identical work was metered, just in other processes
         assert parallel_rec.counters == serial_rec.counters
         # integer histogram summaries merge exactly, in any chunk order
@@ -239,6 +240,19 @@ class TestParallelObservability:
         for path in ("campaign/trial", "campaign/trial/inject"):
             assert parallel_rec.span_totals[path][0] == \
                 serial_rec.span_totals[path][0]
+
+    def test_trial_aggregates_match_serial_at_default_lanes(self):
+        dep = Deployment(nprocs=2, trials=12, seed=9)
+        _, _, serial_rec = self._run(dep, jobs=1)
+        _, _, parallel_rec = self._run(dep, jobs=2)
+        # lane-execution counters follow the chunk layout; the rest
+        # metered the same trials
+        trial_counters = lambda rec: {
+            k: v for k, v in rec.counters.items() if not k.startswith("fi.lanes.")
+        }
+        assert trial_counters(parallel_rec) == trial_counters(serial_rec)
+        assert "fi.lanes.ejected" in serial_rec.counters
+        assert parallel_rec.histograms == serial_rec.histograms
 
     def test_fault_injected_events_match_activation(self):
         dep = Deployment(nprocs=1, trials=10, seed=3)

@@ -35,7 +35,7 @@ from repro import obs
 from repro.apps import get_app
 from repro.errors import ConfigurationError
 from repro.engine import chunks as chunks_mod
-from repro.fi.cache import deployment_key
+from repro.fi.cache import cached_campaign, deployment_key
 from repro.fi.campaign import Deployment, run_campaign
 from repro.fi.outcomes import Outcome
 from repro.fi.scenarios import (
@@ -349,6 +349,28 @@ class TestMessageCorruption:
         assert "does not support lane batching" in err
         scalar = run_campaign(app, deployment, keep_records=True, lanes=1)
         assert with_lanes.records == scalar.records
+
+    @pytest.mark.parametrize("asked", ["argument", "field", "env"])
+    def test_lanes_asked_any_way_warn(self, capsys, monkeypatch, asked):
+        app = ScenarioApp()
+        deployment = Deployment(
+            nprocs=4, trials=2, seed=4, scenario="rankkill",
+            lanes=32 if asked == "field" else None,
+        )
+        if asked == "env":
+            monkeypatch.setenv("REPRO_LANES", "32")
+        run_campaign(app, deployment, lanes=32 if asked == "argument" else None)
+        assert "does not support lane batching" in capsys.readouterr().err
+
+    def test_default_lanes_fall_back_silently(self, capsys, tmp_cache):
+        app = ScenarioApp()
+        deployment = Deployment(nprocs=4, trials=4, seed=4, scenario="rankkill")
+        run_campaign(app, deployment)
+        # the cache resolves the deployment before it runs the campaign
+        cached_campaign(app, Deployment(
+            nprocs=4, trials=4, seed=5, scenario="msgcorrupt"
+        ))
+        assert capsys.readouterr().err == ""
 
 
 # ----------------------------------------------------------------------

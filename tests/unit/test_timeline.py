@@ -25,6 +25,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import repro.engine.chunks as chunks_mod
 from repro import obs
 from repro.fi.campaign import Deployment, run_campaign
 from repro.obs.events import CampaignTrace
@@ -175,7 +176,7 @@ class TestIds:
 
 class TestSpanCollection:
     def test_serial_campaign_span_tree(self):
-        _, mem, _ = _traced_run(DEP)
+        _, mem, _ = _traced_run(DEP, lanes=1)
         (event,) = [e for e in mem.events if isinstance(e, CampaignTrace)]
         spans = event.spans
         cats = {s["cat"] for s in spans}
@@ -240,9 +241,11 @@ class TestSpanCollection:
         chunks = [s for s in spans if s["cat"] == "chunk"]
         assert chunks and all(c["parent_id"] in wave_ids for c in chunks)
 
-    def test_lane_block_spans(self):
+    def test_lane_block_spans(self, monkeypatch):
+        # pay rule off: every trial of the campaign runs in a lane block
+        monkeypatch.setattr(chunks_mod, "LANE_EJECT_SHARE", 1.0)
         res, mem, _ = _traced_run(DEP, lanes=4)
-        serial, serial_mem, _ = _traced_run(DEP)
+        serial, serial_mem, _ = _traced_run(DEP, lanes=1)
         assert res.joint == serial.joint
         spans = spans_of(mem.events)
         blocks = [s for s in spans if s["cat"] == "lanes"]
@@ -267,8 +270,10 @@ class TestSpanCollection:
             raise RuntimeError("batched pass failed")
 
         monkeypatch.setattr(lanes_mod, "execute_spmd", broken_pass)
+        # pay rule off: a failed block does not end the chunk's lanes
+        monkeypatch.setattr(chunks_mod, "LANE_EJECT_SHARE", 1.0)
         res, mem, _ = _traced_run(DEP, lanes=4)
-        serial, _, _ = _traced_run(DEP)
+        serial, _, _ = _traced_run(DEP, lanes=1)
         assert res.joint == serial.joint
         spans = spans_of(mem.events)
         blocks = {s["span_id"]: s for s in spans if s["cat"] == "lanes"}
@@ -302,12 +307,14 @@ def _tree_digest(spans) -> str:
 
 
 @pytest.mark.parametrize("deployment, kwargs, digest", [
-    (DEP, {}, "b4cec616be4702c643d4bff7451665a365b0fe93179568bc683ca0a331c086c6"),
-    (DEP, {"jobs": 2, "checkpoint_every": 4},
+    (DEP, {"lanes": 1},
+     "b4cec616be4702c643d4bff7451665a365b0fe93179568bc683ca0a331c086c6"),
+    (DEP, {"lanes": 1, "jobs": 2, "checkpoint_every": 4},
      "bebdf74ac52de831ba8c549108ed81fa5d0869631be7be05490f59700be3dc0a"),
-    (Deployment(nprocs=2, trials=120, seed=7, ci_halfwidth=0.12), {},
+    (Deployment(nprocs=2, trials=120, seed=7, ci_halfwidth=0.12), {"lanes": 1},
      "e85ec708b69f0238dfa27f01021d06f8fa9e3497af1e766defa37fe0b4cc17b7"),
-], ids=["serial", "jobs2-ckpt4", "adaptive"])
+    (DEP, {}, "bedaedb98eb34086850e58ce153ab459272430b56665356bb7cbe71fcae86062"),
+], ids=["serial", "jobs2-ckpt4", "adaptive", "default-lanes"])
 def test_span_tree_pinned(deployment, kwargs, digest):
     """Span ids, parents, names, categories and args never drift."""
     _, mem, _ = _traced_run(deployment, **kwargs)
