@@ -53,13 +53,14 @@ import struct
 import threading
 import time
 import warnings
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Protocol, Sequence
 
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.fi.outcomes import Outcome, TrialRecord
-from repro.obs import MemorySink, TrialFinished, recording
+from repro.obs import MemorySink, Recorder, TrialFinished, recording
 from repro.obs.events import Event
 from repro.obs.provenance import ScenarioObservation, build_trial_provenance
 from repro.taint.tarray import TArray
@@ -83,6 +84,7 @@ __all__ = [
     "count_corruptible",
     "fork_safe",
     "fork_pays",
+    "fork_slots",
 ]
 
 #: The cost model behind :func:`fork_pays`, fitted to blocks of 1 to 24
@@ -171,12 +173,14 @@ def execution_dynamics(
         return app.program(rank, deployment.nprocs, comm, FPOps(None, rank))
 
     counter = _DeliveryCounter()
-    scheduler = Scheduler(
-        deployment.nprocs, factory,
-        max_steps=deployment.max_steps, transit=counter,
-    )
-    started = time.perf_counter()
-    scheduler.run()
+    # a probe is once per process: its ops are no campaign's to count
+    with recording(Recorder(enabled=False)):
+        scheduler = Scheduler(
+            deployment.nprocs, factory,
+            max_steps=deployment.max_steps, transit=counter,
+        )
+        started = time.perf_counter()
+        scheduler.run()
     dynamics = ExecutionDynamics(
         steps=scheduler.steps, deliveries=counter.count,
         seconds=time.perf_counter() - started,
@@ -476,26 +480,52 @@ def _reap(pid: int, fd: int, trial: int) -> tuple:
     )
 
 
+def fork_slots(workers: int = 1) -> int:
+    """How many forked children a site-driven block keeps alive at once.
+
+    The usable CPUs (the affinity mask where the platform has one)
+    shared among the campaign's ``workers`` processes, and never below
+    1.  Only an inline campaign forks today (pooled workers fail
+    :func:`fork_safe`), so ``workers`` is 1.  A one-CPU host gets one
+    slot: each child is reaped before the parent continues.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // workers)
+
+
 class _Forker:
     """Forks one child per reached fault site and collects its report.
 
-    The parent waits for each child before it continues, so at most one
-    child is alive at a time.  A child does no I/O except its pipe: its
-    report is a length-prefixed pickle of ``(record, obs snapshot)`` —
-    or ``(None, error)`` when it failed — and it leaves via ``os._exit``
-    (see :meth:`SiteFaultModel.run_block`).
+    Up to ``slots`` children are alive at once: the parent keeps running
+    the fault-free execution after each fork and reaps the oldest child
+    only when the FIFO of live children is full (:meth:`drain` reaps the
+    rest), so children are reaped in site order and the first failure in
+    site order is the one raised.  A child does no I/O except its pipe:
+    its report is a length-prefixed pickle of ``(record, obs snapshot)``
+    — or ``(None, error)`` when it failed — and it leaves via
+    ``os._exit`` (see :meth:`SiteFaultModel.run_block`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, slots: int) -> None:
+        self.slots = slots
         #: the trial this process runs, once it is a forked child
         self.child: int | None = None
         #: trial -> (record, snapshot or None) of every reaped child
         self.results: dict[int, tuple] = {}
+        #: every trial forked so far, reaped or not
+        self.forked: set[int] = set()
+        #: seconds the parent spent blocked in each reap
+        self.waits: list[float] = []
+        #: (trial, pid, read end) of each live child, oldest first
+        self._live: deque[tuple[int, int, int]] = deque()
         self._pipe = -1
 
     def fork(self, trial: int) -> bool:
         """Fork at ``trial``'s site: True in the child; False in the
-        parent, once the child reported."""
+        parent, once the live children fit in their slots."""
         read_fd, write_fd = os.pipe()
         try:
             pid = _fork()
@@ -505,12 +535,37 @@ class _Forker:
             raise
         if pid == 0:
             os.close(read_fd)
+            for _, _, fd in self._live:  # the older siblings' pipes
+                os.close(fd)
+            self._live.clear()
             self.child, self._pipe = trial, write_fd
             warnings.simplefilter("ignore")  # no stderr: the pipe only
             return True
         os.close(write_fd)
-        self.results[trial] = _reap(pid, read_fd, trial)
+        self.forked.add(trial)
+        self._live.append((trial, pid, read_fd))
+        while len(self._live) >= self.slots:
+            self._reap_oldest()
         return False
+
+    def drain(self) -> None:
+        """Parent: reap every live child, oldest first."""
+        while self._live:
+            self._reap_oldest()
+
+    def kill(self) -> None:
+        """Parent: kill and reap every live child (on a failure)."""
+        while self._live:
+            _, pid, fd = self._live.popleft()
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def _reap_oldest(self) -> None:
+        trial, pid, fd = self._live.popleft()  # _reap owns it from here
+        began = time.perf_counter()
+        self.results[trial] = _reap(pid, fd, trial)
+        self.waits.append(time.perf_counter() - began)
 
     def report(self, payload: tuple) -> None:
         """Child: send ``payload`` (a ``BrokenPipeError`` ends the child)."""
@@ -568,8 +623,11 @@ class SiteFaultModel(FaultModel):
         The execution records into a recorder derived from ``obs``, so a
         child inherits the prefix's counters and histograms and reports
         what a trial run alone would have recorded.  Trials whose site
-        the execution never reaches fork at its end.  Children report in
-        site order; records and observations fold in trial order.
+        the execution never reaches fork at its end.  Up to
+        :func:`fork_slots` children run beside the parent; they are
+        reaped in site order, and records and observations fold in trial
+        order.  A failure kills and reaps every live child before it
+        propagates.
         """
         plans = {
             trial: self.sample(
@@ -580,7 +638,7 @@ class SiteFaultModel(FaultModel):
         }
         mem = MemorySink()
         rec = obs.derive([mem])
-        forker = _Forker()
+        forker = _Forker(fork_slots())
         scope = TrialScope(rec)
 
         def reach(trial: int) -> bool:
@@ -595,10 +653,12 @@ class SiteFaultModel(FaultModel):
             with recording(rec):
                 result = self._execute(run, app, deployment)
                 for trial in plans:
-                    if forker.child is None and trial not in forker.results:
+                    if forker.child is None and trial not in forker.forked:
                         reach(trial)  # site never reached
                 child = forker.child
-                if child is not None:
+                if child is None:
+                    forker.drain()
+                else:
                     record = self._conclude(
                         app, reference, child, plans[child], run, scope,
                         result, rec,
@@ -610,6 +670,7 @@ class SiteFaultModel(FaultModel):
                     status = 0
         except BaseException as exc:
             if forker.child is None:
+                forker.kill()
                 raise
             # a child reports its failure and exits below: re-raising
             # would unwind into a second copy of the campaign
@@ -625,4 +686,8 @@ class SiteFaultModel(FaultModel):
                     span["pid"] = os.getpid()  # the chunk's lane, not the child's
                 obs.absorb(snapshot)
             records.append(record)
+        # here, not in ``rec``: a later child would inherit and re-report them
+        obs.counter("fi.fork.children", len(forker.forked))
+        for wait in forker.waits:
+            obs.observe("fi.fork.wait_s", wait)
         return records

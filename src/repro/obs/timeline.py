@@ -23,6 +23,11 @@ short span's length.  :func:`chrome_trace` therefore rebuilds each
 pid's span forest from the recorded ``parent_id`` links and emits it
 depth-first with a running per-tid cursor that clamps every timestamp
 forward, so exported nesting always matches the recorded causality.
+Sibling spans that overlap in time (the trials of forked children that
+run side by side) would be drawn one after another on one tid, so a
+sibling that starts before the previous one on its lane ended moves to
+an overflow tid of the same pid, first-fit.  A trace without overlaps
+exports exactly as with one tid per pid.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ __all__ = [
 #: A chunk is flagged a straggler when its duration exceeds this
 #: multiple of the median chunk duration.
 STRAGGLER_K = 2.0
+
+#: Overflow lane ``k`` of a pid gets tid ``pid + k * stride``; the stride
+#: is Linux's largest pid, so no overflow tid equals a recording pid.
+_OVERFLOW_TID_STRIDE = 1 << 22
 
 #: span category -> swimlane palette index (repro.viz.svg.PALETTE).
 _LANE_CATS = {
@@ -96,8 +105,9 @@ def _span_end(span: dict) -> float:
 def chrome_trace(spans: Iterable[dict]) -> dict:
     """Render spans as a Chrome trace-event JSON object.
 
-    One ``tid`` per recording pid (the worker lanes), B/E event pairs
-    per span, metadata events naming each lane.  Timestamps are
+    One ``tid`` per recording pid (the worker lanes) plus an overflow
+    tid per extra overlapping sibling, B/E event pairs per span,
+    metadata events naming each lane.  Timestamps are
     microseconds relative to the earliest span start, globally sorted
     and monotone per tid; begin/end events balance by construction (see
     the module docstring for the clock-reconciliation scheme).
@@ -139,33 +149,55 @@ def chrome_trace(spans: Iterable[dict]) -> dict:
         def order(sp: dict) -> tuple:
             return (sp["t0"], -_span_end(sp), sp["span_id"])
 
-        cursor = [0.0]  # running per-tid timestamp floor, microseconds
+        tids = [pid]  # the pid's lane, then its overflow lanes
+        cursor = {pid: 0.0}  # running per-tid timestamp floor, microseconds
+        free_at = {pid: float("-inf")}  # per-tid end of the last closed span
+        depth = {pid: 0}  # per-tid open spans
 
-        def emit(span: dict, lo: float, hi: float) -> None:
+        def place(t0: float, home: int) -> int:
+            """First-fit: ``home`` (the parent's tid), else an overflow
+            lane with nothing open that is free by ``t0``, else a new one."""
+            for tid in (home, *(t for t in tids[1:] if not depth[t])):
+                if free_at[tid] <= t0:
+                    return tid
+            tid = pid + len(tids) * _OVERFLOW_TID_STRIDE
+            meta.append({
+                "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
+                "args": {"name": f"{role} {pid}.{len(tids)}"},
+            })
+            tids.append(tid)
+            cursor[tid], free_at[tid], depth[tid] = 0.0, float("-inf"), 0
+            return tid
+
+        def emit(span: dict, lo: float, hi: float, home: int) -> None:
             t0 = min(max(span["t0"], lo), hi)
             t1 = min(max(_span_end(span), t0), hi)
-            ts_b = max(round((t0 - t_base) * 1e6, 3), cursor[0])
-            cursor[0] = ts_b
+            tid = place(t0, home)
+            depth[tid] += 1
+            ts_b = max(round((t0 - t_base) * 1e6, 3), cursor[tid])
+            cursor[tid] = ts_b
             args = {"span_id": span["span_id"],
                     "parent_id": span.get("parent_id", ""),
                     **span.get("args", {})}
             body.append({
                 "name": span["name"], "cat": span.get("cat", ""),
                 "ph": "B", "ts": ts_b, "pid": span["pid"],
-                "tid": span["pid"], "args": args,
+                "tid": tid, "args": args,
             })
             for child in sorted(children.get(span["span_id"], ()), key=order):
-                emit(child, t0, t1)
-            ts_e = max(round((t1 - t_base) * 1e6, 3), cursor[0])
-            cursor[0] = ts_e
+                emit(child, t0, t1, tid)
+            ts_e = max(round((t1 - t_base) * 1e6, 3), cursor[tid])
+            cursor[tid] = ts_e
             body.append({
                 "name": span["name"], "cat": span.get("cat", ""),
                 "ph": "E", "ts": ts_e, "pid": span["pid"],
-                "tid": span["pid"],
+                "tid": tid,
             })
+            depth[tid] -= 1
+            free_at[tid] = t1
 
         for root in sorted(roots, key=order):
-            emit(root, root["t0"], _span_end(root))
+            emit(root, root["t0"], _span_end(root), pid)
 
     # a stable sort keeps each tid's (already monotone) relative order
     body.sort(key=lambda e: e["ts"])

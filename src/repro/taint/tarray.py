@@ -56,7 +56,10 @@ def arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
         return True
     if a.shape != b.shape:
         return False
-    return bool(np.array_equal(a, b, equal_nan=True))
+    ne = a != b  # one pass; NaN masks only where the arrays differ
+    if not ne.any():
+        return True
+    return bool(np.isnan(a[ne]).all() and np.isnan(b[ne]).all())
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -16,11 +16,18 @@ here:
 * **When to fork** — the cost model keeps short executions on the
   in-place path, and a long chunk forks in bounded blocks whose events
   reach a live sink block by block;
+* **Side by side** — up to :func:`~repro.fi.scenarios.base.fork_slots`
+  children run at once; the goldens, the span tree and the failures
+  above hold with the slots forced to 1 (one child at a time) and to
+  more, whatever the host's CPUs;
 * **Observability** — with obs on, forked trials report the same span
-  tree, counters and histograms as the fallback;
+  tree, counters and histograms as the fallback, plus the ``fi.fork.*``
+  metrics; overlapping trials export to a valid Chrome trace;
 * **Failure** — a child that exits or raises gives a typed
-  :class:`~repro.errors.WorkerCrashError` naming its trial, and no child
-  outlives the campaign, not even on ``KeyboardInterrupt``.
+  :class:`~repro.errors.WorkerCrashError` naming its trial (the first
+  failure in site order, however many children are alive), and no
+  child outlives the campaign, not even on ``KeyboardInterrupt`` or an
+  exception in the parent.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from repro.fi.scenarios import base, resolve_model
 from repro.fi.scenarios.base import execution_dynamics, fork_pays
 from repro.fi.tracer import Tracer, TracerMode
 from repro.mpisim.runner import execute_spmd
-from repro.obs.timeline import spans_of
+from repro.obs.timeline import chrome_trace, spans_of, validate_chrome_trace
 from repro.utils.rng import trial_seed
 
 from tests.unit.test_timeline import _tree_digest
@@ -58,6 +65,9 @@ GOLDEN_DIR = Path(__file__).resolve().parents[1] / "goldens"
 #: cost model, so that CG at 4 ranks (too short for forking to pay) forks
 FORK_FROM = 3
 SRC = Path(__file__).resolve().parents[2] / "src"
+#: forked children alive at once: one at a time, and more than this
+#: host may have CPUs for
+SLOTS = (1, 3)
 
 _spec = importlib.util.spec_from_file_location(
     "gen_scenario_goldens", GOLDEN_DIR / "gen_scenario_goldens.py"
@@ -102,6 +112,11 @@ def fork_from(monkeypatch):
 def no_fork(monkeypatch):
     """Force the in-place fallback, as in a process that may not fork."""
     monkeypatch.setattr(base, "fork_safe", lambda: False)
+
+
+def _force_slots(monkeypatch, slots: int) -> None:
+    """Keep ``slots`` forked children alive at once, whatever the host."""
+    monkeypatch.setattr(base, "fork_slots", lambda workers=1: slots)
 
 
 def _interrupt_after(n_trials: int):
@@ -191,10 +206,12 @@ def _plans(app, deployment):
 # ----------------------------------------------------------------------
 class TestGoldens:
     @pytest.mark.parametrize("name", sorted(goldens.CASES))
-    def test_forked(self, name, forks, fork_from):
+    def test_forked(self, name, forks, fork_from, monkeypatch):
         app, kwargs = goldens.CASES[name]
-        assert goldens.capture(app, kwargs, jobs=1) == _golden(name)
-        assert len(forks) >= kwargs["trials"]
+        for slots in SLOTS:
+            _force_slots(monkeypatch, slots)
+            assert goldens.capture(app, kwargs, jobs=1) == _golden(name), slots
+        assert len(forks) >= len(SLOTS) * kwargs["trials"]
 
     @pytest.mark.parametrize("name", ["mg16-rankkill", "mg16-msgcorrupt"])
     def test_mg16_forks_on_its_own_cost(self, name, forks):
@@ -215,23 +232,28 @@ class TestGoldens:
         assert goldens.capture(app, kwargs, jobs=2) == _golden(name)
 
     @pytest.mark.parametrize("name", sorted(goldens.CASES))
-    def test_checkpoint_resume(self, name, tmp_cache, forks, fork_from):
+    def test_checkpoint_resume(self, name, tmp_cache, forks, fork_from,
+                               monkeypatch):
         app, kwargs = goldens.CASES[name]
         deployment = Deployment(**kwargs)
-        restore = _interrupt_after(4)
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                run_campaign(get_app(app), deployment, jobs=1,
-                             checkpoint_every=3)
-        finally:
-            restore()
-        prov, _, joint = goldens.capture(
-            app, kwargs, jobs=1, checkpoint_every=3, resume=True,
-        )
         gold_prov, _, gold_joint = _golden(name)
-        assert prov == gold_prov
-        assert joint == gold_joint
-        assert forks  # chunks of 3 trials fork
+        for slots in SLOTS:
+            _force_slots(monkeypatch, slots)
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_cache / str(slots)))
+            before = len(forks)
+            restore = _interrupt_after(4)
+            try:
+                with pytest.raises(KeyboardInterrupt):
+                    run_campaign(get_app(app), deployment, jobs=1,
+                                 checkpoint_every=3)
+            finally:
+                restore()
+            prov, _, joint = goldens.capture(
+                app, kwargs, jobs=1, checkpoint_every=3, resume=True,
+            )
+            assert prov == gold_prov, slots
+            assert joint == gold_joint, slots
+            assert len(forks) > before, slots  # chunks of 3 trials fork
 
     @pytest.mark.parametrize("every", [1, 2, FORK_FROM])
     def test_blocks_at_and_below_threshold(self, every, tmp_cache, forks, fork_from):
@@ -306,19 +328,45 @@ class TestObservability:
     def test_spans_counters_histograms_match_fallback(
         self, scenario, forks, fork_from, monkeypatch
     ):
-        mem, rec = self._run(scenario)
-        assert len(forks) == 9
+        forked = {}
+        for slots in SLOTS:
+            _force_slots(monkeypatch, slots)
+            forked[slots] = self._run(scenario)
+        assert len(forks) == 9 * len(SLOTS)
         monkeypatch.setattr(base, "fork_safe", lambda: False)
         alone_mem, alone = self._run(scenario)
-        assert len(forks) == 9
-        assert _tree_digest(spans_of(mem.events)) == _tree_digest(
-            spans_of(alone_mem.events)
-        )
-        assert rec.counters == alone.counters
-        assert rec.histograms == alone.histograms
-        assert {k: v[0] for k, v in rec.span_totals.items()} == {
-            k: v[0] for k, v in alone.span_totals.items()
-        }
+        assert len(forks) == 9 * len(SLOTS)
+        for mem, rec in forked.values():
+            assert _tree_digest(spans_of(mem.events)) == _tree_digest(
+                spans_of(alone_mem.events)
+            )
+            # the fork metrics are the forked path's own
+            summary = obs.render_metrics_summary(rec)
+            assert "fi.fork.children" in summary and "fi.fork.wait_s" in summary
+            assert rec.counters.pop("fi.fork.children") == 9
+            assert rec.histograms.pop("fi.fork.wait_s")[0] == 9
+            assert rec.counters == alone.counters
+            assert rec.histograms == alone.histograms
+            assert {k: v[0] for k, v in rec.span_totals.items()} == {
+                k: v[0] for k, v in alone.span_totals.items()
+            }
+
+    def test_side_by_side_trials_export_to_a_valid_chrome_trace(
+        self, forks, fork_from, monkeypatch
+    ):
+        _force_slots(monkeypatch, 3)
+        mem, _ = self._run("msgcorrupt")
+        spans = spans_of(mem.events)
+        blob = chrome_trace(spans)
+        assert validate_chrome_trace(blob) == len(spans)
+        # every span keeps its recorded start: overlaps move to other tids
+        t_base = min(span["t0"] for span in spans)
+        begins = {e["args"]["span_id"]: e["ts"]
+                  for e in blob["traceEvents"] if e["ph"] == "B"}
+        trials = [span for span in spans if span["cat"] == "trial"]
+        assert len(trials) == 9
+        for span in trials:
+            assert begins[span["span_id"]] == round((span["t0"] - t_base) * 1e6, 3)
 
     def test_profiling_runs_in_place(self, forks, fork_from):
         rec = obs.Recorder([obs.MemorySink()], profiling=True)
@@ -454,8 +502,8 @@ _CHILD_SCRIPT = textwrap.dedent("""
 
     base._fork = recording_fork
     base.fork_pays = lambda app, deployment, trials: True  # a tiny app
-
-    MODE = sys.argv[1]
+    MODE, SLOTS = sys.argv[1], int(sys.argv[2])
+    base.fork_slots = lambda workers=1: SLOTS
     ORIGIN = os.getpid()
 
     class App:
@@ -469,7 +517,15 @@ _CHILD_SCRIPT = textwrap.dedent("""
                     os._exit(3)
                 if MODE == "raise":
                     raise ValueError("boom")
-                time.sleep(60)
+                if MODE == "staggered":  # the first site fails last
+                    if not pids:
+                        time.sleep(0.3)
+                        os._exit(3)
+                    os._exit(4)
+                if MODE == "sleep":
+                    time.sleep(60)
+            elif MODE == "parent" and pids:
+                raise RuntimeError("parent fails mid-block")
             return {"total": total} if rank == 0 else None
 
         def verify(self, output, reference):
@@ -491,6 +547,8 @@ _CHILD_SCRIPT = textwrap.dedent("""
         print("crash", exc.chunk_start, exc.chunk_stop, exc)
     except KeyboardInterrupt:
         print("interrupted after", round(time.monotonic() - start), "s")
+    except RuntimeError as exc:
+        print("parent raised", exc)
     print("forked", len(pids))
     try:
         os.waitpid(-1, os.WNOHANG)
@@ -500,32 +558,45 @@ _CHILD_SCRIPT = textwrap.dedent("""
 
 
 class TestChildFailure:
-    def _run(self, mode: str) -> str:
+    def _run(self, mode: str, slots: int) -> str:
         proc = subprocess.run(
-            [sys.executable, "-c", _CHILD_SCRIPT, mode],
+            [sys.executable, "-c", _CHILD_SCRIPT, mode, str(slots)],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
+    def _crashed_trial(self, mode: str, pattern: str) -> str:
+        """The trial named at one slot and at two: the same one."""
+        named = set()
+        for slots in (1, 2):
+            out = self._run(mode, slots)
+            match = re.search(rf"crash (\d+) \d+ forked trial \1 {pattern}", out)
+            assert match, (slots, out)
+            assert "no children" in out, (slots, out)
+            named.add(match[1])
+        assert len(named) == 1
+        return named.pop()
+
     def test_child_exit_is_a_typed_error_naming_the_trial(self):
-        out = self._run("exit")
-        assert re.search(
-            r"crash (\d+) \d+ forked trial \1 exited with status 3", out
-        ), out
-        assert "no children" in out
+        self._crashed_trial("exit", "exited with status 3")
 
     def test_child_exception_is_a_typed_error_naming_the_trial(self):
-        out = self._run("raise")
-        assert re.search(
-            r"crash (\d+) \d+ forked trial \1 raised ValueError: boom", out
-        ), out
-        assert "no children" in out
+        self._crashed_trial("raise", "raised ValueError: boom")
+
+    def test_first_failure_in_site_order_is_raised(self):
+        # the first child fails after its younger sibling already has
+        self._crashed_trial("staggered", "exited with status 3")
 
     def test_interrupted_parent_kills_and_reaps_its_child(self):
-        out = self._run("sleep")
+        out = self._run("sleep", 2)
         # the alarm lands while the first child sleeps for a minute
         assert "interrupted after 1 s" in out
-        assert "forked 1" in out
+        assert int(re.search(r"forked (\d+)", out)[1]) <= 2
+        assert "no children" in out
+
+    def test_parent_exception_kills_and_reaps_live_children(self):
+        out = self._run("parent", 2)
+        assert "parent raised parent fails mid-block" in out
         assert "no children" in out

@@ -128,3 +128,18 @@ class TestHelpers:
 
     def test_negative_zero_equal(self):
         assert arrays_equal(np.array([0.0]), np.array([-0.0]))
+
+    def test_arrays_equal_matches_numpy_nan_equality(self):
+        """The one-pass comparison agrees with ``np.array_equal(...,
+        equal_nan=True)`` on 20 000 pairs built to collide: NaNs (two
+        payloads), ±0.0 and ±inf, 0-d arrays included."""
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        pool = np.array([np.nan, payload_nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -2.5])
+        rng = np.random.default_rng(7)
+        for _ in range(20_000):
+            shape = tuple(rng.integers(1, 4, size=rng.integers(0, 3)))
+            a = np.asarray(rng.choice(pool, size=shape))
+            b = a.copy()
+            flip = np.asarray(rng.random(shape) < rng.random())
+            b[flip] = np.asarray(rng.choice(pool, size=shape))[flip]
+            assert arrays_equal(a, b) == np.array_equal(a, b, equal_nan=True), (a, b)

@@ -10,7 +10,8 @@ Three contracts under test:
   ``*.timeline.jsonl`` sidecar), and trace state stays out of
   checkpoint files;
 * **export validity** — the Chrome trace is schema-valid (sorted and
-  per-tid monotone timestamps, balanced B/E pairs, one lane per pid)
+  per-tid monotone timestamps, balanced B/E pairs, one lane per pid
+  plus an overflow lane per extra overlapping sibling)
   and the OTLP/utilization/swimlane views agree with the span data.
 
 The app is module-level so ``spawn`` workers can unpickle it.
@@ -424,6 +425,30 @@ class TestCheckpointExcludesTrace:
         assert {s["span_id"] for s in spans} <= clean_ids  # same id space
 
 
+def _span(sid, parent, name, cat, t0, dur, pid, **args):
+    return {"span_id": sid, "parent_id": parent, "name": name, "cat": cat,
+            "t0": t0, "dur": dur, "pid": pid, "trace_id": "t" * 32,
+            "args": args}
+
+
+def _sequential_spans() -> list[dict]:
+    """A driver lane and a worker lane whose siblings never overlap."""
+    t = 1_700_000_000.0
+    return [
+        _span("c", "", "campaign", "campaign", t, 1.0, 10),
+        _span("k0", "c", "chunk", "chunk", t + 0.01, 0.5, 10, start=0),
+        _span("a", "k0", "trial", "trial", t + 0.02, 0.1, 10, trial=0),
+        # starts before its parent (wall clock vs monotonic duration)
+        _span("ai", "a", "inject", "phase", t + 0.019, 0.05, 10),
+        _span("b", "k0", "trial", "trial", t + 0.12, 0.1, 10, trial=1),
+        _span("d", "k0", "trial", "trial", t + 0.3, 0.4, 10, trial=2),
+        _span("w0", "c", "chunk", "chunk", t + 0.05, 0.3, 20, start=3),
+        _span("w1", "w0", "trial", "trial", t + 0.06, 0.1, 20, trial=3),
+        _span("w2", "w0", "trial", "trial", t + 0.2, 0.0, 20, trial=4),
+        _span("w3", "", "chunk", "chunk", t + 0.4, 0.2, 20, start=5),
+    ]
+
+
 class TestChromeTrace:
     def test_real_campaign_trace_validates(self):
         _, mem, _ = _traced_run(DEP, jobs=2)
@@ -447,6 +472,44 @@ class TestChromeTrace:
                 by_tid.setdefault(e["tid"], []).append(e["ts"])
         for ts in by_tid.values():
             assert ts == sorted(ts)
+
+    def test_trace_without_overlaps_exports_as_before(self):
+        """Pinned from the exporter that drew one tid per pid: clamped
+        starts, a child outliving its parent and a cross-pid root."""
+        blob = chrome_trace(_sequential_spans())
+        assert validate_chrome_trace(blob) == 10
+        assert {e["tid"] for e in blob["traceEvents"]} == {10, 20}
+        digest = hashlib.sha256(json.dumps(blob, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "3d7b71127ce61983a5b7372e31eb2a140b744cd6c55c8be465ff4822620391d3"
+        )
+
+    def test_overlapping_siblings_move_to_overflow_tids(self):
+        t = 1_700_000_000.0
+        spans = [
+            _span("k", "", "chunk", "chunk", t, 1.0, 10),
+            _span("a", "k", "trial", "trial", t + 0.1, 0.3, 10),
+            _span("b", "k", "trial", "trial", t + 0.2, 0.3, 10),
+            _span("bi", "b", "inject", "phase", t + 0.25, 0.1, 10),
+            _span("c", "k", "trial", "trial", t + 0.3, 0.3, 10),
+            _span("d", "k", "trial", "trial", t + 0.45, 0.3, 10),  # a is done
+            _span("e", "k", "trial", "trial", t + 0.55, 0.1, 10),  # b is done
+        ]
+        blob = chrome_trace(spans)
+        assert validate_chrome_trace(blob) == len(spans)
+        lane1, lane2 = (10 + k * (1 << 22) for k in (1, 2))
+        begins = {e["args"]["span_id"]: e for e in blob["traceEvents"]
+                  if e["ph"] == "B"}
+        assert {sid: e["tid"] for sid, e in begins.items()} == {
+            "k": 10, "a": 10, "b": lane1, "bi": lane1, "c": lane2,
+            "d": 10, "e": lane1,
+        }
+        for span in spans:  # drawn where they were recorded, not shifted
+            assert begins[span["span_id"]]["ts"] == round((span["t0"] - t) * 1e6, 3)
+        names = {e["tid"]: e["args"]["name"] for e in blob["traceEvents"]
+                 if e["ph"] == "M" and e["name"] == "thread_name"}
+        assert names == {10: "driver 10", lane1: "driver 10.1",
+                         lane2: "driver 10.2"}
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError, match="empty"):
