@@ -3,7 +3,7 @@
 PYTHON ?= python
 TRIALS ?= 300
 
-.PHONY: install test test-fast coverage bench experiments report obs-demo clean-cache loc
+.PHONY: install test test-fast coverage experiments report obs-demo clean-cache loc
 
 install:
 	$(PYTHON) setup.py develop
@@ -23,10 +23,6 @@ coverage:
 		$(PYTHON) -m pytest tests/ -q \
 		--cov=repro --cov-report=term --cov-report=html \
 		--cov-fail-under=$$(cat .coverage-floor)
-
-bench:
-	REPRO_TRIALS=$(TRIALS) PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \
-		$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 experiments:
 	REPRO_TRIALS=$(TRIALS) PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) \

@@ -28,5 +28,6 @@ EXPERIMENTS = [
     "figure8",
     "sensitivity",
     "multibit",
+    "ablations",
     "report",
 ]

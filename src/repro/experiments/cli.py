@@ -1,5 +1,8 @@
 """Command-line entry point: ``python -m repro.experiments <name>``.
 
+``report`` writes EXPERIMENTS.md, then exits 1 naming every paper shape
+that does not hold (``repro.experiments.report.SHAPES``).
+
 Besides the experiment harnesses, the CLI wires the observability layer
 (:mod:`repro.obs`) into every run:
 
@@ -381,6 +384,8 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
 
+    from repro.experiments.report import ShapeError
+
     names = EXPERIMENTS if args.experiment == "all" else [args.experiment]
     try:
         for name in names:
@@ -389,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
             module.run(trials=args.trials, seed=args.seed, quiet=args.quiet)
             if not args.quiet:
                 print(f"[{name} done in {time.perf_counter() - t0:.1f}s]\n")
+    except ShapeError as exc:
+        print(f"repro-experiments: {exc}", file=sys.stderr)
+        return 1
     finally:
         if server is not None:
             server.close()

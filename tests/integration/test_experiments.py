@@ -2,7 +2,8 @@
 
 These exercise the full orchestration path — cached campaigns, model
 assembly, table rendering — at scaled-down sizes so the suite stays
-fast; the benchmark harness runs the real configurations.
+fast; ``python -m repro.experiments report`` runs the real
+configurations and checks the paper's shapes.
 """
 
 import pytest
@@ -104,6 +105,18 @@ class TestHarnesses:
         out = sensitivity.run(trials=40, quiet=True)
         for rep in out.values():
             assert "mantissa" in rep["bit_field"]
+
+    def test_ablations_small_scales(self, monkeypatch):
+        from repro.experiments import ablations
+
+        for name, value in (("paper_apps", lambda: ["mg"]), ("SMALL", 4),
+                            ("TARGET", 8), ("TRIAL_COUNTS", (4, 8))):
+            monkeypatch.setattr(ablations, name, value)
+        out = ablations.run(trials=TRIALS, quiet=True)
+        assert set(out["alpha"]) == set(ablations.THRESHOLDS)
+        assert out["prob2"]["mg"]["profile"] == out["alpha"][0.20]["mg"]
+        assert 0.0 <= out["mapping"]["mg"]["group"] <= 1.0
+        assert set(out["trials"]) == {4, 8}
 
     def test_cli_table1(self, capsys):
         assert cli_main(["table1", "--trials", "4"]) == 0

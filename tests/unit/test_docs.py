@@ -33,10 +33,12 @@ class TestDocsReferenceRealCode:
             root = mod.split(".")[:2]
             importlib.import_module(".".join(root))
 
-    def test_design_maps_every_bench_file(self):
-        design = (ROOT / "DESIGN.md").read_text()
-        for bench in (ROOT / "benchmarks").glob("bench_figure*.py"):
-            assert bench.name in design, bench.name
+    def test_design_maps_every_shape(self):
+        from repro.experiments.report import SHAPES
+
+        index = (ROOT / "DESIGN.md").read_text().split("## 4.", 1)[1]
+        for shape in SHAPES:
+            assert f"`{shape.name}`" in index, shape.name
 
     def test_experiments_cli_names_match_modules(self):
         from repro.experiments import EXPERIMENTS
