@@ -97,7 +97,8 @@ def map_small_to_large(
     ``mode="interpolate"`` is an ablation alternative: the small-scale
     masses are placed at the group centres and linearly interpolated
     before renormalizing — smoother, but it smears the strongly bimodal
-    profiles real applications produce (see the ablation benchmark).
+    profiles real applications produce (see
+    ``repro.experiments.ablations``).
     """
     s = small.nprocs
     if large_nprocs % s:

@@ -217,7 +217,7 @@ def validate_chrome_trace(blob: dict) -> int:
     Raises ``ValueError`` on the defects the trace-event schema rejects:
     missing required keys, globally unsorted ``ts``, non-monotone
     timestamps within a tid, or unbalanced/mismatched begin-end pairs.
-    Shared by the test suite and the CI ``timeline-smoke`` job.
+    Shared by the test suite and the CI ``smoke`` job.
     """
     events = blob.get("traceEvents")
     if not isinstance(events, list) or not events:

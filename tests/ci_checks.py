@@ -1,4 +1,4 @@
-"""Assertions shared by the CI smoke jobs (not a pytest module).
+"""Assertions of the CI ``smoke`` job (not a pytest module).
 
 Usage::
 

@@ -287,6 +287,8 @@ class TestAdaptiveCrashResumeE2E:
         assert crash.returncode == 41, crash.stderr  # died mid-wave
         ckpt_dirs = list((tmp_path / "ckpt" / "checkpoints").glob("cg-*"))
         assert ckpt_dirs, "the killed run left no checkpoints behind"
+        assert [c for d in ckpt_dirs for c in d.glob("chunk-*.json")], \
+            "the killed run left no durable chunks behind"
         # the interrupted layout was persisted as *partial* (planned <
         # cap): the manifest must say so, or resume validation would
         # reject it

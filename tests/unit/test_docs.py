@@ -125,6 +125,18 @@ class TestDocsReferenceRealCode:
         for page in ("adaptive.md", "performance.md"):
             assert "engine.md#knobs" in (ROOT / "docs" / page).read_text()
 
+    def test_cited_ci_jobs_exist(self):
+        """Every `name` the docs call a CI job is a job of ci.yml."""
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        jobs = set(re.findall(r"^  ([\w-]+):$", ci.split("\njobs:\n", 1)[1],
+                              re.M))
+        pages = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+                 ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+        cited = {name for page in pages for name in re.findall(
+            r"`([\w-]+)`\s+(?:CI\s+)?job\b", page.read_text())}
+        assert cited, "no page names a CI job"
+        assert cited <= jobs, sorted(cited - jobs)
+
     def test_documented_cli_flags_exist(self):
         """Flags and subcommands the docs advertise must parse."""
         import io

@@ -564,12 +564,15 @@ class TestCacheInteraction:
 class TestCrashResumeByteParity:
     """A hard-killed interpreter resumes to the byte-identical artifacts."""
 
-    def test_joint_and_provenance_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("scenario", [None, "rankkill"])
+    def test_joint_and_provenance_byte_identical(self, tmp_path, scenario):
         child = Path(__file__).with_name("engine_child.py")
         src = Path(repro.__file__).resolve().parents[1]
-        env = {**os.environ,
-               "PYTHONPATH": f"{src}{os.pathsep}" + os.environ.get(
-                   "PYTHONPATH", "")}
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_SCENARIO"}
+        env["PYTHONPATH"] = f"{src}{os.pathsep}" + os.environ.get(
+            "PYTHONPATH", "")
+        if scenario:
+            env["REPRO_SCENARIO"] = scenario  # engine_child reads the knob
 
         def run_child(mode, trace, out):
             return subprocess.run(
@@ -583,8 +586,8 @@ class TestCrashResumeByteParity:
 
         crash = run_child("crash", "broken.jsonl", "unused.json")
         assert crash.returncode == 41, crash.stderr  # died mid-campaign
-        ckpt_dirs = list((tmp_path / "ckpt" / "checkpoints").glob("cg-*"))
-        assert ckpt_dirs, "the killed run left no checkpoints behind"
+        chunks = list((tmp_path / "ckpt" / "checkpoints").glob("cg-*/chunk-*.json"))
+        assert chunks, "the killed run left no durable chunks behind"
 
         resume = run_child("resume", "broken.jsonl", "resumed.json")
         assert resume.returncode == 0, resume.stderr
@@ -592,5 +595,7 @@ class TestCrashResumeByteParity:
         clean_joint = json.loads((tmp_path / "clean.json").read_text())
         resumed_joint = json.loads((tmp_path / "resumed.json").read_text())
         assert resumed_joint == clean_joint  # content *and* order
-        assert (tmp_path / "broken.provenance.jsonl").read_bytes() == \
-            (tmp_path / "clean.provenance.jsonl").read_bytes()
+        provenance = (tmp_path / "clean.provenance.jsonl").read_bytes()
+        assert (tmp_path / "broken.provenance.jsonl").read_bytes() == provenance
+        planned = [json.loads(line)["planned"] for line in provenance.splitlines()]
+        assert {p.get("scenario") for plan in planned for p in plan} == {scenario}
