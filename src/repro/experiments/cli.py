@@ -316,7 +316,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile", action="store_true",
         help="attribute wall time and FP-instruction counts per (phase, "
-             "op kind, rank); render with obs-profile or the dashboard",
+             "op kind, rank); render with obs-profile or the dashboard. "
+             "Profiled campaigns run one trial at a time (--lanes 1) and "
+             "never fork at the fault site, so they run several times "
+             "slower than the default",
     )
     parser.add_argument(
         "--timeline", action="store_true",

@@ -125,9 +125,9 @@ class Scheduler:
         # observability: resolved once per execution; disabled recorder
         # keeps every instrumentation site to a single attribute test.
         self._obs = get_recorder()
-        # hot-path profiler (repro.obs.profiler): attribute per-rank
-        # compute-burst time and collective-matching time under the
-        # current span path; None keeps _advance to one attribute test.
+        # hot-path profiler (repro.obs.profiler): attribute
+        # collective-matching time under the current span path; None
+        # keeps the collective check to one attribute test.
         self._prof = (
             self._obs if self._obs.enabled and self._obs.profiling else None
         )
@@ -162,7 +162,7 @@ class Scheduler:
             if fail is not None and self._strike_parked(fail):
                 # a victim crossed its kill step while parked on
                 # communication (its own bursts are checked per step in
-                # _advance_impl) — it is fail-stopped; re-evaluate.
+                # _advance) — it is fail-stopped; re-evaluate.
                 continue
             if self._obs.enabled:
                 # gauge: ranks parked on communication each time the
@@ -184,30 +184,7 @@ class Scheduler:
     # rank stepping
     # ------------------------------------------------------------------
     def _advance(self, rank: int, resume: Any) -> None:
-        """Run ``rank`` until it blocks or finishes.
-
-        When profiling, the whole compute burst runs inside an
-        ``advance`` profiler frame: FP ops executed by the rank's
-        program attribute to ``<span path>/advance``, and the burst's
-        own total (steps as the op count) is recorded there under the
-        reserved ``step`` kind — so the profile tree can tell traced-op
-        time from scheduler bookkeeping.
-        """
-        prof = self._prof
-        if prof is None:
-            return self._advance_impl(rank, resume)
-        steps0 = self._steps
-        t0 = perf_counter()
-        prof.push_frame("advance")
-        try:
-            return self._advance_impl(rank, resume)
-        finally:
-            prof.profile_op(
-                "step", rank, self._steps - steps0, perf_counter() - t0
-            )
-            prof.pop_frame()
-
-    def _advance_impl(self, rank: int, resume: Any) -> None:
+        """Run ``rank`` until it blocks or finishes."""
         state = self._states[rank]
         state.blocked_on = None
         fail = self._fail_stop

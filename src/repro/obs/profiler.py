@@ -20,12 +20,10 @@ profile table (populated when ``Recorder.profiling`` is set) into:
   with per-(phase, op kind, rank) attribution, wall-time coverage, and
   the headline traced-op share.
 
-Attribution paths are span paths (``campaign/trial/inject``) optionally
-extended by profiler *frames* — e.g. the scheduler pushes an ``advance``
-frame so FP ops attribute to ``campaign/trial/inject/advance``.  The
-scheduler's own advance totals are recorded under the reserved op kind
-:data:`FRAME_TOTAL_KIND`; they represent a frame's *total* time (FP ops
-included), so share computations must not add them to the per-kind rows.
+Attribution paths are span paths alone: an FP op attributes to the span
+it ran under (``campaign/trial/inject``), and so does the scheduler's
+collective matching (op kind ``collective``, rank -1).  What a span's
+rows leave of its time is scheduler plus application Python.
 
 Determinism: profiling never changes what is computed — it only reads
 clocks and sizes — so campaign outputs, provenance bytes and checkpoint
@@ -46,7 +44,6 @@ from repro.utils.tables import format_table
 from repro.viz.svg import SvgCanvas, flamegraph
 
 __all__ = [
-    "FRAME_TOTAL_KIND",
     "OP_KINDS",
     "CampaignScope",
     "SpanNode",
@@ -59,12 +56,6 @@ __all__ = [
     "render_profile_svg",
     "traced_op_share",
 ]
-
-#: Reserved op kind for a profiler frame's total wall time (e.g. the
-#: scheduler's ``advance``).  A frame total *contains* the FP-op rows at
-#: the same path, so it is displayed as the node's time, never summed
-#: with the per-kind rows.
-FRAME_TOTAL_KIND = "step"
 
 #: The traced binary-op kinds of :class:`repro.taint.tracer_api.OpKind`.
 OP_KINDS = ("add", "mul", "div", "other")
@@ -166,26 +157,17 @@ def merge_profile_events(events: Iterable[CampaignProfile]) -> CampaignProfile:
         raise ValueError("no CampaignProfile events to merge")
     if len(events) == 1:
         return events[0]
-    spans: dict[str, list[float]] = {}
-    ops: dict[tuple[str, str, int], list[float]] = {}
-    apps: list[str] = []
+    rec = Recorder(enabled=True)
     for e in events:
-        if e.app not in apps:
-            apps.append(e.app)
-        for path, (count, secs) in e.spans.items():
-            agg = spans.setdefault(path, [0, 0.0])
-            agg[0] += count
-            agg[1] += secs
-        for r in e.ops:
-            agg = ops.setdefault((r["phase"], r["kind"], r["rank"]), [0.0, 0, 0.0])
-            agg[0] += r["ops"]
-            agg[1] += r["calls"]
-            agg[2] += r["seconds"]
+        rec.absorb(ObsSnapshot(span_totals=e.spans, profile={
+            (r["phase"], r["kind"], r["rank"]): (r["ops"], r["calls"], r["seconds"])
+            for r in e.ops
+        }))
     return CampaignProfile(
-        app=", ".join(apps),
+        app=", ".join(dict.fromkeys(e.app for e in events)),
         wall_s=sum(e.wall_s for e in events),
-        spans=spans,
-        ops=profile_rows(ops),
+        spans=rec.span_totals,
+        ops=profile_rows(rec.profile),
     )
 
 
@@ -194,7 +176,7 @@ def merge_profile_events(events: Iterable[CampaignProfile]) -> CampaignProfile:
 # ----------------------------------------------------------------------
 @dataclass
 class SpanNode:
-    """One node of the profile tree: a span path or profiler frame."""
+    """One node of the profile tree: a span path."""
 
     name: str
     path: str
@@ -206,30 +188,24 @@ class SpanNode:
 
     @property
     def ops_seconds(self) -> float:
-        """Attributed per-kind seconds (frame totals excluded)."""
-        return sum(
-            v[2] for k, v in self.ops.items() if k != FRAME_TOTAL_KIND
-        )
+        """Attributed per-kind seconds."""
+        return sum(v[2] for v in self.ops.values())
 
     @property
     def total_seconds(self) -> float:
         """Best estimate of this node's wall time.
 
-        A span node measured its own time; a frame node's total lives in
-        its :data:`FRAME_TOTAL_KIND` row; a synthesized intermediate
+        A span node measured its own time; a synthesized intermediate
         falls back to whatever its children attribute.
         """
         if self.seconds > 0:
             return self.seconds
-        frame = self.ops.get(FRAME_TOTAL_KIND)
-        if frame is not None:
-            return frame[2]
         child = sum(c.total_seconds for c in self.children.values())
         return child + self.ops_seconds
 
 
 def build_tree(event: CampaignProfile) -> SpanNode:
-    """The span/frame tree of one profile event (virtual root node)."""
+    """The span tree of one profile event (virtual root node)."""
     root = SpanNode(name="", path="")
 
     def node_at(path: str) -> SpanNode:
@@ -277,9 +253,7 @@ def flamegraph_frames(
             (child.total_seconds, child) for child in node.children.values()
         ]
         parts.extend(
-            (values[2], kind)
-            for kind, values in sorted(node.ops.items())
-            if kind != FRAME_TOTAL_KIND
+            (values[2], kind) for kind, values in sorted(node.ops.items())
         )
         total = sum(secs for secs, _ in parts)
         if total <= 0:

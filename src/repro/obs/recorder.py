@@ -41,9 +41,8 @@ Metrics model
 * **profile** — the hot-path profiler's attribution table, keyed
   ``(path, op kind, rank) -> [ops, calls, seconds]``.  Populated only
   while :attr:`Recorder.profiling` is set (see
-  :mod:`repro.obs.profiler`); ``path`` extends the span path with
-  lightweight *profiler frames* (:meth:`Recorder.push_frame`) that cost
-  a list append and emit no events.
+  :mod:`repro.obs.profiler`); ``path`` is the span path the op ran
+  under, so the table nests into the same tree as ``span_totals``.
 
 Thread safety
 -------------
@@ -248,8 +247,6 @@ class Recorder:
         #: ``span_prefix`` seeds the nesting so a worker's trial spans
         #: report the same paths as the parent's (never closed here).
         self._span_stack: list[str] = list(span_prefix)
-        #: profiler frames nested below the span stack (no events).
-        self._prof_stack: list[str] = []
         self._clock = clock
 
     def derive(self, sinks: Sequence[Sink]) -> "Recorder":
@@ -285,32 +282,17 @@ class Recorder:
     # ------------------------------------------------------------------
     # hot-path profiling
     # ------------------------------------------------------------------
-    def push_frame(self, name: str) -> None:
-        """Enter a profiler frame: extends the attribution path only.
-
-        Unlike :meth:`span`, a frame emits no event and touches no
-        aggregate on exit — it exists so :meth:`profile_op` calls made
-        inside it attribute to a deeper path (e.g. the scheduler's
-        ``advance`` frame under ``campaign/trial/inject``).  Callers
-        must pair it with :meth:`pop_frame` in a ``finally``.
-        """
-        self._prof_stack.append(name)
-
-    def pop_frame(self) -> None:
-        """Leave the innermost profiler frame."""
-        self._prof_stack.pop()
-
     def profile_op(self, kind: str, rank: int, ops: float, seconds: float) -> None:
         """Attribute ``ops`` instructions / ``seconds`` wall time.
 
-        The attribution path is the current span path extended by any
-        profiler frames; one row accumulates per ``(path, kind, rank)``.
-        No-op unless :attr:`profiling` is set (hot callers cache the
-        check per instance and never reach here while off).
+        The attribution path is the current span path; one row
+        accumulates per ``(path, kind, rank)``.  No-op unless
+        :attr:`profiling` is set (hot callers cache the check per
+        instance and never reach here while off).
         """
         if not self.profiling:
             return
-        path = "/".join((*self._span_stack, *self._prof_stack))
+        path = "/".join(self._span_stack)
         agg = self.profile.get((path, kind, rank))
         if agg is None:
             agg = self.profile.setdefault((path, kind, rank), [0.0, 0, 0.0])

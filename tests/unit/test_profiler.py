@@ -12,7 +12,6 @@ from repro.experiments.cli import main
 from repro.fi.campaign import Deployment, run_campaign
 from repro.obs.events import CampaignProfile, event_from_dict
 from repro.obs.profiler import (
-    FRAME_TOTAL_KIND,
     OP_KINDS,
     CampaignScope,
     build_tree,
@@ -36,12 +35,12 @@ def _event(spans=None, ops=None, app="demo", wall=None):
         "campaign/trial/inject": [4, 0.8],
     }
     ops = ops if ops is not None else [
-        {"phase": "campaign/trial/inject/advance", "kind": "add",
+        {"phase": "campaign/trial/inject", "kind": "add",
          "rank": 0, "ops": 1000, "calls": 10, "seconds": 0.3},
-        {"phase": "campaign/trial/inject/advance", "kind": "mul",
+        {"phase": "campaign/trial/inject", "kind": "mul",
          "rank": 1, "ops": 500, "calls": 10, "seconds": 0.2},
-        {"phase": "campaign/trial/inject/advance", "kind": FRAME_TOTAL_KIND,
-         "rank": 0, "ops": 40, "calls": 8, "seconds": 0.7},
+        {"phase": "campaign/trial/inject", "kind": "collective",
+         "rank": -1, "ops": 8, "calls": 8, "seconds": 0.1},
     ]
     if wall is None:
         wall = spans.get("campaign", [0, 0.0])[1]
@@ -49,15 +48,16 @@ def _event(spans=None, ops=None, app="demo", wall=None):
 
 
 class TestRecorderProfiling:
-    def test_profile_op_accumulates_under_span_and_frame(self):
+    def test_profile_op_accumulates_under_span_path(self):
         rec = obs.Recorder(enabled=True, profiling=True)
         with rec.span("campaign"):
-            rec.push_frame("advance")
+            with rec.span("inject"):
+                rec.profile_op("add", 0, 100, 0.5)
             rec.profile_op("add", 0, 100, 0.5)
             rec.profile_op("add", 0, 50, 0.25)
-            rec.pop_frame()
         assert rec.profile == {
-            ("campaign/advance", "add", 0): [150, 2, 0.75],
+            ("campaign/inject", "add", 0): [100, 1, 0.5],
+            ("campaign", "add", 0): [150, 2, 0.75],
         }
 
     def test_profile_op_noop_unless_profiling(self):
@@ -183,20 +183,24 @@ class TestSpanTree:
         root = build_tree(_event())
         campaign = root.children["campaign"]
         assert campaign.seconds == pytest.approx(1.0)
-        advance = (
-            campaign.children["trial"].children["inject"].children["advance"]
-        )
-        assert set(advance.ops) == {"add", "mul", FRAME_TOTAL_KIND}
+        inject = campaign.children["trial"].children["inject"]
+        assert set(inject.ops) == {"add", "mul", "collective"}
+        assert inject.children == {}  # nothing beneath the span path
 
-    def test_total_seconds_prefers_own_then_frame_then_children(self):
+    def test_total_seconds_prefers_own_then_children(self):
         root = build_tree(_event())
         campaign = root.children["campaign"]
-        advance = (
-            campaign.children["trial"].children["inject"].children["advance"]
-        )
+        inject = campaign.children["trial"].children["inject"]
         assert campaign.total_seconds == pytest.approx(1.0)  # span time
-        assert advance.total_seconds == pytest.approx(0.7)   # frame total
-        assert advance.ops_seconds == pytest.approx(0.5)     # excl. frame row
+        assert inject.total_seconds == pytest.approx(0.8)    # not its rows
+        assert inject.ops_seconds == pytest.approx(0.6)
+        # no "campaign/trial" span: the synthesized node sums its child
+        root = build_tree(_event(spans={
+            "campaign": [1, 1.0], "campaign/trial/inject": [4, 0.8],
+        }))
+        trial = root.children["campaign"].children["trial"]
+        assert trial.seconds == 0
+        assert trial.total_seconds == pytest.approx(0.8)
 
     def test_flamegraph_children_fit_inside_parent(self):
         frames = flamegraph_frames(build_tree(_event()))
@@ -235,9 +239,9 @@ class TestHeadlines:
     def test_coverage_zero_without_campaign_span(self):
         assert coverage(_event(spans={"x": [1, 1.0]}, ops=[])) == 0.0
 
-    def test_traced_op_share_excludes_frame_totals(self):
-        # add 0.3 + mul 0.2 over 0.8s of inject; the 0.7s "step" frame
-        # row contains them and must not be double-counted
+    def test_traced_op_share_excludes_collective_rows(self):
+        # add 0.3 + mul 0.2 over 0.8s of inject; the 0.1s collective
+        # row is scheduler time, not a traced binary op
         assert traced_op_share(_event()) == pytest.approx(0.625)
 
     def test_report_mentions_headlines(self):
@@ -269,12 +273,15 @@ class TestProfiledCampaign:
         assert event.wall_s > 0
         assert coverage(event) >= 0.95
 
-    def test_traced_ops_attributed_to_scheduler_frame(self):
+    def test_traced_ops_attributed_to_inject_span(self):
         _, event = self._run()
         phases = {r["phase"] for r in event.ops}
-        assert "campaign/trial/inject/advance" in phases
+        assert "campaign/trial/inject" in phases
+        # every row keys on a span path: nothing beneath it
+        assert phases <= set(event.spans)
         kinds = {r["kind"] for r in event.ops}
         assert kinds & set(OP_KINDS)
+        assert kinds <= {*OP_KINDS, "collective"}
         assert 0 < traced_op_share(event) <= 1.0
 
     def test_op_counts_deterministic_and_jobs_invariant(self):
@@ -292,6 +299,8 @@ class TestProfiledCampaign:
             }
 
         assert counts(event1) == counts(event2)
+        for event in (event1, event2):
+            assert {r["phase"] for r in event.ops} <= set(event.spans)
 
     def test_profiling_does_not_change_results(self):
         app = get_app("cg")
