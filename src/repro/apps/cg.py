@@ -88,11 +88,14 @@ class CGApp(AppSpec):
         if key not in self._blocks:
             nb = self.n // size
             block = self._matrix[:, rank * nb : (rank + 1) * nb].tocsr()
-            self._blocks[key] = (
+            arrays = (
                 np.asarray(block.data, dtype=np.float64),
                 np.asarray(block.indices),
                 np.asarray(block.indptr),
             )
+            for arr in arrays:  # read-only: traced ops may memoize them
+                arr.setflags(write=False)
+            self._blocks[key] = arrays
         return self._blocks[key]
 
     # ------------------------------------------------------------------

@@ -62,11 +62,15 @@ class _StreamCursor:
         return fired
 
 
+_ADD, _MUL = OpKind.ADD, OpKind.MUL
+
+
 class Tracer:
     """Implements :class:`repro.taint.tracer_api.TraceSink` for one run."""
 
     def __init__(self, mode: TracerMode = TracerMode.PROFILE, plan: InjectionPlan | None = None):
         self.mode = mode
+        self._profiling = mode is TracerMode.PROFILE
         self.plan = plan
         self.profile = InstructionProfile()
         self.contaminated: set[int] = set()
@@ -76,15 +80,15 @@ class Tracer:
         #: applied-flip observations (op kind + pre/post operand values).
         self.flip_observations: list[FlipObservation] = []
         self._step_provider: Callable[[], int] | None = None
-        self._cursors: dict[tuple[int, Region], _StreamCursor] = {}
+        #: rank -> ((region, cursor), ...): looked up by rank, then by
+        #: region identity, so no enum is hashed per traced op.
+        self._cursors: dict[int, tuple[tuple[Region, _StreamCursor], ...]] = {}
         if mode is TracerMode.INJECT:
             if plan is None:
                 raise ValueError("INJECT mode requires an injection plan")
-            keys = {(f.rank, f.region) for f in plan.flips}
-            for rank, region in keys:
-                self._cursors[(rank, region)] = _StreamCursor(
-                    plan.for_rank_region(rank, region)
-                )
+            for rank, region in {(f.rank, f.region) for f in plan.flips}:
+                cursor = _StreamCursor(plan.for_rank_region(rank, region))
+                self._cursors[rank] = self._cursors.get(rank, ()) + ((region, cursor),)
         elif plan is not None:
             raise ValueError("PROFILE mode must not carry an injection plan")
 
@@ -94,12 +98,14 @@ class Tracer:
     def account(
         self, rank: int, region: Region, kind: OpKind, count: int
     ) -> Sequence[LaneInjection]:
-        if self.mode is TracerMode.PROFILE:
+        if self._profiling:
             self.profile.record(rank, region, kind, count)
-        if not kind.is_candidate or count == 0:
+        if (kind is not _ADD and kind is not _MUL) or count == 0:
             return ()
-        cursor = self._cursors.get((rank, region))
-        if cursor is None:
+        for reg, cursor in self._cursors.get(rank, ()):
+            if reg is region:
+                break
+        else:
             return ()
         if cursor.next_index is not None and cursor.next_index < cursor.position + count:
             start = cursor.position

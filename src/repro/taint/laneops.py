@@ -37,9 +37,11 @@ import numpy as np
 
 from repro.taint.ops import (
     FPOps,
+    _csr_layout,
     _flip_bits,
     _group_injections,
     _lane_value,
+    _redo_injected_rows,
     _segmented_sums,
     _sum_sequential_with_injections,
 )
@@ -434,12 +436,9 @@ class LaneFPOps(FPOps):
         nnz = int(indptr[-1])
         if tdata.size != nnz:
             raise ValueError(f"CSR data length {tdata.size} != indptr nnz {nnz}")
-        row_lengths = np.diff(indptr)
-        empty_rows = row_lengths == 0
+        empty_rows, add_offsets = _csr_layout(indptr)
 
         mul_injs = self._sink.account(self.rank, self._region, OpKind.MUL, nnz)
-        add_counts = np.maximum(row_lengths - 1, 0)
-        add_offsets = np.concatenate(([0], np.cumsum(add_counts)))
         add_injs = self._sink.account(
             self.rank, self._region, OpKind.ADD, int(add_offsets[-1])
         )
@@ -541,27 +540,11 @@ class LaneFPOps(FPOps):
             report = self._batch.lane_flip_reporter(
                 lane, self.rank, self._region, OpKind.ADD
             )
-            per_row: dict[int, list[LaneInjection]] = {}
-            for inj in injs:
-                row = int(np.searchsorted(add_offsets, inj.offset, side="right")) - 1
-                local = LaneInjection(
-                    offset=inj.offset - int(add_offsets[row]),
-                    operand=inj.operand,
-                    bit=inj.bit,
-                    index=inj.index,
-                )
-                per_row.setdefault(row, []).append(local)
-            pf_lane = prod_f[pos[lane]]
-            pg_lane = prod_g_lane.get(lane, prod_g)
-            for row, local_injs in per_row.items():
-                lo, hi = int(indptr[row]), int(indptr[row + 1])
-                y_g_stack[lane, row] = _sum_sequential_with_injections(
-                    pg_lane[lo:hi], local_injs, apply_flips=False
-                )
-                y_f_stack[lane, row] = _sum_sequential_with_injections(
-                    pf_lane[lo:hi], local_injs, apply_flips=True,
-                    on_flip=report,
-                )
+            _redo_injected_rows(
+                y_g_stack[lane], y_f_stack[lane],
+                prod_g_lane.get(lane, prod_g), prod_f[pos[lane]],
+                indptr, add_offsets, injs, report,
+            )
         out = TArray.batched(
             y_g, y_f_stack, y_g_stack, self._batch, candidates=cand
         )
@@ -575,10 +558,7 @@ class LaneFPOps(FPOps):
         nnz = int(indptr[-1])
         if tv.size != nnz:
             raise ValueError(f"values length {tv.size} != indptr nnz {nnz}")
-        row_lengths = np.diff(indptr)
-        empty_rows = row_lengths == 0
-        add_counts = np.maximum(row_lengths - 1, 0)
-        add_offsets = np.concatenate(([0], np.cumsum(add_counts)))
+        empty_rows, add_offsets = _csr_layout(indptr)
         injections = self._sink.account(
             self.rank, self._region, OpKind.ADD, int(add_offsets[-1])
         )
@@ -611,32 +591,15 @@ class LaneFPOps(FPOps):
             report = self._batch.lane_flip_reporter(
                 lane, self.rank, self._region, OpKind.ADD
             )
-            per_row: dict[int, list[LaneInjection]] = {}
-            for inj in injs:
-                row = int(
-                    np.searchsorted(add_offsets, inj.offset, side="right")
-                ) - 1
-                local = LaneInjection(
-                    offset=inj.offset - int(add_offsets[row]),
-                    operand=inj.operand,
-                    bit=inj.bit,
-                    index=inj.index,
-                )
-                per_row.setdefault(row, []).append(local)
-            vf_lane = vf[lane] if vf is not None else vg
             vg_lane = (
                 ls.gstack[lane].reshape(-1)
                 if ls is not None and ls.gstack is not None else vg
             )
-            for row, local_injs in per_row.items():
-                lo, hi = int(indptr[row]), int(indptr[row + 1])
-                y_g_stack[lane, row] = _sum_sequential_with_injections(
-                    vg_lane[lo:hi], local_injs, apply_flips=False
-                )
-                y_f_stack[lane, row] = _sum_sequential_with_injections(
-                    vf_lane[lo:hi], local_injs, apply_flips=True,
-                    on_flip=report,
-                )
+            _redo_injected_rows(
+                y_g_stack[lane], y_f_stack[lane], vg_lane,
+                vf[lane] if vf is not None else vg,
+                indptr, add_offsets, injs, report,
+            )
         out = TArray.batched(
             y_g, y_f_stack, y_g_stack, self._batch, candidates=cand
         )

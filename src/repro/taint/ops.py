@@ -33,6 +33,7 @@ mechanism behind the paper's single-process propagation mass (Fig. 1).
 from __future__ import annotations
 
 import contextlib
+import weakref
 from time import perf_counter
 from typing import Sequence
 
@@ -187,6 +188,79 @@ def _segmented_sums(
     out = np.zeros(nrows)
     out[~empty_rows] = np.add.reduceat(prod, indptr[:-1][~empty_rows])
     return out
+
+
+#: id(indptr) -> (weakref to indptr, empty_rows, add_offsets).  An app
+#: builds its CSR structure once and every trial's matvecs reuse it, so
+#: the layout derived from ``indptr`` is memoized by identity.  An entry
+#: lives exactly as long as its ``indptr``: the weakref's callback drops
+#: it, so the cache holds no more entries than there are live cached
+#: arrays (one per CG rank block, whatever the rank count), and the
+#: identity check means a recycled id() never aliases a dead entry.
+#: Only read-only arrays that own their memory are cached; a writable
+#: array or a view (whose base may be written) is laid out per call.
+_CSR_LAYOUT_CACHE: dict[int, tuple[weakref.ref, np.ndarray, np.ndarray]] = {}
+
+
+def _csr_layout(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(empty_rows, add_offsets)`` of a CSR row-pointer array.
+
+    ``empty_rows[r]`` flags a row with no entries.  ``add_offsets[r]`` is
+    the position of row ``r``'s first reduction add in the op's candidate
+    ADD stream (``max(len(row) - 1, 0)`` adds per row, row-major), and
+    ``add_offsets[-1]`` the total.
+    """
+    cacheable = not indptr.flags.writeable and indptr.base is None
+    if cacheable:
+        hit = _CSR_LAYOUT_CACHE.get(id(indptr))
+        if hit is not None and hit[0]() is indptr:
+            return hit[1], hit[2]
+    row_lengths = np.diff(indptr)
+    empty_rows = row_lengths == 0
+    add_offsets = np.concatenate(
+        ([0], np.cumsum(np.maximum(row_lengths - 1, 0)))
+    )
+    if cacheable:
+        empty_rows.setflags(write=False)
+        add_offsets.setflags(write=False)
+        key = id(indptr)
+
+        def drop(_ref, key=key):  # runs as indptr is freed, before id reuse
+            _CSR_LAYOUT_CACHE.pop(key, None)
+
+        _CSR_LAYOUT_CACHE[key] = (weakref.ref(indptr, drop), empty_rows, add_offsets)
+    return empty_rows, add_offsets
+
+
+def _redo_injected_rows(
+    y_g: np.ndarray, y_f: np.ndarray, vg: np.ndarray, vf: np.ndarray,
+    indptr: np.ndarray, add_offsets: np.ndarray,
+    injections: Sequence[LaneInjection], on_flip,
+) -> None:
+    """Redo the segment sums that reduction-add flips hit, in place.
+
+    Each hit row is summed sequentially on both paths (rounding parity),
+    with the row's injections grouped and their offsets made local to
+    the row.  ``on_flip`` reports each applied flip (or is None).
+    """
+    per_row: dict[int, list[LaneInjection]] = {}
+    for inj in injections:
+        row = int(np.searchsorted(add_offsets, inj.offset, side="right")) - 1
+        local = LaneInjection(
+            offset=inj.offset - int(add_offsets[row]),
+            operand=inj.operand,
+            bit=inj.bit,
+            index=inj.index,
+        )
+        per_row.setdefault(row, []).append(local)
+    for row, local_injs in per_row.items():
+        lo, hi = int(indptr[row]), int(indptr[row + 1])
+        y_g[row] = _sum_sequential_with_injections(
+            vg[lo:hi], local_injs, apply_flips=False
+        )
+        y_f[row] = _sum_sequential_with_injections(
+            vf[lo:hi], local_injs, apply_flips=True, on_flip=on_flip,
+        )
 
 
 #: rank -> (per-kind counter names, contamination counter name).  An
@@ -386,10 +460,11 @@ class FPOps:
         return out
 
     def _where_impl(self, cond: np.ndarray, a, b) -> TArray:
-        ta, tb = as_tarray(a), as_tarray(b)
+        ta = a if type(a) is TArray else TArray.fresh(a)
+        tb = b if type(b) is TArray else TArray.fresh(b)
         g = np.where(cond, ta.golden, tb.golden)
         self._sink.account(self.rank, self._region, OpKind.OTHER, int(g.size))
-        if not ta.diverged and not tb.diverged:
+        if ta.faulty is ta.golden and tb.faulty is tb.golden:
             return TArray(g)
         out = TArray(g, np.where(cond, ta.faulty, tb.faulty))
         if out.diverged:
@@ -419,17 +494,20 @@ class FPOps:
         return out
 
     def _sum_impl(self, a) -> TArray:
-        ta = as_tarray(a)
-        n = ta.size
+        ta = a if type(a) is TArray else TArray.fresh(a)
+        n = ta.golden.size
         injections = self._sink.account(
             self.rank, self._region, OpKind.ADD, max(n - 1, 0)
         )
         g_flat = ta.golden.reshape(-1)
         if not injections:
-            g = np.asarray(np.sum(g_flat))
-            if not ta.diverged:
+            # np.sum of an ndarray dispatches to this very reduction
+            g = np.asarray(np.add.reduce(g_flat))
+            if ta.faulty is ta.golden:
                 return TArray(g)
-            out = TArray(g, np.asarray(np.sum(ta.faulty.reshape(-1))))
+            out = TArray(
+                g, np.asarray(np.add.reduce(ta.faulty.reshape(-1)))
+            )
         else:
             # Sequential decomposition on both paths (rounding parity).
             f_flat = ta.faulty.reshape(-1)
@@ -480,7 +558,7 @@ class FPOps:
         dt = perf_counter() - t0
         indptr_arr = np.asarray(indptr)
         nnz = int(indptr_arr[-1])
-        adds = int(np.maximum(np.diff(indptr_arr) - 1, 0).sum())
+        adds = int(_csr_layout(indptr_arr)[1][-1])
         total = nnz + adds
         if total:
             # one timed call, two instruction kinds: split the wall time
@@ -496,36 +574,38 @@ class FPOps:
     def _csr_matvec_impl(
         self, data, indices: np.ndarray, indptr: np.ndarray, x
     ) -> TArray:
-        tdata, tx = as_tarray(data), as_tarray(x)
+        # Plain constant data is used as is: no clean TArray copy of it.
+        if type(data) is TArray:
+            data_g, data_f = data.golden, data.faulty
+        else:
+            data_g = data_f = np.asarray(data, dtype=np.float64)
+        tx = x if type(x) is TArray else TArray.fresh(x)
         indices = np.asarray(indices)
         indptr = np.asarray(indptr)
         nnz = int(indptr[-1])
-        if tdata.size != nnz:
-            raise ValueError(f"CSR data length {tdata.size} != indptr nnz {nnz}")
-        row_lengths = np.diff(indptr)
-        empty_rows = row_lengths == 0
+        if data_g.size != nnz:
+            raise ValueError(f"CSR data length {data_g.size} != indptr nnz {nnz}")
+        empty_rows, add_offsets = _csr_layout(indptr)
 
         mul_injs = self._sink.account(self.rank, self._region, OpKind.MUL, nnz)
-        add_counts = np.maximum(row_lengths - 1, 0)
-        add_offsets = np.concatenate(([0], np.cumsum(add_counts)))
         add_injs = self._sink.account(
             self.rank, self._region, OpKind.ADD, int(add_offsets[-1])
         )
 
-        prod_g = tdata.golden * tx.golden[indices]
+        prod_g = data_g * tx.golden[indices]
         y_g = _segmented_sums(prod_g, indptr, empty_rows)
 
-        diverged = tdata.diverged or tx.diverged
+        diverged = data_f is not data_g or tx.faulty is not tx.golden
         if not diverged and not mul_injs and not add_injs:
             out = TArray(y_g)
         else:
-            prod_f = tdata.faulty * tx.faulty[indices] if diverged else prod_g.copy()
+            prod_f = data_f * tx.faulty[indices] if diverged else prod_g.copy()
             if not prod_f.flags.writeable:
                 prod_f = prod_f.copy()
             # Multiply-stage flips corrupt single product lanes.
             mul_report = self._flip_reporter(OpKind.MUL) if mul_injs else None
             for k, operand, bits, index in _group_injections(mul_injs):
-                a_val = float(tdata.faulty.reshape(-1)[k])
+                a_val = float(data_f.reshape(-1)[k])
                 b_val = float(tx.faulty[indices[k]])
                 if operand == Operand.A:
                     pre, post = a_val, _flip_bits(a_val, bits)
@@ -540,30 +620,11 @@ class FPOps:
                 if mul_report is not None:
                     mul_report(index, operand, bits, pre, post)
             y_f = _segmented_sums(prod_f, indptr, empty_rows)
-            # Reduction-stage flips: redo affected rows sequentially on
-            # both paths (rounding parity), grouping injections per row.
             if add_injs:
-                y_g = y_g.copy()
-                add_report = self._flip_reporter(OpKind.ADD)
-                per_row: dict[int, list[LaneInjection]] = {}
-                for inj in add_injs:
-                    row = int(np.searchsorted(add_offsets, inj.offset, side="right")) - 1
-                    local = LaneInjection(
-                        offset=inj.offset - int(add_offsets[row]),
-                        operand=inj.operand,
-                        bit=inj.bit,
-                        index=inj.index,
-                    )
-                    per_row.setdefault(row, []).append(local)
-                for row, local_injs in per_row.items():
-                    lo, hi = int(indptr[row]), int(indptr[row + 1])
-                    y_g[row] = _sum_sequential_with_injections(
-                        prod_g[lo:hi], local_injs, apply_flips=False
-                    )
-                    y_f[row] = _sum_sequential_with_injections(
-                        prod_f[lo:hi], local_injs, apply_flips=True,
-                        on_flip=add_report,
-                    )
+                _redo_injected_rows(
+                    y_g, y_f, prod_g, prod_f, indptr, add_offsets, add_injs,
+                    self._flip_reporter(OpKind.ADD),
+                )
             out = TArray(y_g, y_f)
         if out.diverged:
             self._sink.mark_contaminated(self.rank)
@@ -584,52 +645,31 @@ class FPOps:
         t0 = perf_counter()
         out = self._segment_sum_impl(values, indptr)
         dt = perf_counter() - t0
-        indptr_arr = np.asarray(indptr)
-        adds = int(np.maximum(np.diff(indptr_arr) - 1, 0).sum())
+        adds = int(_csr_layout(np.asarray(indptr))[1][-1])
         prof.profile_op(OpKind.ADD.value, self.rank, adds, dt)
         return out
 
     def _segment_sum_impl(self, values, indptr: np.ndarray) -> TArray:
-        tv = as_tarray(values)
+        tv = values if type(values) is TArray else TArray.fresh(values)
         indptr = np.asarray(indptr)
         nnz = int(indptr[-1])
         if tv.size != nnz:
             raise ValueError(f"values length {tv.size} != indptr nnz {nnz}")
-        row_lengths = np.diff(indptr)
-        empty_rows = row_lengths == 0
-        add_counts = np.maximum(row_lengths - 1, 0)
-        add_offsets = np.concatenate(([0], np.cumsum(add_counts)))
+        empty_rows, add_offsets = _csr_layout(indptr)
         injections = self._sink.account(
             self.rank, self._region, OpKind.ADD, int(add_offsets[-1])
         )
         vg = tv.golden.reshape(-1)
         y_g = _segmented_sums(vg, indptr, empty_rows)
-        if not tv.diverged and not injections:
+        if tv.faulty is tv.golden and not injections:
             return TArray(y_g)
         vf = tv.faulty.reshape(-1)
         y_f = _segmented_sums(vf, indptr, empty_rows)
         if injections:
-            y_g = y_g.copy()
-            add_report = self._flip_reporter(OpKind.ADD)
-            per_row: dict[int, list[LaneInjection]] = {}
-            for inj in injections:
-                row = int(np.searchsorted(add_offsets, inj.offset, side="right")) - 1
-                local = LaneInjection(
-                    offset=inj.offset - int(add_offsets[row]),
-                    operand=inj.operand,
-                    bit=inj.bit,
-                    index=inj.index,
-                )
-                per_row.setdefault(row, []).append(local)
-            for row, local_injs in per_row.items():
-                lo, hi = int(indptr[row]), int(indptr[row + 1])
-                y_g[row] = _sum_sequential_with_injections(
-                    vg[lo:hi], local_injs, apply_flips=False
-                )
-                y_f[row] = _sum_sequential_with_injections(
-                    vf[lo:hi], local_injs, apply_flips=True,
-                    on_flip=add_report,
-                )
+            _redo_injected_rows(
+                y_g, y_f, vg, vf, indptr, add_offsets, injections,
+                self._flip_reporter(OpKind.ADD),
+            )
         out = TArray(y_g, y_f)
         if out.diverged:
             self._sink.mark_contaminated(self.rank)
@@ -648,10 +688,11 @@ class FPOps:
         return out
 
     def _ewise2_impl(self, ufunc, kind: OpKind, a, b) -> TArray:
-        ta, tb = as_tarray(a), as_tarray(b)
+        ta = a if type(a) is TArray else TArray.fresh(a)
+        tb = b if type(b) is TArray else TArray.fresh(b)
         g = ufunc(ta.golden, tb.golden)
         injections = self._sink.account(self.rank, self._region, kind, g.size)
-        diverged = ta.diverged or tb.diverged
+        diverged = ta.faulty is not ta.golden or tb.faulty is not tb.golden
         if not diverged and not injections:
             return TArray(g)
         f = ufunc(ta.faulty, tb.faulty) if diverged else g.copy()
@@ -692,10 +733,10 @@ class FPOps:
         return out
 
     def _ewise1_impl(self, ufunc, a) -> TArray:
-        ta = as_tarray(a)
-        self._sink.account(self.rank, self._region, OpKind.OTHER, ta.size)
+        ta = a if type(a) is TArray else TArray.fresh(a)
+        self._sink.account(self.rank, self._region, OpKind.OTHER, ta.golden.size)
         g = ufunc(ta.golden)
-        if not ta.diverged:
+        if ta.faulty is ta.golden:
             return TArray(g)
         out = TArray(g, ufunc(ta.faulty))
         if out.diverged:
@@ -715,12 +756,12 @@ class FPOps:
         return out
 
     def _reduce_passive_impl(self, reducer, a) -> TArray:
-        ta = as_tarray(a)
+        ta = a if type(a) is TArray else TArray.fresh(a)
         self._sink.account(
             self.rank, self._region, OpKind.OTHER, max(ta.size - 1, 0)
         )
         g = np.asarray(reducer(ta.golden))
-        if not ta.diverged:
+        if ta.faulty is ta.golden:
             return TArray(g)
         out = TArray(g, np.asarray(reducer(ta.faulty)))
         if out.diverged:

@@ -56,14 +56,20 @@ def arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
         return True
     if a.shape != b.shape:
         return False
-    ne = a != b  # one pass; NaN masks only where the arrays differ
-    if not ne.any():
+    if not a.size:  # argmax below needs an element
         return True
+    ne = a != b  # one pass; NaN masks only where the arrays differ
+    first = ne.argmax()
+    if not ne.flat[first]:
+        return True
+    x = a.flat[first]
+    if x == x:  # not NaN, so a genuine difference: no mask needed
+        return False
     return bool(np.isnan(a[ne]).all() and np.isnan(b[ne]).all())
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)  # cheaper than assigning flags.writeable
     return arr
 
 
@@ -201,26 +207,28 @@ class TArray:
     __slots__ = ("golden", "faulty", "lanes")
 
     def __init__(self, golden: np.ndarray, faulty: np.ndarray | None = None):
-        golden = np.asarray(golden)
-        if golden.dtype.kind != "f":
-            golden = golden.astype(np.float64)
+        # Op results are float ndarrays already: skip the coercion calls.
+        if type(golden) is not np.ndarray or golden.dtype.kind != "f":
+            golden = np.asarray(golden)
+            if golden.dtype.kind != "f":
+                golden = golden.astype(np.float64)
         if faulty is None or faulty is golden:
             golden = _freeze(golden)
             faulty = golden
         else:
-            faulty = np.asarray(faulty)
-            if faulty.dtype != golden.dtype:
-                faulty = faulty.astype(golden.dtype)
+            if type(faulty) is not np.ndarray or faulty.dtype != golden.dtype:
+                faulty = np.asarray(faulty)
+                if faulty.dtype != golden.dtype:
+                    faulty = faulty.astype(golden.dtype)
             if faulty.shape != golden.shape:
                 raise ValueError(
                     f"golden/faulty shape mismatch: {golden.shape} vs {faulty.shape}"
                 )
             # Re-share when the faulty path produced identical values.
+            golden = _freeze(golden)
             if arrays_equal(golden, faulty):
-                golden = _freeze(golden)
                 faulty = golden
             else:
-                golden = _freeze(golden)
                 faulty = _freeze(faulty)
         self.golden = golden
         self.faulty = faulty
@@ -466,9 +474,10 @@ class TArray:
                 np.asarray(g), np.asarray(ls.fstack[skey]), gstack, ls.tracer,
                 candidates=ls.active_lanes(),
             )
-        f = g if self.faulty is self.golden else self.faulty[key]
         # Slices of diverged arrays may be clean; the constructor re-shares.
-        return TArray(np.asarray(g), None if f is g else np.asarray(f))
+        return TArray(
+            g, None if self.faulty is self.golden else self.faulty[key]
+        )
 
     def reshape(self, *shape) -> "TArray":
         g = self.golden.reshape(*shape)
@@ -543,7 +552,9 @@ class TArray:
             )
         if all(not p.diverged for p in parts):
             return TArray(g)
-        return TArray(g, np.concatenate([p.faulty for p in parts], axis=axis))
+        return TArray(
+            g, np.concatenate([p.faulty for p in parts], axis=axis)
+        )
 
     @staticmethod
     def scatter(values: "TArray", positions: np.ndarray, size: int) -> "TArray":
@@ -616,7 +627,12 @@ class TArray:
 
 
 def as_tarray(x: "TArray | np.ndarray | float | int") -> TArray:
-    """Coerce constants / plain arrays into (clean) TArrays."""
-    if isinstance(x, TArray):
+    """Coerce constants / plain arrays into (clean) TArrays.
+
+    The scalar ``FPOps`` impls inline this very test
+    (``x if type(x) is TArray else TArray.fresh(x)``) to save a call per
+    operand on the traced-op path; change both together.
+    """
+    if type(x) is TArray:
         return x
     return TArray.fresh(x)

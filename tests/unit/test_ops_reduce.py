@@ -1,5 +1,8 @@
 """Reduction and sparse traced operations: sum, dot, csr_matvec, segment_sum."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.fi.plan import InjectionPlan, PlannedFlip
 from repro.fi.tracer import Tracer, TracerMode
 from repro.numerics.bits import flip_bit_scalar
+from repro.taint import ops
 from repro.taint.ops import FPOps, _sum_sequential_with_injections
 from repro.taint.region import Region
 from repro.taint.tarray import TArray
@@ -236,3 +240,95 @@ class TestSequentialDecomposition:
 
     def test_empty_array(self):
         assert _sum_sequential_with_injections(np.array([]), [], True) == 0.0
+
+
+class TestCsrLayoutCache:
+    """``_csr_layout`` memoizes read-only row pointers by identity."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        ops._CSR_LAYOUT_CACHE.clear()
+        yield
+        ops._CSR_LAYOUT_CACHE.clear()
+
+    @staticmethod
+    def _frozen(values) -> np.ndarray:
+        arr = np.array(values)
+        arr.setflags(write=False)
+        return arr
+
+    @staticmethod
+    def _uncached(indptr):
+        lengths = np.diff(indptr)
+        return lengths == 0, np.concatenate(([0], np.cumsum(np.maximum(lengths - 1, 0))))
+
+    def test_writable_indptr_is_never_cached(self, fp):
+        indptr = np.array([0, 2, 2, 3])
+        fp.csr_matvec(np.ones(3), np.array([0, 1, 2]), indptr, fp.asarray(np.ones(3)))
+        fp.segment_sum(fp.asarray(np.ones(3)), indptr)
+        assert ops._CSR_LAYOUT_CACHE == {}
+
+    def test_read_only_view_is_never_cached(self):
+        base = np.array([0, 2, 2, 3])
+        view = base[:]
+        view.setflags(write=False)
+        ops._csr_layout(view)
+        assert ops._CSR_LAYOUT_CACHE == {}
+
+    def test_read_only_indptr_is_cached(self):
+        indptr = self._frozen([0, 2, 2, 3])
+        first = ops._csr_layout(indptr)
+        again = ops._csr_layout(indptr)
+        assert again[0] is first[0] and again[1] is first[1]
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+
+    def test_recycled_id_never_shares_an_entry(self):
+        live = self._frozen([0, 1, 1, 1, 3])
+        other = self._frozen([0, 3])
+        # another array's entry under the id() this array now holds
+        ops._CSR_LAYOUT_CACHE[id(live)] = (weakref.ref(other), *self._uncached(other))
+        for got, want in zip(ops._csr_layout(live), self._uncached(live)):
+            np.testing.assert_array_equal(got, want)
+        assert ops._CSR_LAYOUT_CACHE[id(live)][0]() is live
+        # and arrays freed and reallocated in a loop, ids recycled or not
+        for n in range(1, 40):
+            indptr = self._frozen(np.arange(n + 1) * (n % 3))
+            for got, want in zip(ops._csr_layout(indptr), self._uncached(indptr)):
+                np.testing.assert_array_equal(got, want)
+            del indptr
+
+    def test_entries_live_as_long_as_their_indptr(self):
+        """Bounded by the live arrays, whatever their number: 256 rank
+        blocks all stay cached, and freeing them empties the cache."""
+        keep = [self._frozen([0, k, 2 * k]) for k in range(256)]
+        first = [ops._csr_layout(indptr) for indptr in keep]
+        assert len(ops._CSR_LAYOUT_CACHE) == len(keep)
+        for indptr, layout in zip(keep, first):
+            assert ops._csr_layout(indptr)[1] is layout[1]
+        del keep, indptr
+        gc.collect()
+        assert ops._CSR_LAYOUT_CACHE == {}
+        for n in range(1000):  # short-lived arrays never pile up
+            ops._csr_layout(self._frozen([0, n]))
+            assert len(ops._CSR_LAYOUT_CACHE) <= 1
+
+    @pytest.mark.parametrize("index", [4, 13, 19])
+    def test_cached_layout_gives_the_same_bytes(self, rng, index):
+        """Empty rows (leading, inner, trailing) and flips in either stage:
+        12 multiplies, then 8 reduction adds."""
+        indptr = np.array([0, 0, 3, 3, 7, 8, 8, 12, 12])
+        indices = rng.integers(0, 5, size=12)
+        data, x = rng.standard_normal(12), rng.standard_normal(5)
+        frozen = indptr.copy()
+        frozen.setflags(write=False)
+        outs = []
+        for ptr in (indptr, frozen, frozen):  # uncached, cache miss, cache hit
+            fp, tracer = make_inject_fp(index=index, operand=Operand.B, bit=40)
+            y = fp.csr_matvec(data, indices, ptr, fp.asarray(x))
+            assert y.diverged and tracer.all_flips_activated
+            fp, tracer = make_inject_fp(index=index % 8, operand=Operand.A, bit=40)
+            s = fp.segment_sum(fp.asarray(data), ptr)
+            assert tracer.all_flips_activated
+            outs.append([a.tobytes() for a in (y.golden, y.faulty, s.golden, s.faulty)])
+        assert outs[0] == outs[1] == outs[2]
+        assert len(ops._CSR_LAYOUT_CACHE) == 1

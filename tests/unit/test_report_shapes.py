@@ -1,6 +1,7 @@
 """The paper-shape checks of ``repro.experiments.report`` on synthetic results."""
 
 import copy
+import random
 
 import pytest
 
@@ -82,3 +83,42 @@ def test_report_writes_the_file_then_exits_nonzero_naming_broken_shapes(
     with pytest.raises(report.ShapeError) as err:
         report.run(trials=30, path=tmp_path / "E.md")
     assert err.value.names == ["table1"]
+
+
+def _motivation(results: dict) -> tuple[str, bool]:
+    [(measured, holds)] = [(m, h) for s, m, h in report.check_shapes(results)
+                           if s.name == "motivation"]
+    return measured, holds
+
+
+def _rescaled_clock(results: dict, rng: random.Random) -> dict:
+    """``results`` with every injection/profile time scaled at random."""
+    out = copy.deepcopy(results)
+
+    def walk(node):
+        for key, value in node.items():
+            if isinstance(value, dict):
+                walk(value)
+            elif str(key).endswith(("injection_time", "profile_time")):
+                node[key] = value * rng.uniform(0.05, 20.0)
+
+    walk(out)
+    m = out["m"]
+    m["injection_time_growth"] = m["par4_injection_time"] / m["serial_injection_time"] - 1
+    return out
+
+
+@pytest.mark.parametrize("variant", ["good", "no more events", "fewer instructions"])
+def test_motivation_verdict_does_not_read_the_clock(variant):
+    results = copy.deepcopy(GOOD)
+    m = results["m"]
+    m.update(serial_injection_time=1.0, par4_injection_time=3.5, profile_time=0.2)
+    if variant == "no more events":
+        m["par4_events"] = m["serial_events"]
+    elif variant == "fewer instructions":
+        m["instruction_growth"] = -0.01
+    want = _motivation(results)
+    assert want[1] == (variant == "good")
+    rng = random.Random(26)
+    for _ in range(200):
+        assert _motivation(_rescaled_clock(results, rng)) == want

@@ -143,3 +143,100 @@ class TestHelpers:
             flip = np.asarray(rng.random(shape) < rng.random())
             b[flip] = np.asarray(rng.choice(pool, size=shape))[flip]
             assert arrays_equal(a, b) == np.array_equal(a, b, equal_nan=True), (a, b)
+
+
+# ----------------------------------------------------------------------
+# the immutability guard: every op result is read-only on both paths
+# ----------------------------------------------------------------------
+_G = np.linspace(1.0, 2.0, 6)
+_OTHER = TArray.fresh(np.linspace(0.5, 3.0, 6))
+_MASK = np.array([True, False, True, False, True, False])
+_CSR = (np.arange(1.0, 7.0), np.array([0, 2, 5, 1, 3, 4]), np.array([0, 2, 2, 5, 6]))
+_SEGMENTS = np.array([0, 2, 2, 6])
+
+#: FPOps method -> a call on the operand under test ``x``
+FP_OPS = {
+    **{name: (lambda name: lambda fp, x: getattr(fp, name)(x, _OTHER))(name)
+       for name in ("add", "sub", "mul", "div", "minimum", "maximum", "dot")},
+    **{name: (lambda name: lambda fp, x: getattr(fp, name)(x))(name)
+       for name in ("neg", "abs", "sqrt", "exp", "log", "sin", "cos",
+                    "reciprocal", "sum", "norm2", "max", "min")},
+    "where": lambda fp, x: fp.where(_MASK, x, _OTHER),
+    "csr_matvec": lambda fp, x: fp.csr_matvec(*_CSR, x),
+    "segment_sum": lambda fp, x: fp.segment_sum(x, _SEGMENTS),
+}
+
+#: data-movement op -> a call on the operand under test ``x``
+MOVEMENT_OPS = {
+    "getitem_slice": lambda x: x[1:4],
+    "getitem_scalar": lambda x: x[2],
+    "getitem_fancy": lambda x: x[np.array([4, 0, 2])],
+    "reshape": lambda x: x.reshape(2, 3),
+    "transpose": lambda x: x.reshape(2, 3).transpose(),
+    "concatenate": lambda x: TArray.concatenate([x, _OTHER]),
+    "stack": lambda x: TArray.stack([x, _OTHER]),
+    "scatter": lambda x: TArray.scatter(x, np.arange(6) * 2, 12),
+}
+
+#: FPOps methods that do not return a traced result
+_NOT_OPS = {"asarray", "region", "current_region", "greater", "less"}
+
+
+def _operand(path: str) -> TArray:
+    if path == "clean":
+        return TArray.fresh(_G)
+    return TArray(_G.copy(), _G * (1 + 1e-3))  # every element diverged
+
+
+def _assert_read_only(out: TArray, path: str) -> None:
+    assert out.diverged == (path == "diverged")
+    for arr in (out.golden, out.faulty):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
+class TestImmutabilityGuard:
+    """Shared payloads are safe only while nothing can write into them."""
+
+    def test_every_fpops_op_is_covered(self):
+        from repro.taint.ops import FPOps
+
+        public = {n for n in dir(FPOps) if not n.startswith("_")}
+        assert public - _NOT_OPS == set(FP_OPS)
+
+    @pytest.mark.parametrize("path", ["clean", "diverged"])
+    @pytest.mark.parametrize("op", sorted(FP_OPS))
+    def test_fpops_results_are_read_only(self, op, path):
+        from repro.taint.ops import FPOps
+
+        _assert_read_only(FP_OPS[op](FPOps(), _operand(path)), path)
+
+    @pytest.mark.parametrize("path", ["clean", "diverged"])
+    @pytest.mark.parametrize("op", sorted(MOVEMENT_OPS))
+    def test_movement_results_are_read_only(self, op, path):
+        _assert_read_only(MOVEMENT_OPS[op](_operand(path)), path)
+
+    def test_constructor_freezes_op_results_in_place(self):
+        g, f = np.ones(3), np.full(3, 2.0)
+        out = TArray(g, f)
+        assert out.golden is g and out.faulty is f
+        assert not g.flags.writeable and not f.flags.writeable
+
+    @pytest.mark.parametrize("faulty", [None, "same", "equal", "nan"])
+    def test_constructor_reshares_equal_values(self, faulty):
+        g = np.array([1.0, np.nan, -0.0])
+        f = {None: None, "same": g, "equal": g.copy(),
+             "nan": np.array([1.0, np.nan, 0.0])}[faulty]
+        out = TArray(g, f)
+        assert out.faulty is out.golden is g
+
+    def test_constructor_coerces_what_is_not_a_float_ndarray(self):
+        out = TArray(np.float64(1.0), np.float64(2.0))  # 0-d ufunc results
+        assert isinstance(out.golden, np.ndarray) and out.golden.shape == ()
+        assert out.diverged and out.value == 2.0
+        assert not out.faulty.flags.writeable
+        out = TArray(np.arange(3), [0.0, 1.0, 5.0])
+        assert out.golden.dtype == np.float64 and out.faulty.dtype == np.float64
+        with pytest.raises(ValueError, match="shape mismatch"):
+            TArray(np.ones(3), np.ones(4))
