@@ -7,12 +7,10 @@ layer with durable partial results).  One driver
 three orthogonal pieces:
 
 * a :class:`~repro.engine.backends.Backend` — *where* chunks of trials
-  execute: in-process (:class:`~repro.engine.backends.InlineBackend`),
-  over the process's own warm pool of loopback workers
-  (:class:`~repro.engine.backends.ProcessPoolBackend`), or across a
-  warm pool of socket-connected worker processes anywhere
-  (:class:`~repro.engine.distributed.DistributedBackend`, the
-  ``distributed:host:port`` spec — see ``docs/distributed.md``);
+  execute: in-process (:class:`~repro.engine.backends.InlineBackend`)
+  or over the process's own warm pool of loopback workers
+  (:class:`~repro.engine.backends.ProcessPoolBackend`, see
+  ``docs/distributed.md``);
 * a :class:`~repro.engine.aggregate.ChunkAggregator` — *how* chunk
   payloads fold into campaign aggregates: strictly in chunk order, so
   the result is bit-identical to the serial loop no matter which worker
@@ -29,13 +27,7 @@ checkpoint format, resume semantics and the determinism argument.
 
 from repro.engine.adaptive import AdaptiveStopper, worst_case_trials
 from repro.engine.aggregate import ChunkAggregator
-from repro.engine.backends import (
-    Backend,
-    InlineBackend,
-    ProcessPoolBackend,
-    canonical_backend,
-    planning_jobs,
-)
+from repro.engine.backends import Backend, InlineBackend, ProcessPoolBackend
 from repro.engine.checkpoint import DEFAULT_CHECKPOINT_EVERY, CheckpointStore
 from repro.engine.chunks import (
     MAX_CHUNK_TRIALS,
@@ -46,7 +38,7 @@ from repro.engine.chunks import (
     plan_chunks,
 )
 from repro.engine.core import run_trials, select_backend
-from repro.engine.distributed import DistributedBackend, worker_main
+from repro.engine.distributed import DistributedBackend
 from repro.engine.store import LocalDirStore, MemoryStore, ResultStore
 
 __all__ = [
@@ -64,13 +56,10 @@ __all__ = [
     "LocalDirStore",
     "MemoryStore",
     "ResultStore",
-    "canonical_backend",
     "chunk_bounds",
     "execute_chunk",
     "plan_chunks",
-    "planning_jobs",
     "run_trials",
     "select_backend",
-    "worker_main",
     "worst_case_trials",
 ]

@@ -75,7 +75,7 @@ class ChunkAggregator:
         Re-delivery of a chunk that was already folded or buffered is an
         idempotent no-op (counted in ``duplicate_chunks`` and the
         ``engine.duplicate_chunks`` obs counter): at-least-once backends
-        — the distributed backend requeues the chunk of a lost worker,
+        — the worker pool requeues the chunk of a lost worker,
         and the original worker may still report it — can never
         double-count a trial.  A chunk that was never part of the layout
         at all is still a hard error.

@@ -23,13 +23,10 @@ fan-out, a batch scheduler, MPI itself) drops into:
   backend that honors this contract gets tracing and profiling for
   free.
 
-Three implementations ship: :class:`InlineBackend` (the classic
-in-process loop), :class:`ProcessPoolBackend` (warm loopback workers
-that live as long as the process) and
-:class:`~repro.engine.distributed.DistributedBackend` (workers anywhere
-that can reach a TCP port).  The two pooled backends share one
-controller loop, wire protocol and failure table
-(:mod:`repro.engine.distributed`).
+Two implementations ship: :class:`InlineBackend` (the classic
+in-process loop) and :class:`ProcessPoolBackend` (warm loopback workers
+that live as long as the process, served by the controller loop, wire
+protocol and failure table of :mod:`repro.engine.distributed`).
 """
 
 from __future__ import annotations
@@ -41,72 +38,12 @@ import socket
 from typing import Iterator, Protocol, Sequence
 
 from repro.engine.chunks import ChunkPayload, EngineContext, execute_chunk
-from repro.engine.distributed import (
-    DEFAULT_PLAN_WORKERS,
-    dispatch,
-    local_worker,
-)
-from repro.errors import ConfigurationError
+from repro.engine.distributed import dispatch, local_worker
 from repro.obs import get_recorder
 
-__all__ = [
-    "Backend", "InlineBackend", "ProcessPoolBackend", "canonical_backend",
-    "planning_jobs",
-]
+__all__ = ["Backend", "InlineBackend", "ProcessPoolBackend"]
 
 Bounds = tuple[int, int]
-
-
-def canonical_backend(spec: str | None) -> str | None:
-    """Validate and canonicalize a backend spec string.
-
-    Accepted forms: ``"inline"``, ``"process"`` (alias ``"pool"``), and
-    ``"distributed:host:port"`` (``port`` 0 binds ephemerally; the
-    controller publishes the bound address — see
-    :mod:`repro.engine.distributed`).  ``None`` means "let
-    ``select_backend`` decide from ``jobs``" and passes through.  Raises
-    :class:`~repro.errors.ConfigurationError` on anything else, so bad
-    ``--backend`` flags and ``$REPRO_BACKEND`` values fail at
-    configuration time, not mid-campaign.
-    """
-    if spec is None:
-        return None
-    text = str(spec).strip()
-    name, _, rest = text.partition(":")
-    name = name.lower()
-    if name == "inline" and not rest:
-        return "inline"
-    if name in ("process", "pool") and not rest:
-        return "process"
-    if name == "distributed":
-        host, _, port_text = rest.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            port = -1
-        if host and 0 <= port <= 65535:
-            return f"distributed:{host}:{port}"
-        raise ConfigurationError(
-            f"invalid backend spec {text!r}: expected distributed:host:port"
-        )
-    raise ConfigurationError(
-        f"unknown backend {text!r}: expected inline, process, or "
-        f"distributed:host:port"
-    )
-
-
-def planning_jobs(backend: str | None, jobs: int) -> int:
-    """Effective parallelism for chunk planning under a backend spec.
-
-    A distributed campaign with ``jobs`` left at 1 would otherwise plan
-    one giant chunk and serialize the whole worker pool; plan for at
-    least :data:`~repro.engine.distributed.DEFAULT_PLAN_WORKERS`
-    instead.  Safe because chunk layout never affects results — only
-    scheduling and checkpoint granularity (see docs/engine.md).
-    """
-    if backend is not None and backend.startswith("distributed:"):
-        return max(jobs, DEFAULT_PLAN_WORKERS)
-    return jobs
 
 
 class Backend(Protocol):
@@ -163,15 +100,18 @@ class _LocalPool:
         """Replace dead workers and grow the pool to at least ``jobs``."""
         size = max(jobs, len(self.procs))
         self.procs = [proc for proc in self.procs if proc.is_alive()]
-        context = multiprocessing.get_context("spawn")
         while len(self.procs) < size:
-            proc = context.Process(
-                target=local_worker,
-                args=(self.server.getsockname()[:2], self.secret),
-                name="repro-worker", daemon=True,
-            )
-            proc.start()
-            self.procs.append(proc)
+            self.spawn(local_worker)
+
+    def spawn(self, target, *args) -> None:
+        """Start ``target(address, secret, *args)`` as a pool member."""
+        proc = multiprocessing.get_context("spawn").Process(
+            target=target,
+            args=(self.server.getsockname()[:2], self.secret, *args),
+            name="repro-pool-worker", daemon=True,
+        )
+        proc.start()
+        self.procs.append(proc)
 
     def alive(self) -> bool:
         return any(proc.is_alive() for proc in self.procs)
@@ -186,12 +126,13 @@ class ProcessPoolBackend:
 
     The pool starts on first use and lives as long as the process:
     ``spawn``-started workers (they inherit ``sys.path`` and the working
-    directory) that keep recent campaign state warm.  It grows to the
-    largest ``jobs`` requested and replaces dead workers when the next
-    campaign starts.  Dispatch
-    and failure handling are :func:`~repro.engine.distributed.dispatch`'s
-    (docs/distributed.md), minus nominal worker-lifecycle telemetry, so
-    events and counters match the inline run's.
+    directory) that keep recent campaign state warm and fork at fault
+    sites like an inline run.  It grows to the largest ``jobs``
+    requested and replaces dead workers when the next campaign starts.
+    Dispatch and failure handling are
+    :func:`~repro.engine.distributed.dispatch`'s (docs/distributed.md),
+    minus nominal worker-lifecycle telemetry, so events and counters
+    match the inline run's.
     """
 
     live_events = False

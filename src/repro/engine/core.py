@@ -12,10 +12,9 @@ Each wave:
    layout an interrupted run pinned in its checkpoint manifest — so
    resuming under a different ``jobs`` still re-runs exactly the
    missing trial ranges);
-2. picks a backend — :class:`~repro.engine.backends.InlineBackend`, the
-   process-lifetime :class:`~repro.engine.backends.ProcessPoolBackend`
-   or :class:`~repro.engine.distributed.DistributedBackend` — and streams
-   the wave's missing chunks through it;
+2. picks a backend — :class:`~repro.engine.backends.InlineBackend` or
+   the process-lifetime :class:`~repro.engine.backends.ProcessPoolBackend`
+   — and streams the wave's missing chunks through it;
 3. persists each completed chunk the moment it lands (when checkpointing
    is on), emitting :class:`~repro.obs.CheckpointWritten`;
 4. folds everything — recovered and fresh — in deterministic chunk order
@@ -33,15 +32,8 @@ from typing import TYPE_CHECKING
 
 from repro.engine.adaptive import AdaptiveStopper
 from repro.engine.aggregate import ChunkAggregator
-from repro.engine.backends import (
-    Backend,
-    InlineBackend,
-    ProcessPoolBackend,
-    canonical_backend,
-    planning_jobs,
-)
+from repro.engine.backends import Backend, InlineBackend, ProcessPoolBackend
 from repro.engine.checkpoint import DEFAULT_CHECKPOINT_EVERY, CheckpointStore
-from repro.engine.distributed import DistributedBackend
 from repro.engine.chunks import ChunkPayload, EngineContext, plan_chunks
 from repro.fi.outcomes import Outcome, TrialRecord
 from repro.obs import (
@@ -79,27 +71,13 @@ def _write_checkpoint(store, payload: ChunkPayload, obs, trials_done: int) -> No
         ))
 
 
-def select_backend(
-    jobs: int, n_chunks: int, capture: bool, backend: str | None = None
-) -> Backend:
+def select_backend(jobs: int, n_chunks: int, capture: bool) -> Backend:
     """The backend for ``n_chunks`` remaining chunks at ``jobs`` workers.
 
-    With no explicit ``backend`` spec the historical heuristic applies:
-    a pool only pays off with workers to feed and more than one chunk
+    A pool only pays off with workers to feed and more than one chunk
     to balance; everything else runs inline (``capture`` = buffer chunk
-    state for the checkpoint store).  An explicit spec — ``"inline"``,
-    ``"process"``, or ``"distributed:host:port"`` (see
-    :func:`~repro.engine.backends.canonical_backend`) — overrides the
-    heuristic.
+    state for the checkpoint store).
     """
-    spec = canonical_backend(backend)
-    if spec == "inline":
-        return InlineBackend(capture=capture)
-    if spec == "process":
-        return ProcessPoolBackend(max(1, jobs))
-    if spec is not None:  # canonical: "distributed:host:port"
-        host, _, port = spec.partition(":")[2].rpartition(":")
-        return DistributedBackend(host, int(port))
     if jobs > 1 and n_chunks > 1:
         return ProcessPoolBackend(jobs)
     return InlineBackend(capture=capture)
@@ -116,14 +94,12 @@ def run_trials(
     lanes: int = 1,
     checkpoint_every: int | None = None,
     resume: bool = False,
-    backend: str | None = None,
 ) -> tuple[dict[tuple[Outcome, int, bool], int], list[TrialRecord]]:
     """Execute a deployment's trials; returns the merged ``(joint, records)``.
 
     Bit-identical to the classic serial loop for any ``jobs``, any
     ``lanes`` (trials batched per lane-vectorized execution pass —
     chunk layout and wave boundaries stay lanes-invariant), any
-    ``backend`` spec (inline / process / distributed), any
     ``checkpoint_every``, and any interruption-and-resume pattern in
     between.  ``checkpoint_every=N`` persists completed chunks of at
     most N trials as they finish; ``resume=True`` first recovers every
@@ -139,8 +115,6 @@ def run_trials(
     per wave plus one :class:`~repro.obs.CampaignConverged`.
     """
     obs = get_recorder()
-    backend = canonical_backend(backend)
-    plan_jobs = planning_jobs(backend, jobs)
     trials = deployment.trials
     target = deployment.ci_halfwidth
     stopper = None if target is None else AdaptiveStopper(target, trials)
@@ -208,7 +182,7 @@ def run_trials(
                 # extend the pinned layout: fresh trials chunked per
                 # worker, durable progress at least every `interval`
                 fresh = plan_chunks(
-                    boundary - planned, plan_jobs,
+                    boundary - planned, jobs,
                     interval if checkpointing else None,
                 )
                 chunks.extend((lo + planned, hi + planned) for lo, hi in fresh)
@@ -239,9 +213,7 @@ def run_trials(
                     tracing=obs.enabled and obs.tracing,
                     trace_ctx=obs.trace_ctx,
                 )
-                executor = select_backend(
-                    jobs, len(missing), capture=checkpointing, backend=backend
-                )
+                executor = select_backend(jobs, len(missing), capture=checkpointing)
                 for payload in executor.run(ctx, missing):
                     if store is not None:
                         trials_durable += payload.n_trials

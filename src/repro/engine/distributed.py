@@ -1,10 +1,9 @@
 """Pooled campaign execution: a socket work queue + warm workers.
 
-The controller (:func:`dispatch`, inside the driver) listens on a TCP
-socket and serves chunk work items; ``repro-worker`` processes connect,
-initialize once, and stream chunk payloads back — from anywhere
-(:class:`DistributedBackend`) or spawned by the driver itself
-(:class:`~repro.engine.backends.ProcessPoolBackend`).  The driver's
+The controller (:func:`dispatch`, inside the driver) listens on a
+loopback TCP socket and serves chunk work items; the local pool's
+worker processes (:class:`~repro.engine.backends.ProcessPoolBackend`)
+connect, initialize once, and stream chunk payloads back.  The driver's
 :class:`~repro.engine.aggregate.ChunkAggregator` folds the payloads in
 strict chunk order, so joint distributions, records, trial events and
 ``*.provenance.jsonl`` are byte-identical to
@@ -45,34 +44,29 @@ garbage frame is dropped and its in-flight chunk requeued
 (:class:`~repro.obs.events.ChunkRequeued`); exactly-once *folding* is
 guaranteed by the controller's completed-set and the aggregator's
 duplicate guard.  If every worker is gone and work remains past
-``worker_timeout`` — or, for the local pool, as soon as none of its
-worker processes is alive — the campaign fails with a typed
+``worker_timeout`` — or as soon as none of the pool's worker processes
+is alive — the campaign fails with a typed
 :class:`~repro.errors.WorkerCrashError` naming the first unfinished
 chunk — never a hang.
 """
 
 from __future__ import annotations
 
-import argparse
 import base64
 import hashlib
 import hmac
 import itertools
 import json
 import multiprocessing
-import multiprocessing.connection
 import os
 import pickle
 import selectors
 import signal
 import socket
 import struct
-import sys
-import threading
 import time
 import traceback
 from collections import OrderedDict, deque
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from repro import knobs
@@ -87,7 +81,6 @@ __all__ = [
     "local_worker",
     "recv_frame",
     "send_frame",
-    "worker_main",
 ]
 
 Bounds = tuple[int, int]
@@ -96,11 +89,6 @@ Bounds = tuple[int, int]
 #: context (MBs at most); anything larger is garbage on the wire.
 MAX_FRAME_BYTES = 1 << 28
 
-#: Chunk planning under a distributed spec assumes at least this many
-#: workers even when ``jobs`` was left at 1 — one giant chunk would
-#: serialize the whole pool.  Safe because results are chunk-invariant.
-DEFAULT_PLAN_WORKERS = 4
-
 _LEN = struct.Struct(">I")
 
 #: Campaign contexts a worker keeps initialized; the least recently used
@@ -108,8 +96,7 @@ _LEN = struct.Struct(">I")
 #: digest per deployment; only the last few are worth keeping warm.
 WARM_LIMIT = 4
 
-#: Per-socket timeout for blocking I/O (sends, worker-side receives are
-#: further bounded by the worker's ``--timeout``).
+#: Per-socket timeout for the controller's blocking sends.
 _IO_TIMEOUT = 30.0
 
 
@@ -207,14 +194,6 @@ def _unpickle_b64(text: str):
         return pickle.loads(base64.b64decode(text, validate=True))
     except Exception as exc:  # binascii.Error, UnpicklingError, EOFError...
         raise DistributedProtocolError(f"undecodable payload: {exc}") from exc
-
-
-def _write_port_file(path: str, host: str, port: int) -> None:
-    """Publish the bound address atomically (for shell orchestration)."""
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(f"{host}:{port}\n")
-    os.replace(tmp, target)
 
 
 # --------------------------------------------------------------------------
@@ -375,7 +354,7 @@ def dispatch(
             detail = message.get("message", "worker reported an error")
             raise WorkerCrashError(
                 f"worker {worker.worker_id} failed while running "
-                f"{ctx.app.name!r} trials; remote traceback:\n{detail}",
+                f"{ctx.app.name!r} trials; worker traceback:\n{detail}",
                 chunk_start=lo, chunk_stop=hi,
             )
         raise DistributedProtocolError(
@@ -399,12 +378,9 @@ def dispatch(
                     f"before reporting its chunk)"
                 )
             elif now > no_worker_deadline:
-                host, port = server.getsockname()[:2]
                 raise unfinished(
-                    f"no workers connected for {worker_timeout:.0f}s with "
-                    f"{total - len(completed)} chunk(s) outstanding — start "
-                    f"repro-worker processes pointed at {host}:{port}, or "
-                    f"rerun with an in-process backend"
+                    f"no worker connected for {worker_timeout:g}s with "
+                    f"{total - len(completed)} chunk(s) outstanding"
                 )
             for key, _ in sel.select(timeout=0.05):
                 if key.data is None:     # the listener: take its backlog
@@ -469,13 +445,13 @@ def dispatch(
 
 
 class DistributedBackend:
-    """Serve chunks to remote ``repro-worker`` processes over a socket.
+    """Serve chunks to whatever worker sessions connect to a TCP port.
 
-    Binds a listener per campaign and runs :func:`dispatch` on it.
-    ``port=0`` binds an ephemeral port; the bound address lands in
-    ``self.address`` and, when ``$REPRO_DIST_PORT_FILE`` names a path,
-    in that file (``host:port``) so shell-orchestrated workers can find
-    a controller that chose its own port.
+    Reached from Python code only: no knob, flag or script selects it
+    or starts workers for it, and its controller has no secret, so
+    anyone who can reach the port joins and has its results unpickled.
+    Binds a listener per campaign (``port=0``: an ephemeral one, whose
+    address lands in ``self.address``) and runs :func:`dispatch` on it.
     """
 
     live_events = False
@@ -499,9 +475,6 @@ class DistributedBackend:
     ) -> Iterator[ChunkPayload]:
         server = socket.create_server((self.host, self.port), backlog=16)
         self.address = server.getsockname()[:2]
-        port_file = os.environ.get("REPRO_DIST_PORT_FILE")
-        if port_file:
-            _write_port_file(port_file, self.address[0], self.address[1])
         try:
             yield from dispatch(
                 server, ctx, chunks, self._worker_ids,
@@ -520,25 +493,6 @@ class DistributedBackend:
 #: recently used first.  Lives for the worker process's whole reconnect
 #: loop, so sequential campaigns with identical state skip the unpickle.
 _WARM: OrderedDict[str, EngineContext] = OrderedDict()
-
-
-def _controller_address(args) -> tuple[str, int] | None:
-    """The controller address, re-read each attempt (ephemeral ports)."""
-    text = None
-    if args.port_file:
-        try:
-            text = Path(args.port_file).read_text().strip()
-        except OSError:
-            return None
-    else:
-        text = args.address
-    if not text:
-        return None
-    host, _, port_text = text.rpartition(":")
-    try:
-        return (host, int(port_text)) if host else None
-    except ValueError:
-        return None
 
 
 def _serve_session(sock: socket.socket, secret: str | None = None) -> bool:
@@ -607,25 +561,24 @@ def _serve_session(sock: socket.socket, secret: str | None = None) -> bool:
         })
 
 
-def _exit_with_parent() -> None:
-    """Exit the moment the spawning process exits or dies."""
-    parent = multiprocessing.parent_process()
-    multiprocessing.connection.wait([parent.sentinel])
-    os._exit(0)
-
-
 def local_worker(address: tuple[str, int], secret: str) -> None:
     """A local pool worker: serve the parent's campaigns until it exits.
 
-    The ``repro-worker`` session loop with no idle timer; Ctrl-C is the
-    parent's to handle.
+    Between campaigns the worker waits in the pool listener's backlog.
+    Once the parent exits or is killed its listener closes, so the
+    session ends, the reconnect fails, and the worker returns when it
+    finds the parent gone.  No thread watches the parent, so the worker
+    forks at fault sites like an inline run.  Ctrl-C is the parent's to
+    handle.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    threading.Thread(target=_exit_with_parent, daemon=True).start()
+    parent = multiprocessing.parent_process()
     while True:
         try:
             sock = socket.create_connection(address)
         except OSError:
+            if not parent.is_alive():
+                return
             time.sleep(0.05)
             continue
         with sock:
@@ -633,72 +586,3 @@ def local_worker(address: tuple[str, int], secret: str) -> None:
                 _serve_session(sock, secret)
             except (OSError, DistributedProtocolError):
                 pass
-
-
-def worker_main(argv: Sequence[str] | None = None) -> int:
-    """The ``repro-worker`` CLI: serve campaigns until idle for too long.
-
-    The worker loops: connect to the controller (from ``address`` or,
-    with ``--port-file``, the file a controller publishes its bound
-    address into — re-read every attempt, so it follows controllers on
-    ephemeral ports), serve one campaign, keep the initialized state
-    warm, reconnect for the next campaign.  It exits 0 after
-    ``--timeout`` seconds without serving anything, or after
-    ``--sessions`` completed campaigns.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro-worker",
-        description="Warm campaign worker for the distributed backend.",
-    )
-    parser.add_argument(
-        "address", nargs="?", default=None,
-        help="controller address, host:port",
-    )
-    parser.add_argument(
-        "--port-file", default=None, metavar="PATH",
-        help="read the controller address from this file (host:port), "
-             "re-read on every reconnect",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=60.0, metavar="S",
-        help="exit after this many seconds without serving a campaign "
-             "(default: 60)",
-    )
-    parser.add_argument(
-        "--sessions", type=int, default=0, metavar="N",
-        help="exit after N completed campaigns (default: unlimited)",
-    )
-    args = parser.parse_args(argv)
-    if not args.address and not args.port_file:
-        parser.error("an address or --port-file is required")
-
-    served = 0
-    deadline = time.monotonic() + args.timeout
-    while time.monotonic() < deadline:
-        address = _controller_address(args)
-        if address is None:
-            time.sleep(0.05)
-            continue
-        try:
-            sock = socket.create_connection(address, timeout=5.0)
-        except OSError:
-            time.sleep(0.05)
-            continue
-        sock.settimeout(max(_IO_TIMEOUT, args.timeout))
-        try:
-            released = _serve_session(sock)
-        except (OSError, DistributedProtocolError) as exc:
-            print(f"repro-worker: session failed: {exc}", file=sys.stderr)
-            released = False
-        finally:
-            sock.close()
-        if released:
-            served += 1
-            deadline = time.monotonic() + args.timeout
-            if args.sessions and served >= args.sessions:
-                break
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(worker_main())

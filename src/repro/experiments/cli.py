@@ -36,9 +36,6 @@ deployment stops as soon as its outcome rates reach the requested 95%
 Wilson half-width (see docs/adaptive.md).  ``--scenario NAME[:k=v,...]``
 selects the fault-scenario family injected per trial — ``bitflip`` (the
 default), ``rankkill``, or ``msgcorrupt`` (see docs/scenarios.md).
-``--backend SPEC`` pins where chunks execute — ``inline``, ``process``,
-or ``distributed:host:port``, a controller socket that ``repro-worker``
-processes connect to (see docs/distributed.md).
 """
 
 from __future__ import annotations

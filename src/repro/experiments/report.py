@@ -139,12 +139,12 @@ SHAPES = (
           lambda r: _errors({(n, p): v for p, res in r["f7"].items()
                              for n, v in res.items()}),
           lambda v: v["max error"] < 0.35),
-    Shape("figure8", "FI time grows from smallest to largest S; RMSE does not "
-          "grow by > 0.05",
+    Shape("figure8", "FI runtime events grow from smallest to largest S; RMSE "
+          "does not grow by > 0.05",
           lambda r: {f"{k} at {end} S": r["f8"][pick(r["f8"])][k]
                      for end, pick in (("smallest", min), ("largest", max))
-                     for k in ("normalized_time", "rmse")},
-          lambda v: v["normalized_time at largest S"] > v["normalized_time at smallest S"]
+                     for k in ("normalized_events", "rmse")},
+          lambda v: v["normalized_events at largest S"] > v["normalized_events at smallest S"]
           and v["rmse at largest S"] <= v["rmse at smallest S"] + 0.05),
     Shape("sensitivity", "mantissa flips succeed more often than exponent flips "
           "(success-rate margin > 0)",
@@ -355,13 +355,20 @@ paper's testbed).  Grouped 64-rank vs 8-rank cosine similarity: CG
 
     # ------------------------------------------------------------ fig 8
     rows = [
-        [s, f"{r['f8'][s]['rmse']:.3f}", f"{r['f8'][s]['normalized_time']:.1f}x"]
+        [s, f"{r['f8'][s]['rmse']:.3f}", f"{r['f8'][s]['normalized_events']:.1f}x",
+         f"{r['f8'][s]['normalized_time']:.1f}x"]
         for s in sorted(r["f8"])
     ]
     sections.append("## Figure 8 — accuracy vs fault-injection cost\n\n"
-                    + _table(["small scale S", "RMSE", "FI time vs serial"], rows)
+                    + _table(["small scale S", "RMSE", "FI runtime events vs serial",
+                              "FI wall time vs serial (information only)"], rows)
                     + "\n\nPaper: cost grows steadily with S while accuracy "
-                      "improves with diminishing returns, balancing at S = 16.\n")
+                      "improves with diminishing returns, balancing at S = 16. "
+                      "Shape `figure8` checks the cost with the runtime events "
+                      "of one fault-free run (mean over apps of the S-rank "
+                      "count over the serial count), which are deterministic; "
+                      "wall time depends on the host's load when the campaigns "
+                      "ran.\n")
 
     # ------------------------------------------------------------ extensions
     # an unsampled bit field has no rate: "—", never a 0.00 that reads as measured

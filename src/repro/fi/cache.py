@@ -78,8 +78,8 @@ def deployment_key(deployment: Deployment) -> str:
 
     Only knobs that change what the trials execute enter the key
     (:data:`repro.knobs.KEYED_KNOBS`, appended when set); execution
-    knobs — ``jobs``, ``lanes``, ``checkpoint_every``, ``backend`` —
-    are deliberately excluded: the same string keys both the result
+    knobs — ``jobs``, ``lanes``, ``checkpoint_every`` — are
+    deliberately excluded: the same string keys both the result
     cache and the engine's checkpoint store
     (:mod:`repro.engine.checkpoint`), so a campaign interrupted under
     one worker count can resume under another.

@@ -61,7 +61,7 @@ class AppProtocol(Protocol):
 class Deployment:
     """One fault-injection configuration (paper: 'fault injection deployment').
 
-    The last six fields are knobs (see :mod:`repro.knobs`): None means
+    The last five fields are knobs (see :mod:`repro.knobs`): None means
     "not set here", and :func:`run_campaign` fills them from its
     arguments, then ``$REPRO_*``, then the built-in defaults.
     """
@@ -80,8 +80,6 @@ class Deployment:
     ci_halfwidth: float | None = None   # adaptive precision target
     scenario: str | None = None         # fault-scenario spec (see
                                         # repro.fi.scenarios)
-    backend: str | None = None          # execution backend spec (inline /
-                                        # process / distributed:host:port)
 
     def __post_init__(self) -> None:
         check_positive_int(self.nprocs, "nprocs")
@@ -217,7 +215,6 @@ def run_campaign(
     resume: bool | None = None,
     ci_halfwidth: float | None = None,
     scenario: str | None = None,
-    backend: str | None = None,
 ) -> CampaignResult:
     """Run a full fault-injection deployment for ``app``.
 
@@ -263,18 +260,11 @@ def run_campaign(
     Instead, rank-kill and message-corruption chunks fork their trials
     off one shared fault-free execution (unprofiled runs, in a process
     that may fork) — again bit-identical.
-
-    ``backend`` pins *where* chunks execute — ``"inline"``,
-    ``"process"``, or ``"distributed:host:port"`` (a controller socket
-    that warm worker processes connect to; see ``docs/distributed.md``)
-    — overriding the jobs-based auto-selection.  Another pure execution
-    knob: results stay bit-identical across backends, worker counts and
-    worker churn.
     """
     lanes_asked = knobs.is_set("lanes", deployment, lanes)
     deployment = knobs.resolve(
         deployment, jobs=jobs, lanes=lanes, checkpoint_every=checkpoint_every,
-        ci_halfwidth=ci_halfwidth, scenario=scenario, backend=backend,
+        ci_halfwidth=ci_halfwidth, scenario=scenario,
     )
     do_resume = knobs.env_value("resume") if resume is None else resume
     obs = get_recorder()
@@ -337,7 +327,7 @@ def run_campaign(
             app, deployment, profile, reference,
             keep_records=keep_records, jobs=deployment.jobs, lanes=n_lanes,
             checkpoint_every=deployment.checkpoint_every,
-            resume=do_resume, backend=deployment.backend,
+            resume=do_resume,
         )
         injection_time = time.perf_counter() - t1
 

@@ -415,8 +415,9 @@ def fork_safe() -> bool:
     """Whether this process may fork at fault sites.
 
     Needs POSIX ``fork`` and no Python thread besides the caller's: a
-    thread holding a lock at fork time (the ``--serve-obs`` server, a
-    pooled worker's parent watch) would leave it held in the child.
+    thread holding a lock at fork time (the ``--serve-obs`` server)
+    would leave it held in the child.  Inline runs and local pool
+    workers both pass.
     """
     return hasattr(os, "fork") and threading.active_count() == 1
 
@@ -484,10 +485,10 @@ def fork_slots(workers: int = 1) -> int:
     """How many forked children a site-driven block keeps alive at once.
 
     The usable CPUs (the affinity mask where the platform has one)
-    shared among the campaign's ``workers`` processes, and never below
-    1.  Only an inline campaign forks today (pooled workers fail
-    :func:`fork_safe`), so ``workers`` is 1.  A one-CPU host gets one
-    slot: each child is reaped before the parent continues.
+    shared among the campaign's ``workers`` processes — its ``jobs``,
+    1 inline — and never below 1, so a pool whose workers all fork
+    does not oversubscribe the host.  A one-CPU host gets one slot:
+    each child is reaped before the parent continues.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -638,7 +639,7 @@ class SiteFaultModel(FaultModel):
         }
         mem = MemorySink()
         rec = obs.derive([mem])
-        forker = _Forker(fork_slots())
+        forker = _Forker(fork_slots(deployment.jobs or 1))
         scope = TrialScope(rec)
 
         def reach(trial: int) -> bool:

@@ -11,8 +11,8 @@ declares and relays the flag rows.  :func:`env_value` and
 :func:`is_set` are the only readers of knob variables; path settings
 (``REPRO_CACHE_DIR``, ...) are read where they are used.
 
-A leaf of the import graph: the error type and the backend and scenario
-parsers are imported when first needed.
+A leaf of the import graph: the error type and the scenario parser are
+imported when first needed.
 """
 
 from __future__ import annotations
@@ -93,12 +93,6 @@ def _scenario(value: Any, name: str) -> str | None:
     return canonical_scenario(value)
 
 
-def _backend(value: Any, name: str) -> str | None:
-    from repro.engine.backends import canonical_backend
-
-    return canonical_backend(value)
-
-
 # ----------------------------------------------------------------------
 # the table
 # ----------------------------------------------------------------------
@@ -168,15 +162,6 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
              "the bit). See docs/scenarios.md. Default: $REPRO_SCENARIO "
              "or bitflip",
         key_tag="sc",
-    ),
-    Knob(
-        "backend", "REPRO_BACKEND", _backend, field="backend",
-        flag="--backend", metavar="SPEC",
-        help="execution backend for every campaign: inline, process, or "
-             "distributed:host:port (a controller socket that repro-worker "
-             "processes connect to; port 0 binds ephemerally — see "
-             "docs/distributed.md). Results are bit-identical across "
-             "backends. Default: $REPRO_BACKEND or auto-select from --jobs",
     ),
     # environment-only settings read through the same reader
     Knob("trials", "REPRO_TRIALS", _positive_int, 300),

@@ -71,6 +71,24 @@ class _RankState:
     mailbox: deque = field(default_factory=deque)
 
 
+def _check_posts_agree(posts: dict[int, CollectiveRequest]) -> None:
+    """Raise on posts that differ where their collective needs agreement.
+
+    Off the hot path: called only once a post differs from rank 0's.
+    """
+    kinds = {p.kind for p in posts.values()}
+    if len(kinds) != 1:
+        raise CommunicatorError(f"mismatched collectives posted: {sorted(k.value for k in kinds)}")
+    kind = kinds.pop()
+    roots = {p.root for p in posts.values()}
+    if kind in (CollectiveKind.BCAST, CollectiveKind.REDUCE,
+                CollectiveKind.GATHER, CollectiveKind.SCATTER) and len(roots) != 1:
+        raise CommunicatorError(f"{kind.value} posted with differing roots {sorted(roots)}")
+    ops = {p.op for p in posts.values()}
+    if kind in (CollectiveKind.REDUCE, CollectiveKind.ALLREDUCE) and len(ops) != 1:
+        raise CommunicatorError(f"{kind.value} posted with differing ops {sorted(ops)}")
+
+
 class Scheduler:
     """Runs an SPMD program on a simulated communicator of ``size`` ranks."""
 
@@ -305,20 +323,14 @@ class Scheduler:
         posts = self._collective_posts
         if len(posts) != self.size:
             return False
-        kinds = {p.kind for p in posts.values()}
-        if len(kinds) != 1:
-            raise CommunicatorError(f"mismatched collectives posted: {sorted(k.value for k in kinds)}")
-        kind = kinds.pop()
-        roots = {p.root for p in posts.values()}
-        if kind in (CollectiveKind.BCAST, CollectiveKind.REDUCE,
-                    CollectiveKind.GATHER, CollectiveKind.SCATTER) and len(roots) != 1:
-            raise CommunicatorError(f"{kind.value} posted with differing roots {sorted(roots)}")
-        ops = {p.op for p in posts.values()}
-        if kind in (CollectiveKind.REDUCE, CollectiveKind.ALLREDUCE) and len(ops) != 1:
-            raise CommunicatorError(f"{kind.value} posted with differing ops {sorted(ops)}")
+        first = posts[0]
+        kind, root, op = first.kind, first.root, first.op
+        for post in posts.values():
+            if post.kind is not kind or post.root != root or post.op != op:
+                _check_posts_agree(posts)
+                break
 
         if self.collective_counts is not None:
-            op = posts[0].op
             label = f"{kind.value}:{op}" if op else kind.value
             self.collective_counts[label] = self.collective_counts.get(label, 0) + 1
         results = self._collective_results(kind, posts)

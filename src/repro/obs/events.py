@@ -358,11 +358,10 @@ class SpanEnd(Event):
 
 @dataclass(frozen=True)
 class WorkerJoined(Event):
-    """A remote campaign worker connected and initialized.
+    """A pool worker connected and initialized.
 
-    Emitted by the distributed backend's controller
-    (:mod:`repro.engine.distributed`) once a worker finishes its
-    handshake.  ``warm`` says whether the worker already held this
+    Emitted by the pool's controller (:mod:`repro.engine.distributed`)
+    once a worker finishes its handshake.  ``warm`` says whether the worker already held this
     campaign's initialized state from a previous campaign (warm pool
     hit) or had to unpickle it cold; ``init_s`` is the worker-reported
     initialization time.  Worker-lifecycle events describe *where* work
@@ -375,14 +374,14 @@ class WorkerJoined(Event):
 
     worker: int           # controller-assigned id, stable for the session
     pid: int              # worker process id (0 when unreported)
-    addr: str             # remote address, host:port
+    addr: str             # the worker's socket address, host:port
     warm: bool
     init_s: float
 
 
 @dataclass(frozen=True)
 class WorkerLost(Event):
-    """A remote campaign worker left the pool.
+    """A pool worker left the pool.
 
     ``reason`` is ``"released"`` for a graceful end-of-campaign release,
     otherwise the failure class: ``"disconnect"`` (EOF / connection

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tests/ci_checks.py events A.jsonl B.jsonl [--drop-operational]
+    python tests/ci_checks.py events A.jsonl B.jsonl
     python tests/ci_checks.py selfcontained FILE [--min-svg N] [--refresh] [--svg]
     PYTHONPATH=src python tests/ci_checks.py chrome FILE [--min-pids N] [--otlp FILE]
     PYTHONPATH=src python tests/ci_checks.py lanes-floor
@@ -10,10 +10,7 @@ Usage::
     python tests/ci_checks.py cache-warm COLD.jsonl WARM.jsonl --entries N
 
 ``events`` asserts two JSONL event streams are identical once the
-per-event wall-clock fields are dropped; ``--drop-operational`` also
-drops the operational events (worker lifecycle, checkpoints, cache
-traffic) that legitimately differ between backends — see
-``docs/distributed.md``.
+per-event wall-clock fields are dropped.
 
 ``selfcontained`` asserts a rendered page ships no JavaScript and no
 external references: an HTML document (``--min-svg N`` inline SVG
@@ -66,11 +63,6 @@ from pathlib import Path
 #: per-event fields that carry wall-clock readings
 WALL_CLOCK = ("ts", "duration_s", "profile_time", "injection_time")
 
-#: event types whose presence depends on the backend, not the trials
-OPERATIONAL = {"worker_joined", "worker_lost", "chunk_requeued",
-               "checkpoint_written", "campaign_resumed", "cache_hit",
-               "cache_miss", "cache_write", "cache_corrupt"}
-
 #: lane counts timed against ``lanes=1``, and the floor the last must reach
 LANE_COUNTS = (8, 32)
 LANES_FLOOR = 4.0
@@ -89,14 +81,12 @@ EXTERNAL_REF = re.compile(
 )
 
 
-def strip(path: str, drop_operational: bool) -> list[dict]:
+def strip(path: str) -> list[dict]:
     """The event stream at ``path`` without its wall-clock fields."""
     events = []
     with open(path) as fh:
         for line in fh:
             event = json.loads(line)
-            if drop_operational and event.get("type") in OPERATIONAL:
-                continue
             for key in WALL_CLOCK:
                 event.pop(key, None)
             events.append(event)
@@ -104,7 +94,7 @@ def strip(path: str, drop_operational: bool) -> list[dict]:
 
 
 def check_events(args) -> None:
-    a, b = strip(args.a, args.drop_operational), strip(args.b, args.drop_operational)
+    a, b = strip(args.a), strip(args.b)
     assert a == b, f"event stream {args.b} diverged from {args.a}"
     print(f"event parity OK: {len(b)} events bit-identical")
 
@@ -224,7 +214,7 @@ def lane_parity(app: str, nprocs: int, n_errors: int, seed: int,
             recorder.close()
             obs.set_recorder(previous)
         runs.append((result.records, list(result.joint),
-                     strip(str(trace), drop_operational=False),
+                     strip(str(trace)),
                      obs.provenance_path(trace).read_bytes()))
     cell = f"{app} p={nprocs} x={n_errors} seed={seed}"
     return [
@@ -272,7 +262,6 @@ def main(argv: list[str] | None = None) -> None:
     events = sub.add_parser("events", help="event-stream parity")
     events.add_argument("a")
     events.add_argument("b")
-    events.add_argument("--drop-operational", action="store_true")
     events.set_defaults(run=check_events)
     page = sub.add_parser("selfcontained", help="no scripts, no external refs")
     page.add_argument("file")

@@ -98,6 +98,7 @@ class TestHarnesses:
         assert set(out) == {2, 4}
         for s in out.values():
             assert s["rmse"] >= 0 and s["normalized_time"] > 0
+        assert out[4]["normalized_events"] > out[2]["normalized_events"] > 1
 
     def test_sensitivity_harness(self):
         from repro.experiments import sensitivity

@@ -1,83 +1,64 @@
-"""Child processes for the distributed-backend chaos tests.
+"""Misbehaving pool members and a pool driver for the local-pool tests.
 
-Run as ``python distributed_child.py MODE [args...]`` (excluded from
-pytest collection via tests/conftest.py).  Modes:
+The ``mode_*`` functions other than ``mode_pool_driver`` join a local
+pool the way :func:`repro.engine.distributed.local_worker` does: the
+pool starts them with ``_LocalPool.spawn(mode, *args)``, which passes
+its listener address and secret first.  Modes:
 
-``worker``
-    A real ``repro-worker`` — everything after the mode goes straight
-    to :func:`repro.engine.distributed.worker_main`.
+``worker_after``
+    Waits for a marker file, then serves as a healthy pool worker.
+    Lets a test add a worker only once the misbehaving member has done
+    its damage.
 
-``quit-after``
-    A worker that dies abruptly (``os._exit``, no goodbye — the wire
-    sees exactly what a SIGKILL produces) after shipping N results.
-    Deterministic stand-in for "worker killed mid-campaign".
+``quit_after``
+    Ships N chunk results, then dies abruptly (``os._exit``, no goodbye
+    — the wire sees exactly what a SIGKILL produces).
 
 ``stall``
-    Handshakes, accepts its first chunk, touches the optional marker
-    file, then never answers — the controller must hit its chunk
-    deadline (or see the child's death) and requeue.  Exits once the
-    controller drops it.
+    Handshakes, accepts its first chunk, then never answers — the
+    controller must hit its chunk deadline and requeue.  With ``kill``
+    it SIGKILLs itself holding the chunk instead, so the controller
+    must read its EOF.  Exits once the controller drops it.
 
 ``garbage``
     Connects and writes bytes that are not a frame, then lingers — the
     controller must classify it as a protocol failure and drop it.
-    Exits once the controller drops it.
 
-``pool-driver``
+``idle``
+    Never connects; lives until its parent exits.
+
+``pool-driver`` (run as ``python distributed_child.py pool-driver``;
+excluded from pytest collection via tests/conftest.py)
     A driver that runs one ``jobs=2`` campaign on the local worker
     pool, prints the pool's worker pids as JSON, then returns once its
     stdin closes (or dies when killed).
 
-Tests order the children by these exits and markers, never by sleeps:
-a healthy worker is started only once the misbehaving child has done
-its damage.
+Tests order these members by marker files and controller events, never
+by sleeps.
 """
 
 from __future__ import annotations
 
+import multiprocessing.connection
 import os
+import signal
 import socket
 import sys
 import time
-from pathlib import Path
 
 
-def _address(port_file: str, budget: float = 30.0) -> tuple[str, int]:
-    """Poll the controller's port file until it appears."""
+def _wait_for(path: str, budget: float = 60.0) -> None:
     deadline = time.monotonic() + budget
-    while time.monotonic() < deadline:
-        try:
-            text = Path(port_file).read_text().strip()
-        except OSError:
-            text = ""
-        if text:
-            host, _, port = text.rpartition(":")
-            return host, int(port)
-        time.sleep(0.02)
-    raise SystemExit(f"no controller address in {port_file}")
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
-def _connect(port_file: str) -> socket.socket:
-    host, port = _address(port_file)
-    deadline = time.monotonic() + 30.0
-    while True:
-        try:
-            return socket.create_connection((host, port), timeout=10.0)
-        except OSError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.02)
-
-
-def _handshake(sock: socket.socket):
+def _handshake(sock: socket.socket, secret: str):
     """hello -> init -> ready; returns the unpickled EngineContext."""
-    from repro.engine.distributed import (
-        _unpickle_b64,
-        recv_frame,
-        send_frame,
-    )
+    from repro.engine.distributed import _unpickle_b64, recv_frame, send_frame
 
-    send_frame(sock, {"op": "hello", "pid": os.getpid(), "digests": []})
+    send_frame(sock, {"op": "hello", "pid": os.getpid(), "digests": [],
+                      "secret": secret})
     init = recv_frame(sock)
     assert init is not None and init["op"] == "init", init
     ctx = _unpickle_b64(init["ctx"])
@@ -85,25 +66,33 @@ def _handshake(sock: socket.socket):
     return ctx
 
 
-def mode_worker(argv: list[str]) -> int:
-    from repro.engine.distributed import worker_main
+def _linger(sock: socket.socket) -> None:
+    """Block until the controller hangs up (or a minute passes)."""
+    try:
+        sock.settimeout(60.0)
+        sock.recv(1)
+    except OSError:
+        pass
 
-    return worker_main(argv)
+
+def mode_worker_after(address, secret: str, marker: str) -> None:
+    from repro.engine.distributed import local_worker
+
+    _wait_for(marker)
+    local_worker(address, secret)
 
 
-def mode_quit_after(argv: list[str]) -> int:
+def mode_quit_after(address, secret: str, n: int) -> None:
     """Ship N chunk results, then die without closing the conversation."""
-    n, port_file = int(argv[0]), argv[1]
     from repro.engine.chunks import execute_chunk
     from repro.engine.distributed import _pickle_b64, recv_frame, send_frame
 
-    sock = _connect(port_file)
-    ctx = _handshake(sock)
-    done = 0
-    while True:
+    sock = socket.create_connection(address)
+    ctx = _handshake(sock, secret)
+    for _ in range(n):
         message = recv_frame(sock)
         if message is None or message["op"] == "done":
-            return 0
+            return
         payload = execute_chunk(
             ctx, int(message["start"]), int(message["stop"]), capture=True
         )
@@ -111,41 +100,32 @@ def mode_quit_after(argv: list[str]) -> int:
             "op": "result", "start": payload.start, "stop": payload.stop,
             "payload": _pickle_b64(payload),
         })
-        done += 1
-        if done >= n:
-            os._exit(9)  # abrupt: no flush, no close handshake
+    os._exit(9)  # abrupt: no flush, no close handshake
 
 
-def mode_stall(argv: list[str]) -> int:
-    """Take a chunk and sit on it until the controller hangs up."""
-    port_file = argv[0]
+def mode_stall(address, secret: str, how: str = "hold") -> None:
+    """Take a chunk and sit on it, or die holding it."""
     from repro.engine.distributed import recv_frame
 
-    sock = _connect(port_file)
-    _handshake(sock)
+    sock = socket.create_connection(address)
+    _handshake(sock, secret)
     message = recv_frame(sock)          # the chunk we will never run
     assert message is not None and message["op"] == "chunk", message
-    if len(argv) > 1:
-        Path(argv[1]).touch()           # tell the test we hold a chunk
-    try:
-        sock.settimeout(60.0)
-        sock.recv(1)                    # EOF when the controller drops us
-    except OSError:
-        pass
-    return 0
+    if how == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    _linger(sock)
 
 
-def mode_garbage(argv: list[str]) -> int:
+def mode_garbage(address, secret: str) -> None:
     """Write a frame whose length prefix is absurd, then linger."""
-    port_file = argv[0]
-    sock = _connect(port_file)
+    sock = socket.create_connection(address)
     sock.sendall(b"\xff\xff\xff\xff not a frame at all")
-    try:
-        sock.settimeout(60.0)
-        sock.recv(1)                    # EOF when the controller drops us
-    except OSError:
-        pass
-    return 0
+    _linger(sock)
+
+
+def mode_idle(address, secret: str) -> None:
+    """A pool process that never connects."""
+    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
 
 
 def mode_pool_driver(argv: list[str]) -> int:
@@ -162,14 +142,5 @@ def mode_pool_driver(argv: list[str]) -> int:
     return 0
 
 
-MODES = {
-    "worker": mode_worker,
-    "quit-after": mode_quit_after,
-    "stall": mode_stall,
-    "garbage": mode_garbage,
-    "pool-driver": mode_pool_driver,
-}
-
-
 if __name__ == "__main__":
-    sys.exit(MODES[sys.argv[1]](sys.argv[2:]))
+    sys.exit({"pool-driver": mode_pool_driver}[sys.argv[1]](sys.argv[2:]))

@@ -1,32 +1,29 @@
-"""Differential + chaos tests for the distributed campaign backend.
+"""Differential + chaos tests for pooled campaign execution.
 
-Three layers:
+Layers:
 
 * Wire-level unit tests for the length-prefixed JSON framing
-  (``socketpair`` — no subprocesses).
-* Backend-selection tests: ``canonical_backend`` spec parsing and the
-  aggregator's duplicate-chunk guard (the ``backend`` knob's precedence
-  and CLI relay are checked with every other knob in test_knobs.py).
-* Differential/chaos tests that spawn *real* worker subprocesses
-  (``distributed_child.py``) and assert the distributed backend's
-  results — joints, records, provenance bytes, filtered event streams —
-  are identical to ``InlineBackend``'s, under healthy pools and under
-  worker death, stalls, garbage frames, and interrupt/resume.
-
-* Local-pool tests: ``--jobs`` campaigns run on the same controller
-  loop against loopback workers that live as long as the process —
-  pool lifetime, authentication, and exit with the driver.
+  (``socketpair`` — no subprocesses), the backend choice and the
+  aggregator's duplicate-chunk guard.
+* Differential tests: campaigns on the local worker pool (``--jobs``)
+  against inline runs — joints, records, provenance bytes, filtered
+  event streams.
+* Chaos tests: misbehaving pool members (``distributed_child.py``)
+  join the pool with its address and secret, as its workers do, and
+  die, stall, send garbage or never connect; the campaign requeues and
+  completes identically, or fails with a typed, bounded error.
+* Local-pool lifetime: warm rejoin, authentication, and exit with the
+  driver.
 
 Workers must be subprocesses, never threads: ``execute_chunk`` swaps
 the *process-global* recorder while a chunk runs, so an in-process
-worker would race the driver's recorder.  (The warm-cache test is the
-one exception: it drives a worker session whose controller emits
-nothing while a chunk runs.)
+worker would race the driver's recorder.  (The warm-cache and
+``DistributedBackend`` tests are the exception: they drive a worker
+session whose controller emits nothing while a chunk runs.)
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
@@ -48,38 +45,31 @@ from repro.engine import (
     DistributedBackend,
     InlineBackend,
     ProcessPoolBackend,
-    canonical_backend,
-    planning_jobs,
     select_backend,
 )
 from repro.engine.chunks import EngineContext
 import repro.engine.backends as backends
+import repro.engine.core as core
 import repro.engine.distributed as distributed
 from repro.engine.distributed import (
     MAX_FRAME_BYTES,
     WARM_LIMIT,
-    _controller_address,
     _FrameBuffer,
     _pickle_b64,
     _serve_session,
     dispatch,
     recv_frame,
     send_frame,
-    worker_main,
 )
-from repro.errors import (
-    ConfigurationError,
-    DistributedProtocolError,
-    WorkerCrashError,
-)
+from repro.errors import DistributedProtocolError, WorkerCrashError
 from repro.fi.campaign import Deployment, Outcome, run_campaign
-from repro.knobs import env_value
 from repro.obs.provenance import provenance_path
 from repro.obs.report import worker_summary
 
+from tests.unit import distributed_child as child
+
 CHILD = str(Path(__file__).with_name("distributed_child.py"))
 REPO_ROOT = Path(__file__).resolve().parents[2]
-DIST = "distributed:127.0.0.1:0"
 
 
 class DotApp:
@@ -118,64 +108,42 @@ class DotApp:
 # ----------------------------------------------------------------- pools
 
 
-class WorkerPool:
-    """Spawns distributed_child.py subprocesses sharing one port file."""
-
-    def __init__(self, tmp_path: Path):
-        self.port_file = tmp_path / "controller.port"
-        self.tmp = tmp_path
-        self.procs: list[subprocess.Popen] = []
-
-    def spawn(self, *args: str) -> subprocess.Popen:
-        log = open(self.tmp / f"child-{len(self.procs)}.log", "w")
-        # Children must import both the package (src/) and this module
-        # itself — pytest pickles DotApp as tests.unit.test_distributed,
-        # so the repo root has to be importable in the worker too.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([
-            str(REPO_ROOT / "src"), str(REPO_ROOT),
-            *filter(None, [env.get("PYTHONPATH")]),
-        ])
-        proc = subprocess.Popen(
-            [sys.executable, CHILD, *args],
-            stdout=subprocess.DEVNULL,
-            stderr=log,
-            env=env,
-        )
-        proc._log = log  # type: ignore[attr-defined]
-        self.procs.append(proc)
-        return proc
-
-    def workers(self, n: int, timeout: float = 60.0) -> None:
-        for _ in range(n):
-            self.spawn(
-                "worker", "--port-file", str(self.port_file),
-                "--timeout", str(timeout),
-            )
-
-    def logs(self) -> str:
-        chunks = []
-        for i in range(len(self.procs)):
-            path = self.tmp / f"child-{i}.log"
-            if path.exists():
-                chunks.append(f"--- child {i} ---\n{path.read_text()}")
-        return "\n".join(chunks)
-
-    def close(self) -> None:
-        for proc in self.procs:
-            if proc.poll() is None:
-                proc.kill()
-        for proc in self.procs:
-            proc.wait(timeout=10)
-            proc._log.close()  # type: ignore[attr-defined]
+def shut_down_local_pool() -> None:
+    pool = backends._POOL
+    if pool is not None:
+        for proc in pool.procs:
+            proc.terminate()
+        for proc in pool.procs:
+            proc.join(timeout=10)
+        pool.server.close()
+        backends._POOL = None
 
 
 @pytest.fixture
-def pool(tmp_path, monkeypatch):
-    p = WorkerPool(tmp_path)
-    monkeypatch.setenv("REPRO_DIST_PORT_FILE", str(p.port_file))
-    yield p
-    p.close()
+def fresh_local_pool():
+    """A local pool that starts empty and is torn down afterwards."""
+    shut_down_local_pool()
+    yield
+    shut_down_local_pool()
+
+
+@pytest.fixture
+def local_pool(fresh_local_pool):
+    """An empty local pool, started before its first campaign, so a test
+    can add its own members (``spawn``) with the pool's address and
+    secret."""
+    backends._POOL = backends._LocalPool()
+    return backends._POOL
+
+
+def on_pool(fn):
+    """Run ``fn`` with every campaign on the local pool, at ``jobs``
+    workers — even at ``jobs=1`` or one chunk, where ``select_backend``
+    would run inline."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "select_backend",
+                   lambda jobs, n_chunks, capture: ProcessPoolBackend(jobs))
+        return fn()
 
 
 def traced(trace_path: Path, fn):
@@ -299,61 +267,11 @@ class TestFraming:
 
 
 class TestBackendSpec:
-    def test_canonical_forms(self):
-        assert canonical_backend("inline") == "inline"
-        assert canonical_backend("process") == "process"
-        assert canonical_backend("pool") == "process"
-        assert canonical_backend(" Inline ") == "inline"
-        assert canonical_backend(None) is None
-
-    def test_distributed_spec(self):
-        assert (
-            canonical_backend("distributed:127.0.0.1:9000")
-            == "distributed:127.0.0.1:9000"
-        )
-
-    @pytest.mark.parametrize(
-        "spec",
-        ["bogus", "distributed", "distributed:", "distributed:host:nope",
-         "distributed:host:-1", ""],
-    )
-    def test_invalid_specs_raise(self, spec):
-        with pytest.raises(ConfigurationError):
-            canonical_backend(spec)
-
-    def test_planning_jobs_floors_distributed(self):
-        assert planning_jobs("distributed:127.0.0.1:0", 1) == 4
-        assert planning_jobs("distributed:127.0.0.1:0", 8) == 8
-        assert planning_jobs("inline", 1) == 1
-        assert planning_jobs(None, 3) == 3
-
     def test_select_backend_types(self):
-        assert isinstance(
-            select_backend(1, 4, False, "inline"), InlineBackend
-        )
-        assert isinstance(
-            select_backend(2, 8, False, "process"), ProcessPoolBackend
-        )
-        backend = select_backend(1, 4, False, "distributed:127.0.0.1:7001")
-        assert isinstance(backend, DistributedBackend)
-        assert (backend.host, backend.port) == ("127.0.0.1", 7001)
-        # explicit spec overrides the pool heuristic
-        assert isinstance(select_backend(4, 8, False, "inline"), InlineBackend)
-
-    def test_deployment_field_is_canonicalized(self):
-        dep = Deployment(nprocs=2, trials=4, backend="pool")
-        assert dep.backend == "process"
-        with pytest.raises(ConfigurationError):
-            Deployment(nprocs=2, trials=4, backend="warp-drive")
-
-    def test_env_default_and_malformed_warning(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert env_value("backend") is None
-        monkeypatch.setenv("REPRO_BACKEND", "pool")
-        assert env_value("backend") == "process"
-        monkeypatch.setenv("REPRO_BACKEND", "warp-drive")
-        assert env_value("backend") is None
-        assert "REPRO_BACKEND" in capsys.readouterr().err
+        assert isinstance(select_backend(1, 4, False), InlineBackend)
+        assert isinstance(select_backend(2, 8, False), ProcessPoolBackend)
+        # one chunk has nothing to balance
+        assert isinstance(select_backend(4, 1, False), InlineBackend)
 
 
 # -------------------------------------------------- aggregator duplicates
@@ -396,48 +314,6 @@ class TestAggregatorDuplicateGuard:
         assert recorder.counters["engine.duplicate_chunks"] == 1
 
 
-# ------------------------------------------------------------- worker CLI
-
-
-class TestWorkerCLI:
-    def test_requires_an_address_or_port_file(self):
-        with pytest.raises(SystemExit):
-            worker_main([])
-
-    def test_times_out_without_a_controller(self, tmp_path):
-        started = time.monotonic()
-        rc = worker_main(
-            ["--port-file", str(tmp_path / "never-written"), "--timeout", "0.3"]
-        )
-        assert rc == 0
-        assert time.monotonic() - started < 10.0
-
-    def test_resolve_address_forms(self, tmp_path):
-        ns = argparse.Namespace(address="10.0.0.1:7002", port_file=None)
-        assert _controller_address(ns) == ("10.0.0.1", 7002)
-        port_file = tmp_path / "port"
-        port_file.write_text("127.0.0.1:7003\n")
-        ns = argparse.Namespace(address=None, port_file=str(port_file))
-        assert _controller_address(ns) == ("127.0.0.1", 7003)
-        ns = argparse.Namespace(address=None, port_file=str(tmp_path / "no"))
-        assert _controller_address(ns) is None
-        ns = argparse.Namespace(address="not-an-address", port_file=None)
-        assert _controller_address(ns) is None
-
-    def test_controller_publishes_port_file(self, tmp_path, monkeypatch):
-        port_file = tmp_path / "port"
-        monkeypatch.setenv("REPRO_DIST_PORT_FILE", str(port_file))
-        backend = DistributedBackend()
-        ctx = EngineContext(
-            app=DotApp(), deployment=None, profile=None, reference={},
-            keep_records=False, obs_enabled=False,
-        )
-        assert list(backend.run(ctx, [])) == []
-        host, _, port = port_file.read_text().strip().rpartition(":")
-        assert host == "127.0.0.1"
-        assert int(port) == backend.address[1]
-
-
 # ------------------------------------------------------------ obs report
 
 
@@ -471,241 +347,211 @@ class TestWorkerReport:
 
 class TestDistributedParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_joint_and_records_match_inline(self, pool, workers):
+    def test_joint_and_records_match_inline(self, fresh_local_pool, workers):
         deployment = Deployment(nprocs=2, trials=30, seed=5)
-        inline = run_campaign(
-            DotApp(), deployment, keep_records=True, backend="inline"
-        )
-        pool.workers(workers)
-        dist = run_campaign(
-            DotApp(), deployment, keep_records=True, backend=DIST
-        )
-        assert_campaigns_identical(dist, inline)
-
-    def test_three_backends_agree(self, pool):
-        """Inline, ProcessPool and Distributed: one deployment, one answer."""
-        deployment = Deployment(nprocs=2, trials=30, seed=5)
-        inline = run_campaign(
-            DotApp(), deployment, keep_records=True, backend="inline"
-        )
-        pooled = run_campaign(
-            DotApp(), deployment, keep_records=True, backend="process", jobs=2
-        )
-        pool.workers(2)
-        dist = run_campaign(
-            DotApp(), deployment, keep_records=True, backend=DIST
-        )
+        inline = run_campaign(DotApp(), deployment, keep_records=True, jobs=1)
+        pooled = on_pool(lambda: run_campaign(
+            DotApp(), deployment, keep_records=True, jobs=workers))
+        assert len(backends._POOL.procs) == workers
         assert_campaigns_identical(pooled, inline)
-        assert_campaigns_identical(dist, inline)
 
-    def test_lane_vectorized_workers_match_scalar_inline(self, pool):
+    def test_lane_vectorized_workers_match_scalar_inline(self):
         deployment = Deployment(nprocs=2, trials=24, seed=9)
         inline = run_campaign(
-            DotApp(), deployment, keep_records=True, backend="inline"
+            DotApp(), deployment, keep_records=True, jobs=1, lanes=1
         )
-        pool.workers(2)
-        dist = run_campaign(
-            DotApp(), deployment, keep_records=True, backend=DIST, lanes=8
+        pooled = run_campaign(
+            DotApp(), deployment, keep_records=True, jobs=2, lanes=8
         )
-        assert_campaigns_identical(dist, inline)
+        assert_campaigns_identical(pooled, inline)
 
     @pytest.mark.parametrize(
         "app_name,workers,lanes",
         [("cg", 1, 1), ("cg", 2, 1), ("cg", 4, 8), ("mg", 2, 1), ("mg", 2, 8)],
     )
     def test_trace_and_provenance_bytes_match_inline(
-        self, pool, tmp_path, app_name, workers, lanes
+        self, fresh_local_pool, tmp_path, app_name, workers, lanes
     ):
         from repro.apps import get_app
 
         app = get_app(app_name)
         deployment = Deployment(nprocs=2, trials=12, seed=3)
         inline_trace = tmp_path / "inline.jsonl"
-        dist_trace = tmp_path / "dist.jsonl"
-        traced(inline_trace,
-               lambda: run_campaign(app, deployment, backend="inline"))
-        pool.workers(workers)
-        traced(dist_trace,
-               lambda: run_campaign(app, deployment, backend=DIST,
-                                    lanes=lanes))
+        pooled_trace = tmp_path / "pooled.jsonl"
+        traced(inline_trace, lambda: run_campaign(app, deployment, jobs=1))
+        on_pool(lambda: traced(pooled_trace, lambda: run_campaign(
+            app, deployment, jobs=workers, lanes=lanes)))
         assert (
-            provenance_path(dist_trace).read_bytes()
+            provenance_path(pooled_trace).read_bytes()
             == provenance_path(inline_trace).read_bytes()
-        ), pool.logs()
-        assert stripped_events(dist_trace) == stripped_events(inline_trace)
+        )
+        assert stripped_events(pooled_trace) == stripped_events(inline_trace)
 
-    def test_warm_pool_reuse_across_campaigns(self, pool):
+    def test_warm_pool_reuse_across_campaigns(self, fresh_local_pool,
+                                              monkeypatch):
+        # the pool emits no join events; surface them for this test only
+        real = backends.dispatch
+        monkeypatch.setattr(
+            backends, "dispatch",
+            lambda *args, **kw: real(*args, **{**kw, "lifecycle": True}),
+        )
         deployment = Deployment(nprocs=1, trials=12, seed=7)
-        pool.workers(1)
         first_mem, second_mem = obs.MemorySink(), obs.MemorySink()
         with obs.recording(obs.Recorder([first_mem])):
-            first = run_campaign(DotApp(), deployment, backend=DIST)
+            first = on_pool(lambda: run_campaign(DotApp(), deployment, jobs=1))
         with obs.recording(obs.Recorder([second_mem])):
-            second = run_campaign(DotApp(), deployment, backend=DIST)
+            second = on_pool(lambda: run_campaign(DotApp(), deployment, jobs=1))
         assert second.joint == first.joint
         first_joins = first_mem.of(obs.WorkerJoined)
         second_joins = second_mem.of(obs.WorkerJoined)
         assert first_joins and not any(e.warm for e in first_joins)
-        assert second_joins and all(e.warm for e in second_joins), pool.logs()
+        assert second_joins and all(e.warm for e in second_joins)
 
 
 # ------------------------------------------------------------------ chaos
 
 
-def after(event, action) -> threading.Thread:
-    """Run ``action`` on a thread once ``event()`` returns.
+class OpenOnLoss:
+    """A sink that touches ``marker`` once the controller drops a worker.
 
-    The chaos tests order their children through process exits and
-    marker files, not sleeps: the healthy worker starts only after the
-    misbehaving child has done its damage, so the campaign cannot
-    finish before the controller has seen it.
+    The chaos tests start a healthy worker (``worker_after``) gated on
+    the marker, so the campaign cannot finish before the controller has
+    seen the misbehaving member's damage.
     """
-    thread = threading.Thread(target=lambda: (event(), action()), daemon=True)
-    thread.start()
-    return thread
+
+    def __init__(self, marker: Path):
+        self.marker = marker
+
+    def write(self, event) -> None:
+        if isinstance(event, obs.WorkerLost):
+            self.marker.touch()
+
+    def close(self) -> None:
+        return None
 
 
-def wait_for_file(path: Path, budget: float = 60.0) -> None:
-    deadline = time.monotonic() + budget
-    while not path.exists() and time.monotonic() < deadline:
-        time.sleep(0.01)
+def chaos_campaign(pool, tmp_path, deployment, mode, *args):
+    """``deployment`` on a pool of ``mode(*args)`` and a healthy worker
+    that joins once the controller has dropped a worker."""
+    marker = tmp_path / "worker-lost"
+    pool.spawn(mode, *args)
+    pool.spawn(child.mode_worker_after, str(marker))
+    mem = obs.MemorySink()
+    with obs.recording(obs.Recorder([mem, OpenOnLoss(marker)])):
+        pooled = run_campaign(DotApp(), deployment, keep_records=True, jobs=2)
+    return pooled, mem
+
+
+def lost(mem: obs.MemorySink, reason: str) -> list:
+    return [e for e in mem.of(obs.WorkerLost) if e.reason == reason]
 
 
 class TestDistributedChaos:
-    def test_worker_death_mid_campaign_completes_identically(self, pool):
+    def test_worker_death_mid_campaign_completes_identically(
+        self, local_pool, tmp_path
+    ):
         deployment = Deployment(nprocs=1, trials=40, seed=2)
-        inline = run_campaign(
-            DotApp(), deployment, keep_records=True, backend="inline"
+        inline = run_campaign(DotApp(), deployment, keep_records=True, jobs=1)
+        # two results cannot finish the campaign: the controller must
+        # read the quitter's EOF before the healthy worker joins
+        pooled, mem = chaos_campaign(
+            local_pool, tmp_path, deployment, child.mode_quit_after, 2
         )
-        # The quitter is alone until it has died, so its two results
-        # cannot finish the campaign: the controller must read its EOF.
-        quitter = pool.spawn("quit-after", "2", str(pool.port_file))
-        after(quitter.wait, lambda: pool.workers(1))
-        mem = obs.MemorySink()
-        with obs.recording(obs.Recorder([mem])):
-            dist = run_campaign(
-                DotApp(), deployment, keep_records=True, backend=DIST
-            )
-        assert_campaigns_identical(dist, inline)
-        lost = [e for e in mem.of(obs.WorkerLost) if e.reason == "disconnect"]
-        assert lost, pool.logs()
+        assert_campaigns_identical(pooled, inline)
+        assert lost(mem, "disconnect")
 
     def test_sigkilled_worker_chunk_requeued_via_disconnect(
-        self, pool, tmp_path
+        self, local_pool, tmp_path
     ):
         deployment = Deployment(nprocs=1, trials=30, seed=4)
-        inline = run_campaign(
-            DotApp(), deployment, keep_records=True, backend="inline"
+        inline = run_campaign(DotApp(), deployment, keep_records=True, jobs=1)
+        # SIGKILLed holding a chunk: its EOF requeues the chunk, no
+        # deadline involved
+        pooled, mem = chaos_campaign(
+            local_pool, tmp_path, deployment, child.mode_stall, "kill"
         )
-        # The stall child takes a chunk and touches the marker; only
-        # then is it SIGKILLed, and only after its death does a healthy
-        # worker start.  Its EOF must requeue the chunk, no deadline
-        # involved.
-        marker = tmp_path / "stalled"
-        stalled = pool.spawn("stall", str(pool.port_file), str(marker))
-
-        def kill_then_replace():
-            stalled.kill()
-            stalled.wait()
-            pool.workers(1)
-
-        after(lambda: wait_for_file(marker), kill_then_replace)
-        mem = obs.MemorySink()
-        with obs.recording(obs.Recorder([mem])):
-            dist = run_campaign(
-                DotApp(), deployment, keep_records=True, backend=DIST
-            )
-        assert_campaigns_identical(dist, inline)
-        assert mem.of(obs.ChunkRequeued), pool.logs()
-        lost = [e for e in mem.of(obs.WorkerLost) if e.reason == "disconnect"]
-        assert lost, pool.logs()
+        assert_campaigns_identical(pooled, inline)
+        assert mem.of(obs.ChunkRequeued)
+        assert lost(mem, "disconnect")
 
     def test_stalled_worker_times_out_and_chunk_requeues(
-        self, pool, monkeypatch
+        self, local_pool, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_DIST_CHUNK_TIMEOUT", "2.0")
         deployment = Deployment(nprocs=1, trials=30, seed=8)
-        inline = run_campaign(
-            DotApp(), deployment, keep_records=True, backend="inline"
+        inline = run_campaign(DotApp(), deployment, keep_records=True, jobs=1)
+        pooled, mem = chaos_campaign(
+            local_pool, tmp_path, deployment, child.mode_stall
         )
-        # the stall child exits once the controller drops it
-        stalled = pool.spawn("stall", str(pool.port_file))
-        after(stalled.wait, lambda: pool.workers(1))
-        mem = obs.MemorySink()
-        with obs.recording(obs.Recorder([mem])):
-            dist = run_campaign(
-                DotApp(), deployment, keep_records=True, backend=DIST
-            )
-        assert_campaigns_identical(dist, inline)
-        assert mem.of(obs.ChunkRequeued), pool.logs()
-        lost = [e for e in mem.of(obs.WorkerLost) if e.reason == "timeout"]
-        assert lost, pool.logs()
+        assert_campaigns_identical(pooled, inline)
+        assert mem.of(obs.ChunkRequeued)
+        assert lost(mem, "timeout")
 
-    def test_garbage_frame_drops_worker_and_completes(self, pool):
-        deployment = Deployment(nprocs=1, trials=20, seed=6)
-        inline = run_campaign(
-            DotApp(), deployment, keep_records=True, backend="inline"
-        )
-        # the garbage child exits once the controller drops it
-        garbage = pool.spawn("garbage", str(pool.port_file))
-        after(garbage.wait, lambda: pool.workers(1))
-        mem = obs.MemorySink()
-        with obs.recording(obs.Recorder([mem])):
-            dist = run_campaign(
-                DotApp(), deployment, keep_records=True, backend=DIST
-            )
-        assert_campaigns_identical(dist, inline)
-        lost = [e for e in mem.of(obs.WorkerLost) if e.reason == "protocol"]
-        assert lost, pool.logs()
-
-    def test_no_workers_is_a_typed_error_not_a_hang(self, monkeypatch,
-                                                    tmp_path):
-        monkeypatch.setenv("REPRO_DIST_WORKER_TIMEOUT", "0.5")
-        monkeypatch.setenv(
-            "REPRO_DIST_PORT_FILE", str(tmp_path / "port")
-        )
-        started = time.monotonic()
-        with pytest.raises(WorkerCrashError):
-            run_campaign(
-                DotApp(), Deployment(nprocs=1, trials=6, seed=1),
-                backend=DIST,
-            )
-        assert time.monotonic() - started < 30.0
-
-    def test_interrupt_then_resume_is_byte_identical(
-        self, pool, tmp_path, monkeypatch
+    def test_garbage_frame_drops_worker_and_completes(
+        self, local_pool, tmp_path
     ):
+        deployment = Deployment(nprocs=1, trials=20, seed=6)
+        inline = run_campaign(DotApp(), deployment, keep_records=True, jobs=1)
+        pooled, mem = chaos_campaign(
+            local_pool, tmp_path, deployment, child.mode_garbage
+        )
+        assert_campaigns_identical(pooled, inline)
+        assert lost(mem, "protocol")
+
+    def test_no_workers_is_a_typed_error_not_a_hang(self, local_pool,
+                                                    monkeypatch):
+        # pool processes alive but never connecting: the worker timeout
+        monkeypatch.setenv("REPRO_DIST_WORKER_TIMEOUT", "0.5")
+        local_pool.spawn(child.mode_idle)
+        local_pool.spawn(child.mode_idle)
+        started = time.monotonic()
+        with pytest.raises(WorkerCrashError, match="no worker connected"):
+            run_campaign(DotApp(), Deployment(nprocs=1, trials=6, seed=1),
+                         jobs=2)
+        assert time.monotonic() - started < 30.0
+        assert all(proc.is_alive() for proc in local_pool.procs)
+
+    def test_dead_pool_is_a_typed_error_at_once(self, local_pool,
+                                                monkeypatch):
+        # every pool process dead: failed on liveness, long before the
+        # worker timeout
+        monkeypatch.setenv("REPRO_DIST_WORKER_TIMEOUT", "600")
+        local_pool.spawn(child.mode_quit_after, 0)
+        local_pool.spawn(child.mode_quit_after, 0)
+        started = time.monotonic()
+        with pytest.raises(WorkerCrashError, match="every worker process died"):
+            run_campaign(DotApp(), Deployment(nprocs=1, trials=6, seed=1),
+                         jobs=2)
+        assert time.monotonic() - started < 60.0
+
+    def test_interrupt_then_resume_is_byte_identical(self, local_pool,
+                                                     tmp_path):
         deployment = Deployment(nprocs=2, trials=20, seed=6)
         clean_trace = tmp_path / "clean.jsonl"
         resumed_trace = tmp_path / "resumed.jsonl"
         traced(clean_trace,
-               lambda: run_campaign(DotApp(), deployment, backend="inline"))
+               lambda: run_campaign(DotApp(), deployment, jobs=1))
 
-        # Interrupted attempt: the only worker dies after two chunks and
-        # the controller gives up fast.  Two chunks are durable.
-        monkeypatch.setenv("REPRO_DIST_WORKER_TIMEOUT", "0.75")
-        pool.spawn("quit-after", "2", str(pool.port_file))
+        # Interrupted attempt: both pool members die after one chunk
+        # each, and the campaign fails at once with those chunks durable.
+        local_pool.spawn(child.mode_quit_after, 1)
+        local_pool.spawn(child.mode_quit_after, 1)
         with pytest.raises(WorkerCrashError):
-            run_campaign(
-                DotApp(), deployment, backend=DIST, checkpoint_every=5
-            )
+            run_campaign(DotApp(), deployment, jobs=2, checkpoint_every=5)
 
-        # Resume with a healthy pool: recovered chunks replay their
-        # events, fresh chunks fill in the rest, bytes match the clean
-        # uninterrupted inline run.
-        monkeypatch.setenv("REPRO_DIST_WORKER_TIMEOUT", "120")
-        pool.workers(2)
+        # Resume: the pool replaces its dead members with healthy
+        # workers; recovered chunks replay their events, fresh chunks
+        # fill in the rest, bytes match the clean uninterrupted run.
         traced(
             resumed_trace,
             lambda: run_campaign(
-                DotApp(), deployment, backend=DIST,
-                checkpoint_every=5, resume=True,
+                DotApp(), deployment, jobs=2, checkpoint_every=5, resume=True,
             ),
         )
         assert (
             provenance_path(resumed_trace).read_bytes()
             == provenance_path(clean_trace).read_bytes()
-        ), pool.logs()
+        )
         assert stripped_events(resumed_trace) == stripped_events(clean_trace)
 
 
@@ -766,26 +612,28 @@ class TestWarmCache:
         assert serve_in_thread(ctxs[-1])[0]          # still held
 
 
+class TestDistributedBackend:
+    def test_python_worker_session_matches_inline(self):
+        ctx = engine_ctx(3)
+        (want,) = InlineBackend(capture=True).run(ctx, [(0, 4)])
+        backend = DistributedBackend()
+
+        def work():
+            while backend.address is None:    # bound on first next()
+                time.sleep(0.01)
+            with socket.create_connection(backend.address) as sock:
+                _serve_session(sock)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        with obs.recording(obs.Recorder([obs.MemorySink()])):
+            (got,) = backend.run(ctx, [(0, 4)])
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert (got.joint, got.records) == (want.joint, want.records)
+
+
 # ------------------------------------------------------------- local pool
-
-
-def shut_down_local_pool() -> None:
-    pool = backends._POOL
-    if pool is not None:
-        for proc in pool.procs:
-            proc.terminate()
-        for proc in pool.procs:
-            proc.join(timeout=10)
-        pool.server.close()
-        backends._POOL = None
-
-
-@pytest.fixture
-def fresh_local_pool():
-    """A local pool that starts empty and is torn down afterwards."""
-    shut_down_local_pool()
-    yield
-    shut_down_local_pool()
 
 
 class BarrierApp(DotApp):
@@ -883,23 +731,9 @@ class TestLocalPool:
         assert not [k for k in rec.counters if k.startswith("distributed.")]
         assert "distributed.init_s" not in rec.histograms
 
-    def test_pool_never_touches_the_distributed_port_file(
-        self, tmp_path, monkeypatch
-    ):
-        port_file = tmp_path / "controller.port"
-        port_file.write_text("127.0.0.1:1\n")   # nothing listens there
-        monkeypatch.setenv("REPRO_DIST_PORT_FILE", str(port_file))
-        deployment = Deployment(nprocs=1, trials=12, seed=3)
-        pooled = run_campaign(DotApp(), deployment, keep_records=True, jobs=2)
-        inline = run_campaign(DotApp(), deployment, keep_records=True, jobs=1)
-        assert_campaigns_identical(pooled, inline)
-        assert port_file.read_text() == "127.0.0.1:1\n"
-
     def test_unauthenticated_connection_is_dropped_unread(self, tmp_path):
         deployment = Deployment(nprocs=1, trials=20, seed=6)
-        inline = run_campaign(
-            DotApp(), deployment, keep_records=True, backend="inline"
-        )
+        inline = run_campaign(DotApp(), deployment, keep_records=True, jobs=1)
         run_campaign(DotApp(), deployment, jobs=2)       # start the pool
         # a well-formed hello without the secret, then a result frame
         # whose payload would touch ``tripwire`` if it were unpickled

@@ -102,8 +102,8 @@ class TestDocsReferenceRealCode:
         text = (ROOT / "docs" / "distributed.md").read_text()
         for piece in ("## Wire protocol", "## Warm worker pools",
                       "## Determinism contract", "## Failure semantics",
-                      "repro-worker", "REPRO_DIST_CHUNK_TIMEOUT",
-                      "REPRO_DIST_WORKER_TIMEOUT", "REPRO_DIST_PORT_FILE",
+                      "ProcessPoolBackend", "REPRO_DIST_CHUNK_TIMEOUT",
+                      "REPRO_DIST_WORKER_TIMEOUT", "fork_slots",
                       "ResultStore"):
             assert piece in text, piece
         # reachable from the engine, performance and README pages
@@ -150,5 +150,5 @@ class TestDocsReferenceRealCode:
         help_text = buf.getvalue()
         for flag in ("--serve-obs", "--profile", "--trace-out", "--lanes",
                      "--progress", "--metrics-summary", "obs-profile",
-                     "--timeline", "obs-timeline", "--scenario", "--backend"):
+                     "--timeline", "obs-timeline", "--scenario"):
             assert flag in help_text, flag

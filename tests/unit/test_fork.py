@@ -8,8 +8,9 @@ alone is the same site-driven run with its one site armed in place
 here:
 
 * **Byte-identity** — the forked path, the forced in-place fallback, the
-  worker pool and checkpoint→resume all reproduce the scenario goldens
-  captured from the per-trial pipeline (``tests/goldens``);
+  worker pool (whose workers fork too) and checkpoint→resume all
+  reproduce the scenario goldens captured from the per-trial pipeline
+  (``tests/goldens``);
 * **Edge cases** — blocks below and at the break-even, a victim that
   finishes before its kill step, several trials at one site, and
   several sites inside one multi-leaf payload;
@@ -230,6 +231,20 @@ class TestGoldens:
     def test_worker_pool(self, name):
         app, kwargs = goldens.CASES[name]
         assert goldens.capture(app, kwargs, jobs=2) == _golden(name)
+
+    def test_pool_workers_fork(self):
+        # jobs=2 plans chunks of 5 trials; each forks off one fault-free
+        # MG16 run inside a pool worker, as it would inline
+        deployment = Deployment(nprocs=16, trials=40, seed=5,
+                                scenario="msgcorrupt")
+        inline = run_campaign(get_app("mg"), deployment, keep_records=True,
+                              jobs=1)
+        with obs.recording(obs.Recorder([obs.MemorySink()])) as rec:
+            pooled = run_campaign(get_app("mg"), deployment,
+                                  keep_records=True, jobs=2)
+        assert rec.counters["fi.fork.children"] > 0
+        assert list(pooled.joint.items()) == list(inline.joint.items())
+        assert pooled.records == inline.records
 
     @pytest.mark.parametrize("name", sorted(goldens.CASES))
     def test_checkpoint_resume(self, name, tmp_cache, forks, fork_from,

@@ -28,7 +28,6 @@ GOOD = {
     "resume": ("yes", True),
     "ci_halfwidth": ("0.1", 0.1),
     "scenario": ("RANKKILL:rank=1", "rankkill:rank=1"),
-    "backend": ("pool", "process"),
     "trials": ("42", 42),
     "cache": ("0", False),
     "obs_port": ("8123", 8123),
@@ -44,7 +43,6 @@ BAD = {
     "resume": ["maybe"],
     "ci_halfwidth": ["banana", "0.7"],
     "scenario": ["cosmicray", "rankkill:rank"],
-    "backend": ["warp-drive", "distributed:host:nope"],
     "trials": ["lots", "0", "-5"],
     "cache": ["sometimes"],
     "obs_port": ["not-a-port", "99999"],
@@ -59,7 +57,6 @@ LAYERS = {
     "checkpoint_every": (5, 10, 20),
     "ci_halfwidth": (0.05, 0.1, 0.2),
     "scenario": ("msgcorrupt", "rankkill", "rankkill:rank=1"),
-    "backend": ("process", "inline", "distributed:127.0.0.1:0"),
 }
 
 BASE = dict(nprocs=4, trials=10, seed=1)

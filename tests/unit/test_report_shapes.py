@@ -26,8 +26,8 @@ GOOD = {
                "parallel": [0.8] + [None] * 6 + [0.5]} for n in APPS},
     "f56": {fig: {n: ACCURACY for n in APPS} for fig in ("figure5", "figure6")},
     "f7": {p: {"cg": ACCURACY, "ft": ACCURACY} for p in ("serial+4procs", "serial+8procs")},
-    "f8": {4: {"rmse": 0.10, "normalized_time": 2.0},
-           32: {"rmse": 0.02, "normalized_time": 16.0}},
+    "f8": {4: {"rmse": 0.10, "normalized_events": 20.0, "normalized_time": 2.0},
+           32: {"rmse": 0.02, "normalized_events": 180.0, "normalized_time": 16.0}},
     "sen": {n: {"bit_field": {"mantissa": 0.85, "exponent": 0.20, "sign": 0.75}}
             for n in ("cg", "pennant")},
     "mb": {n: {b: {"predicted": 0.8, "measured": 0.8, "error": 0.01} for b in (1, 2)}
@@ -92,14 +92,16 @@ def _motivation(results: dict) -> tuple[str, bool]:
 
 
 def _rescaled_clock(results: dict, rng: random.Random) -> dict:
-    """``results`` with every injection/profile time scaled at random."""
+    """``results`` with every injection/profile time, and every ratio of
+    them, scaled at random."""
     out = copy.deepcopy(results)
 
     def walk(node):
         for key, value in node.items():
             if isinstance(value, dict):
                 walk(value)
-            elif str(key).endswith(("injection_time", "profile_time")):
+            elif str(key).endswith(("injection_time", "profile_time",
+                                    "normalized_time")):
                 node[key] = value * rng.uniform(0.05, 20.0)
 
     walk(out)
@@ -122,3 +124,33 @@ def test_motivation_verdict_does_not_read_the_clock(variant):
     rng = random.Random(26)
     for _ in range(200):
         assert _motivation(_rescaled_clock(results, rng)) == want
+
+
+def _figure8(results: dict) -> tuple[str, bool]:
+    [(measured, holds)] = [(m, h) for s, m, h in report.check_shapes(results)
+                           if s.name == "figure8"]
+    return measured, holds
+
+
+@pytest.mark.parametrize("variant", ["good", "no more events", "rmse grows"])
+def test_figure8_verdict_does_not_read_the_clock(variant):
+    results = copy.deepcopy(GOOD)
+    f8 = results["f8"]
+    if variant == "no more events":
+        f8[32]["normalized_events"] = f8[4]["normalized_events"]
+    elif variant == "rmse grows":
+        f8[32]["rmse"] = f8[4]["rmse"] + 0.06
+    results["m"].update(serial_injection_time=1.0, par4_injection_time=3.5)
+    want = _figure8(results)
+    assert want[1] == (variant == "good")
+    rng = random.Random(27)
+    for _ in range(200):
+        assert _figure8(_rescaled_clock(results, rng)) == want
+
+
+def test_swapping_smallest_and_largest_scale_breaks_figure8():
+    results = copy.deepcopy(GOOD)
+    f8 = results["f8"]
+    f8[4]["normalized_events"], f8[32]["normalized_events"] = (
+        f8[32]["normalized_events"], f8[4]["normalized_events"])
+    assert [name for name, _ in _broken(results)] == ["figure8"]
