@@ -94,11 +94,17 @@ class MGApp(AppSpec):
         z0, y0, x0 = coords[0] * lz, coords[1] * ly, coords[2] * lx
         v = fp.asarray(self._rhs[z0 : z0 + lz, y0 : y0 + ly, x0 : x0 + lx])
         u = fp.asarray(np.zeros((lz, ly, lx)))
+        # (axis, step, nbr_src, nbr_dst) of the six face shifts
+        halo = tuple(
+            (axis, step, self._neighbor(coords, dims, axis, step),
+             self._neighbor(coords, dims, axis, -step))
+            for axis in range(3) for step in (+1, -1)
+        )
 
         rnm2 = fp.asarray(0.0)
         for _ in range(self.cycles):
-            u = yield from self._vcycle(fp, comm, rank, size, dims, coords, u, v, level=0)
-            r = yield from self._residual(fp, comm, rank, size, dims, coords, u, v, level=0)
+            u = yield from self._vcycle(fp, comm, rank, size, halo, u, v, level=0)
+            r = yield from self._residual(fp, comm, rank, size, halo, u, v, level=0)
             local = fp.dot(r.ravel(), r.ravel())
             total = yield comm.allreduce(local, op="sum")
             rnm2 = fp.sqrt(total)
@@ -124,7 +130,7 @@ class MGApp(AppSpec):
         return self._rank_of(tuple(shifted), dims)
 
     # ------------------------------------------------------------------
-    def _shifted_sum(self, fp, comm, rank, dims, coords, x: TArray, tag: int):
+    def _shifted_sum(self, fp, comm, rank, halo, x: TArray, tag: int):
         """Sum of the six periodic face-neighbour shifts of ``x``.
 
         Generator: performs one sendrecv per direction when the
@@ -132,39 +138,36 @@ class MGApp(AppSpec):
         this rank is its own neighbour along an axis.
         """
         total = None
-        for axis in range(3):
-            for step, grab in ((+1, 0), (-1, -1)):
-                # shift by +1 along `axis` needs the *next* block's first
-                # plane; we send our first plane to the *previous* block.
-                nbr_src = self._neighbor(coords, dims, axis, step)
-                nbr_dst = self._neighbor(coords, dims, axis, -step)
-                sl = [slice(None)] * 3
-                sl[axis] = slice(0, 1) if step == +1 else slice(-1, None)
-                my_edge = x[tuple(sl)]
-                if nbr_src == rank:
-                    edge = my_edge
-                else:
-                    edge = yield comm.sendrecv(
-                        nbr_dst, my_edge, source=nbr_src,
-                        send_tag=tag + 2 * axis + (0 if step == +1 else 1),
-                    )
-                body = [slice(None)] * 3
-                body[axis] = slice(1, None) if step == +1 else slice(0, -1)
-                parts = [x[tuple(body)], edge] if step == +1 else [edge, x[tuple(body)]]
-                shifted = TArray.concatenate(parts, axis=axis)
-                total = shifted if total is None else fp.add(total, shifted)
+        for axis, step, nbr_src, nbr_dst in halo:
+            # shift by +1 along `axis` needs the *next* block's first
+            # plane; we send our first plane to the *previous* block.
+            sl = [slice(None)] * 3
+            sl[axis] = slice(0, 1) if step == +1 else slice(-1, None)
+            my_edge = x[tuple(sl)]
+            if nbr_src == rank:
+                edge = my_edge
+            else:
+                edge = yield comm.sendrecv(
+                    nbr_dst, my_edge, source=nbr_src,
+                    send_tag=tag + 2 * axis + (0 if step == +1 else 1),
+                )
+            body = [slice(None)] * 3
+            body[axis] = slice(1, None) if step == +1 else slice(0, -1)
+            parts = [x[tuple(body)], edge] if step == +1 else [edge, x[tuple(body)]]
+            shifted = TArray.concatenate(parts, axis=axis)
+            total = shifted if total is None else fp.add(total, shifted)
         return total
 
-    def _residual(self, fp, comm, rank, size, dims, coords, u, v, level):
+    def _residual(self, fp, comm, rank, size, halo, u, v, level):
         """r = v - A u with A = 6u - sum(face neighbours) (generator)."""
-        nb_sum = yield from self._shifted_sum(fp, comm, rank, dims, coords, u, tag=500 + 20 * level)
+        nb_sum = yield from self._shifted_sum(fp, comm, rank, halo, u, tag=500 + 20 * level)
         au = fp.sub(fp.mul(u, 6.0), nb_sum)
         return fp.sub(v, au)
 
-    def _smooth(self, fp, comm, rank, size, dims, coords, u, v, level, sweeps):
+    def _smooth(self, fp, comm, rank, size, halo, u, v, level, sweeps):
         """Weighted-Jacobi sweeps (generator)."""
         for _ in range(sweeps):
-            r = yield from self._residual(fp, comm, rank, size, dims, coords, u, v, level)
+            r = yield from self._residual(fp, comm, rank, size, halo, u, v, level)
             u = fp.add(u, fp.mul(r, self.omega / 6.0))
         return u
 
@@ -189,20 +192,20 @@ class MGApp(AppSpec):
         return out
 
     # ------------------------------------------------------------------
-    def _vcycle(self, fp, comm, rank, size, dims, coords, u, v, level):
+    def _vcycle(self, fp, comm, rank, size, halo, u, v, level):
         """One V-cycle recursion (generator)."""
         if level == self.levels - 1:
             u = yield from self._smooth(
-                fp, comm, rank, size, dims, coords, u, v, level, self.coarse_sweeps
+                fp, comm, rank, size, halo, u, v, level, self.coarse_sweeps
             )
             return u
-        u = yield from self._smooth(fp, comm, rank, size, dims, coords, u, v, level, 1)
-        r = yield from self._residual(fp, comm, rank, size, dims, coords, u, v, level)
+        u = yield from self._smooth(fp, comm, rank, size, halo, u, v, level, 1)
+        r = yield from self._residual(fp, comm, rank, size, halo, u, v, level)
         rc = self._restrict(fp, r)
         zero = fp.asarray(np.zeros(rc.shape))
-        ec = yield from self._vcycle(fp, comm, rank, size, dims, coords, zero, rc, level + 1)
+        ec = yield from self._vcycle(fp, comm, rank, size, halo, zero, rc, level + 1)
         u = fp.add(u, self._prolong(ec))
-        u = yield from self._smooth(fp, comm, rank, size, dims, coords, u, v, level, 1)
+        u = yield from self._smooth(fp, comm, rank, size, halo, u, v, level, 1)
         return u
 
     # ------------------------------------------------------------------

@@ -17,9 +17,7 @@ from repro.apps import get_app
 from repro.experiments.common import default_trials
 from repro.fi.cache import cached_campaign
 from repro.fi.campaign import Deployment
-from repro.mpisim.communicator import Communicator
-from repro.mpisim.scheduler import Scheduler
-from repro.taint.ops import FPOps
+from repro.fi.scenarios.base import fault_free_run
 from repro.utils.tables import format_table
 
 __all__ = ["run"]
@@ -27,12 +25,7 @@ __all__ = ["run"]
 
 def _execution_events(app, nprocs: int) -> int:
     """Scheduler events of one fault-free run (instrumentation load)."""
-    def factory(rank: int, comm: Communicator):
-        return app.program(rank, nprocs, comm, FPOps(None, rank))
-
-    scheduler = Scheduler(nprocs, factory)
-    scheduler.run()
-    return scheduler.steps
+    return fault_free_run(app, nprocs).steps
 
 
 def run(trials: int | None = None, seed: int = 0, quiet: bool = False) -> dict:

@@ -43,8 +43,7 @@ from repro.fi.campaign import (
     run_campaign,
 )
 from repro.fi.outcomes import Outcome
-from repro.fi.tracer import Tracer, TracerMode
-from repro.mpisim.runner import execute_spmd
+from repro.fi.scenarios.base import fault_free_run
 from repro.obs import CacheCorrupt, CacheHit, CacheMiss, CacheWrite, get_recorder
 
 if TYPE_CHECKING:
@@ -240,9 +239,7 @@ def _encode_fraction(stats: tuple[float, int]) -> dict:
 
 
 def _profile_unique_fraction(app: AppProtocol, nprocs: int) -> tuple[float, int]:
-    tracer = Tracer(TracerMode.PROFILE)
-    execute_spmd(app.program, nprocs, sink=tracer)
-    profile = tracer.profile
+    profile = fault_free_run(app, nprocs).profile()
     candidates = sum(profile.candidates(r) for r in profile.ranks)
     return profile.parallel_unique_fraction(), candidates
 
@@ -252,7 +249,8 @@ def cached_unique_fraction_stats(
 ) -> tuple[float, int]:
     """``(parallel-unique share, candidate instructions)`` at ``nprocs``.
 
-    Measured by one fault-free profiling run on a miss.  Target-scale
+    Measured by the fault-free execution at ``nprocs``
+    (:func:`~repro.fi.scenarios.base.fault_free_run`) on a miss.  Target-scale
     runs (p=64/128) are the costliest fault-free executions of the
     pipeline; persisting their result means a fresh process never
     redoes them.

@@ -21,8 +21,7 @@ from repro.errors import ConfigurationError
 from repro.fi.outcomes import Outcome, TrialRecord
 from repro.fi.profile import InstructionProfile
 from repro.fi.scenarios import resolve_model
-from repro.fi.tracer import Tracer, TracerMode
-from repro.mpisim.runner import execute_spmd
+from repro.fi.scenarios.base import fault_free_run
 from repro.obs import (
     CampaignFinished,
     CampaignScope,
@@ -218,8 +217,10 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a full fault-injection deployment for ``app``.
 
-    A fault-free profiling pass first records the reference output and
-    the per-rank dynamic-instruction profile; trial execution is then
+    The fault-free execution at this scale (:func:`~repro.fi.scenarios.
+    base.fault_free_run`, run once per process and scale) gives the
+    reference output and the per-rank dynamic-instruction profile, and
+    ``profile_time`` is its measured wall time; trial execution is then
     handed to the campaign engine (:mod:`repro.engine`), which samples
     an injection plan per trial from the profile and re-executes the
     application with the tracer armed.  Crashes
@@ -304,20 +305,16 @@ def run_campaign(
         args={"app": app.name, "nprocs": deployment.nprocs,
               "trials": deployment.trials, "seed": deployment.seed},
     ):
-        t0 = time.perf_counter()
         with obs.span("profile", "profile"):
-            profile_tracer = Tracer(TracerMode.PROFILE)
-            outputs = execute_spmd(
-                app.program, deployment.nprocs, sink=profile_tracer,
-                max_steps=deployment.max_steps,
-            )
-        reference = outputs[0]
+            golden = fault_free_run(app, deployment.nprocs, deployment.max_steps)
+            golden.replay(obs)
+        reference = golden.reference()
         if reference is None:
             raise ConfigurationError(
                 f"app {app.name!r} returned no output at rank 0"
             )
-        profile: InstructionProfile = profile_tracer.profile
-        profile_time = time.perf_counter() - t0
+        profile = golden.profile()
+        profile_time = golden.seconds
 
         t1 = time.perf_counter()
         # imported lazily: the engine imports this module in turn

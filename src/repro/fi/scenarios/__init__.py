@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.fi.scenarios.base import (
-    ExecutionDynamics,
+    FaultFreeRun,
     FaultModel,
     ScenarioPlan,
     execution_dynamics,
+    fault_free_run,
 )
 from repro.fi.scenarios.bitflip import BitFlipModel
 from repro.fi.scenarios.msgcorrupt import MessageCorruptionModel
@@ -37,7 +38,7 @@ __all__ = [
     "SCENARIOS",
     "FaultModel",
     "ScenarioPlan",
-    "ExecutionDynamics",
+    "FaultFreeRun",
     "BitFlipModel",
     "RankKillModel",
     "MessageCorruptionModel",
@@ -45,6 +46,7 @@ __all__ = [
     "canonical_scenario",
     "resolve_model",
     "execution_dynamics",
+    "fault_free_run",
 ]
 
 #: registered scenario families, by spec name

@@ -25,11 +25,13 @@ Two invariants every model must uphold:
   :class:`~repro.fi.outcomes.TrialRecord` and the observability
   recorder; it must not mutate the app, the deployment, or the profile.
 
-System-level families (rank fail-stop, message corruption) sample their
-fault sites against the *fault-free execution extent* — total scheduler
-steps and total corruptible payload deliveries — probed once per
-``(app, nprocs, max_steps)`` by :func:`execution_dynamics` and memoized
-per process.
+Each ``(app, nprocs, max_steps)`` runs fault-free once per process
+(:func:`fault_free_run`): that one execution yields the instruction
+profile and reference output every campaign at this scale starts from,
+and the *fault-free execution extent* — total scheduler steps and total
+corruptible payload deliveries — against which system-level families
+(rank fail-stop, message corruption) sample their fault sites
+(:func:`execution_dynamics`).
 
 Their trials are *site-driven* (:class:`SiteFaultModel`): the
 fault-free execution runs with the family's hooks attached but unarmed,
@@ -46,6 +48,7 @@ one site armed in place.  See ``docs/scenarios.md``, "Fork at the fault site".
 from __future__ import annotations
 
 import abc
+import copy
 import os
 import pickle
 import signal
@@ -60,7 +63,10 @@ from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Protocol, S
 
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.fi.outcomes import Outcome, TrialRecord
-from repro.obs import MemorySink, Recorder, TrialFinished, recording
+from repro.fi.profile import InstructionProfile
+from repro.fi.tracer import Tracer, TracerMode
+from repro.mpisim.runner import execute_spmd
+from repro.obs import MemorySink, ObsSnapshot, Recorder, TrialFinished, recording
 from repro.obs.events import Event
 from repro.obs.provenance import ScenarioObservation, build_trial_provenance
 from repro.taint.tarray import TArray
@@ -70,7 +76,6 @@ if TYPE_CHECKING:  # avoid runtime cycles: campaign imports this package
     import numpy as np
 
     from repro.fi.campaign import AppProtocol, Deployment
-    from repro.fi.profile import InstructionProfile
 
 __all__ = [
     "ScenarioPlan",
@@ -79,8 +84,9 @@ __all__ = [
     "TrialScope",
     "SiteFaultModel",
     "SiteRun",
-    "ExecutionDynamics",
+    "FaultFreeRun",
     "execution_dynamics",
+    "fault_free_run",
     "count_corruptible",
     "fork_safe",
     "fork_pays",
@@ -108,15 +114,6 @@ class ScenarioPlan(Protocol):
     """
 
     def to_payload(self) -> list[dict]: ...
-
-
-@dataclass(frozen=True)
-class ExecutionDynamics:
-    """Fault-free execution extent used to sample system-level fault sites."""
-
-    steps: int        #: total deterministic scheduler steps
-    deliveries: int   #: corruptible payload deliveries (TArray leaves in transit)
-    seconds: float    #: wall time of the probe run in this process
 
 
 def count_corruptible(payload: Any) -> int:
@@ -147,46 +144,77 @@ class _DeliveryCounter:
         return payload
 
 
-#: (app cache key, nprocs, max_steps) -> probed dynamics, per process
-_DYNAMICS: dict[tuple[str, int, int | None], ExecutionDynamics] = {}
+@dataclass(frozen=True)
+class FaultFreeRun:
+    """What the fault-free execution of an app at one scale produced.
 
-
-def execution_dynamics(
-    app: "AppProtocol", deployment: "Deployment"
-) -> ExecutionDynamics:
-    """Probe (and memoize) the fault-free extent of ``app`` at this scale.
-
-    Runs the application once through the scheduler with no sink and a
-    counting transit hook.  The result depends only on
-    ``(app, nprocs, max_steps)`` — the scheduler is deterministic — so
-    one probe per process serves every trial, and every worker process
-    measures the same ``steps`` and ``deliveries``.
+    Hands out copies (:meth:`profile`, :meth:`reference`), so no caller
+    changes what the next one reads from the memo.
     """
-    key = (app.cache_key(), deployment.nprocs, deployment.max_steps)
-    hit = _DYNAMICS.get(key)
+
+    steps: int        #: total deterministic scheduler steps
+    deliveries: int   #: corruptible payload deliveries (TArray leaves in transit)
+    seconds: float    #: wall time of the run in this process
+    _counts: dict
+    _reference: Any
+    _metrics: ObsSnapshot  #: the counters and histograms the run recorded
+
+    def profile(self) -> InstructionProfile:
+        """The per-rank dynamic-instruction profile."""
+        return InstructionProfile(dict(self._counts))
+
+    def reference(self) -> Any:
+        """Rank 0's output."""
+        return copy.deepcopy(self._reference)
+
+    def replay(self, obs) -> None:
+        """Record the execution's metrics into ``obs``, as if it ran there."""
+        obs.absorb(self._metrics, emit_events=False)
+
+
+#: (app cache key, nprocs, max_steps) -> its fault-free run, per process
+_FAULT_FREE: dict[tuple[str, int, int | None], FaultFreeRun] = {}
+
+
+def fault_free_run(
+    app: "AppProtocol", nprocs: int, max_steps: int | None = None
+) -> FaultFreeRun:
+    """The fault-free execution of ``app`` at ``nprocs`` ranks, memoized.
+
+    Runs the application once per ``(app, nprocs, max_steps)`` and
+    process, under a profiling tracer and a counting transit hook.  It
+    records into a private recorder, so it counts towards no campaign
+    whichever caller happens to run it; a campaign replays its metrics
+    (:meth:`FaultFreeRun.replay`) instead.  The scheduler is
+    deterministic, so every process measures the same profile, output,
+    ``steps`` and ``deliveries``; only ``seconds`` varies.
+    """
+    key = (app.cache_key(), nprocs, max_steps)
+    hit = _FAULT_FREE.get(key)
     if hit is not None:
         return hit
-    from repro.mpisim.scheduler import Scheduler
-    from repro.taint.ops import FPOps
-
-    def factory(rank, comm):
-        return app.program(rank, deployment.nprocs, comm, FPOps(None, rank))
-
-    counter = _DeliveryCounter()
-    # a probe is once per process: its ops are no campaign's to count
-    with recording(Recorder(enabled=False)):
-        scheduler = Scheduler(
-            deployment.nprocs, factory,
-            max_steps=deployment.max_steps, transit=counter,
-        )
+    tracer, counter = Tracer(TracerMode.PROFILE), _DeliveryCounter()
+    private = Recorder(enabled=True)
+    with recording(private):
         started = time.perf_counter()
-        scheduler.run()
-    dynamics = ExecutionDynamics(
-        steps=scheduler.steps, deliveries=counter.count,
-        seconds=time.perf_counter() - started,
+        outputs = execute_spmd(
+            app.program, nprocs, sink=tracer, max_steps=max_steps,
+            transit=counter,
+        )
+        seconds = time.perf_counter() - started
+    run = FaultFreeRun(
+        int(private.counters["scheduler.steps"]), counter.count, seconds,
+        tracer.profile.counts, outputs[0],
+        ObsSnapshot(counters=private.counters, histograms=private.histograms),
     )
-    _DYNAMICS[key] = dynamics
-    return dynamics
+    _FAULT_FREE[key] = run
+    return run
+
+
+def execution_dynamics(app: "AppProtocol", deployment: "Deployment") -> FaultFreeRun:
+    """The fault-free execution at ``deployment``'s scale, whose ``steps``
+    and ``deliveries`` size system-level fault sites (memoized)."""
+    return fault_free_run(app, deployment.nprocs, deployment.max_steps)
 
 
 class FaultModel(abc.ABC):
@@ -258,7 +286,7 @@ class FaultModel(abc.ABC):
     @abc.abstractmethod
     def sample(
         self,
-        profile: "InstructionProfile",
+        profile: InstructionProfile,
         rng: "np.random.Generator",
         *,
         app: "AppProtocol",

@@ -31,6 +31,7 @@ from repro.errors import (
     FaultActivatedError,
 )
 from repro.fi.outcomes import Outcome, classify_outcome
+from repro.fi.plan import InjectionPlan
 from repro.fi.scenarios.base import (
     SiteFaultModel,
     SiteRun,
@@ -75,9 +76,9 @@ class _CorruptSites(SiteRun):
 
     Deliveries are counted in the scheduler's deterministic order, so a
     fixed ``(seed, trial)`` corrupts the same payload in every run.  The
-    armed trial's ``fired`` holds the observed corruption; a plan-less
-    tracer collects contamination marks and their timeline only — no
-    instruction-level injection.
+    armed trial's ``fired`` holds the observed corruption; a tracer with
+    an empty plan collects contamination marks and their timeline only —
+    no instruction-level injection and no instruction profile.
     """
 
     def __init__(
@@ -93,7 +94,7 @@ class _CorruptSites(SiteRun):
         ))
         self._seen = 0  # corruptible leaves delivered so far
         self._target: MessageCorruptionPlan | None = None
-        self.tracer = Tracer(TracerMode.PROFILE)
+        self.tracer = Tracer(TracerMode.INJECT, InjectionPlan(()))
 
     def execute(self, app, deployment) -> list:
         return execute_spmd(

@@ -24,6 +24,7 @@ from repro.errors import (
 from repro.fi.campaign import AppProtocol, Deployment
 from repro.fi.outcomes import Outcome, classify_outcome
 from repro.fi.plan import sample_plan
+from repro.fi.scenarios.base import fault_free_run
 from repro.fi.tracer import Tracer, TracerMode
 from repro.mpisim.runner import execute_spmd
 from repro.numerics.bits import classify_bit, BitField
@@ -91,15 +92,14 @@ def run_sensitivity(app: AppProtocol, deployment: Deployment) -> SensitivityRepo
     """Run a single-error deployment, attributing outcomes to flip sites."""
     if deployment.n_errors != 1:
         raise ConfigurationError("sensitivity analysis requires single-error tests")
-    profile_tracer = Tracer(TracerMode.PROFILE)
-    outputs = execute_spmd(app.program, deployment.nprocs, sink=profile_tracer)
-    reference = outputs[0]
+    golden = fault_free_run(app, deployment.nprocs)
+    profile, reference = golden.profile(), golden.reference()
 
     report = SensitivityReport(app_name=app.name, deployment=deployment)
     for trial in range(deployment.trials):
         rng = trial_seed(deployment.seed, trial)
         plan = sample_plan(
-            profile_tracer.profile,
+            profile,
             rng,
             target_rank=deployment.effective_target_rank,
             region=deployment.region,

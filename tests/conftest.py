@@ -9,6 +9,7 @@ import pytest
 
 from repro import knobs
 from repro.fi.plan import InjectionPlan, PlannedFlip
+from repro.fi.scenarios import base as scenarios_base
 from repro.fi.tracer import Tracer, TracerMode
 from repro.taint.ops import FPOps
 from repro.taint.region import Region
@@ -33,6 +34,12 @@ def _isolated_cache(tmp_path, monkeypatch):
 def _fresh_knob_warnings():
     """Knob env warnings fire once per process; give each test its own."""
     knobs._ENV_MEMO.clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_fault_free_runs():
+    """Fault-free runs are memoized per process; give each test its own."""
+    scenarios_base._FAULT_FREE.clear()
 
 
 @pytest.fixture

@@ -416,10 +416,9 @@ class TestObservability:
 def _time_dynamics(monkeypatch, app, deployment, seconds):
     """Pretend the fault-free run of ``app`` at this scale took ``seconds``."""
     key = (app.cache_key(), deployment.nprocs, deployment.max_steps)
-    measured = execution_dynamics(app, deployment)
-    monkeypatch.setitem(
-        base._DYNAMICS, key, dataclasses.replace(measured, seconds=seconds)
-    )
+    timed = dataclasses.replace(execution_dynamics(app, deployment), seconds=seconds)
+    monkeypatch.setitem(base._FAULT_FREE, key, timed)
+    assert execution_dynamics(app, deployment) is timed
 
 
 class TestWhenToFork:
