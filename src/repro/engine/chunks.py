@@ -28,7 +28,7 @@ from repro.obs.trace import TraceContext
 
 if TYPE_CHECKING:  # circular at runtime: campaign dispatches into here
     from repro.fi.campaign import AppProtocol, Deployment
-    from repro.fi.profile import InstructionProfile
+    from repro.fi.scenarios.base import FaultFreeRun
 
 __all__ = [
     "LANE_EJECT_SHARE", "MAX_CHUNK_TRIALS", "ChunkPayload", "EngineContext",
@@ -57,17 +57,21 @@ def chunk_bounds(
 ) -> list[tuple[int, int]]:
     """Contiguous ``[start, stop)`` chunks covering ``range(trials)``.
 
-    Aims for ~4 chunks per worker (dynamic load balancing without
-    flooding the queue), capped at :data:`MAX_CHUNK_TRIALS` and, when
-    given, at ``max_size`` (the checkpoint interval: a chunk is the unit
-    of durable progress, so ``--checkpoint-every`` bounds it).
+    Balanced: ``jobs × ceil(trials / (jobs × cap))`` chunks whose sizes
+    differ by at most one, where ``cap`` is :data:`MAX_CHUNK_TRIALS` or,
+    when smaller, ``max_size`` (the checkpoint interval: a chunk is the
+    unit of durable progress, so ``--checkpoint-every`` bounds it).  A
+    campaign of up to ``jobs × cap`` trials is one chunk per worker, so
+    each worker runs full lane blocks and forks whole blocks off one
+    fault-free execution; larger ones still rebalance through the queue.
     """
     if trials <= 0:
         return []
-    size = max(1, min(MAX_CHUNK_TRIALS, math.ceil(trials / (4 * jobs))))
-    if max_size is not None:
-        size = max(1, min(size, max_size))
-    return [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    cap = min(MAX_CHUNK_TRIALS, max_size or MAX_CHUNK_TRIALS)
+    n = min(trials, jobs * math.ceil(trials / (jobs * cap)))
+    size, extra = divmod(trials, n)
+    edges = [i * size + min(i, extra) for i in range(n + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def plan_chunks(
@@ -103,8 +107,9 @@ class EngineContext:
 
     app: "AppProtocol"
     deployment: "Deployment"
-    profile: "InstructionProfile"
-    reference: dict
+    #: the parent's fault-free execution: trials read its profile and
+    #: reference output, and a pool worker serves it as its own
+    golden: "FaultFreeRun"
     keep_records: bool
     obs_enabled: bool
     #: hot-path profiling (repro.obs.profiler) — carried to workers so a
@@ -191,9 +196,12 @@ def execute_chunk(
     """
     from repro.fi.campaign import run_one_trial  # circular at import time
     from repro.fi.scenarios import resolve_model
-    from repro.fi.scenarios.base import fork_pays, fork_safe
+    from repro.fi.scenarios.base import fault_free_run, fork_pays, fork_safe
 
-    model = resolve_model(ctx.deployment.scenario)
+    dep = ctx.deployment
+    # a pool worker serves its parent's run instead of executing its own
+    fault_free_run(ctx.app, dep.nprocs, dep.max_steps, known=ctx.golden)
+    model = resolve_model(dep.scenario)
     # profiling meters per-trial op counts and times, which a shared
     # fault-free prefix cannot attribute
     fork = model.supports_fork and not ctx.profiling and fork_safe()
@@ -220,11 +228,11 @@ def execute_chunk(
         "chunk", start, stop, cat="chunk",
         args={"start": start, "stop": stop, "trials": stop - start},
     ):
-        args = (ctx.app, ctx.deployment, ctx.profile, ctx.reference)
+        args = (ctx.app, dep, ctx.golden.profile(), ctx.golden.reference())
         trial = start
         while trial < stop:
             block_stop = min(stop, trial + block_size)
-            if fork and not fork_pays(ctx.app, ctx.deployment, block_stop - trial):
+            if fork and not fork_pays(ctx.app, dep, block_stop - trial):
                 block_stop = trial + 1
             if block_stop - trial == 1:
                 block_records = [run_one_trial(*args, trial, rec)]

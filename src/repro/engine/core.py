@@ -46,7 +46,7 @@ from repro.obs import (
 
 if TYPE_CHECKING:
     from repro.fi.campaign import AppProtocol, Deployment
-    from repro.fi.profile import InstructionProfile
+    from repro.fi.scenarios.base import FaultFreeRun
 
 __all__ = ["run_trials", "select_backend"]
 
@@ -86,8 +86,7 @@ def select_backend(jobs: int, n_chunks: int, capture: bool) -> Backend:
 def run_trials(
     app: "AppProtocol",
     deployment: "Deployment",
-    profile: "InstructionProfile",
-    reference: dict,
+    golden: "FaultFreeRun",
     *,
     keep_records: bool = False,
     jobs: int = 1,
@@ -202,8 +201,8 @@ def run_trials(
                     aggregator.add(payload)
             if missing:
                 ctx = EngineContext(
-                    app=app, deployment=deployment, profile=profile,
-                    reference=reference, keep_records=keep_records,
+                    app=app, deployment=deployment, golden=golden,
+                    keep_records=keep_records,
                     # checkpointed chunks always capture their events: a
                     # run interrupted with obs off can then be resumed
                     # with obs ON and still replay every recovered trial

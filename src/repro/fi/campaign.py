@@ -308,8 +308,7 @@ def run_campaign(
         with obs.span("profile", "profile"):
             golden = fault_free_run(app, deployment.nprocs, deployment.max_steps)
             golden.replay(obs)
-        reference = golden.reference()
-        if reference is None:
+        if golden.reference() is None:
             raise ConfigurationError(
                 f"app {app.name!r} returned no output at rank 0"
             )
@@ -321,7 +320,7 @@ def run_campaign(
         from repro.engine import run_trials
 
         joint, records = run_trials(
-            app, deployment, profile, reference,
+            app, deployment, golden,
             keep_records=keep_records, jobs=deployment.jobs, lanes=n_lanes,
             checkpoint_every=deployment.checkpoint_every,
             resume=do_resume,

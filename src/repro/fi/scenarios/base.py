@@ -177,7 +177,8 @@ _FAULT_FREE: dict[tuple[str, int, int | None], FaultFreeRun] = {}
 
 
 def fault_free_run(
-    app: "AppProtocol", nprocs: int, max_steps: int | None = None
+    app: "AppProtocol", nprocs: int, max_steps: int | None = None,
+    known: FaultFreeRun | None = None,
 ) -> FaultFreeRun:
     """The fault-free execution of ``app`` at ``nprocs`` ranks, memoized.
 
@@ -187,9 +188,13 @@ def fault_free_run(
     whichever caller happens to run it; a campaign replays its metrics
     (:meth:`FaultFreeRun.replay`) instead.  The scheduler is
     deterministic, so every process measures the same profile, output,
-    ``steps`` and ``deliveries``; only ``seconds`` varies.
+    ``steps`` and ``deliveries``; only ``seconds`` varies.  A process
+    handed another's run (a pool worker, its parent's) passes it as
+    ``known`` and serves it on a miss instead of executing.
     """
     key = (app.cache_key(), nprocs, max_steps)
+    if known is not None:
+        _FAULT_FREE.setdefault(key, known)
     hit = _FAULT_FREE.get(key)
     if hit is not None:
         return hit

@@ -203,16 +203,13 @@ class TestRealEnginePayloads:
     def test_permuted_real_chunks_match_serial(self, tmp_path):
         from repro.apps import get_app
         from repro.fi.campaign import Deployment
-        from repro.fi.tracer import Tracer, TracerMode
-        from repro.mpisim.runner import execute_spmd
+        from repro.fi.scenarios.base import fault_free_run
 
         app = get_app("cg")
         dep = Deployment(nprocs=1, trials=9, seed=21)
-        profile_tracer = Tracer(TracerMode.PROFILE)
-        outputs = execute_spmd(app.program, dep.nprocs, sink=profile_tracer)
         ctx = EngineContext(
-            app=app, deployment=dep, profile=profile_tracer.profile,
-            reference=outputs[0], keep_records=True, obs_enabled=True,
+            app=app, deployment=dep, golden=fault_free_run(app, dep.nprocs),
+            keep_records=True, obs_enabled=True,
         )
         chunks = [(0, 3), (3, 6), (6, 9)]
         payloads = [

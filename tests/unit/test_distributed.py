@@ -45,6 +45,7 @@ from repro.engine import (
     DistributedBackend,
     InlineBackend,
     ProcessPoolBackend,
+    plan_chunks,
     select_backend,
 )
 from repro.engine.chunks import EngineContext
@@ -450,10 +451,12 @@ class TestDistributedChaos:
     def test_worker_death_mid_campaign_completes_identically(
         self, local_pool, tmp_path
     ):
-        deployment = Deployment(nprocs=1, trials=40, seed=2)
+        # four chunks at jobs=2: two results cannot finish the campaign,
+        # so the controller must read the quitter's EOF before the
+        # healthy worker joins
+        deployment = Deployment(nprocs=1, trials=120, seed=2)
+        assert len(plan_chunks(deployment.trials, 2)) >= 3
         inline = run_campaign(DotApp(), deployment, keep_records=True, jobs=1)
-        # two results cannot finish the campaign: the controller must
-        # read the quitter's EOF before the healthy worker joins
         pooled, mem = chaos_campaign(
             local_pool, tmp_path, deployment, child.mode_quit_after, 2
         )
@@ -559,16 +562,14 @@ class TestDistributedChaos:
 
 
 def engine_ctx(seed: int) -> EngineContext:
-    from repro.fi.tracer import Tracer, TracerMode
-    from repro.mpisim.runner import execute_spmd
+    from repro.fi.scenarios.base import fault_free_run
 
     app = DotApp()
     deployment = Deployment(nprocs=1, trials=4, seed=seed)
-    tracer = Tracer(TracerMode.PROFILE)
-    outputs = execute_spmd(app.program, deployment.nprocs, sink=tracer)
     return EngineContext(
-        app=app, deployment=deployment, profile=tracer.profile,
-        reference=outputs[0], keep_records=True, obs_enabled=False,
+        app=app, deployment=deployment,
+        golden=fault_free_run(app, deployment.nprocs),
+        keep_records=True, obs_enabled=False,
     )
 
 

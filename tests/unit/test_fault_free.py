@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import pickle
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ import pytest
 
 from repro import obs
 from repro.apps import get_app
+from repro.engine.chunks import EngineContext, execute_chunk
 from repro.fi.cache import cached_unique_fraction_stats
 from repro.fi.campaign import Deployment, run_campaign
 from repro.fi.scenarios import base, resolve_model
@@ -127,6 +129,25 @@ class TestReuse:
         filled = len(executions.calls)
         assert goldens.capture(*corrupt, jobs=1) == _golden(corrupt_name)
         assert len(executions.calls) - filled == corrupt[1]["trials"]
+
+
+class TestPoolWorker:
+    @pytest.mark.parametrize("scenario", ["rankkill", "msgcorrupt"])
+    def test_worker_serves_the_parents_run(self, scenario, executions, no_fork):
+        app = get_app("cg")
+        deployment = Deployment(nprocs=4, trials=5, seed=2, scenario=scenario)
+        ctx = EngineContext(
+            app=app, deployment=deployment, golden=fault_free_run(app, 4),
+            keep_records=True, obs_enabled=False,
+        )
+        inline = execute_chunk(ctx, 0, deployment.trials)
+        # a fresh worker process: its memo is empty, the context ships
+        # the parent's run
+        base._FAULT_FREE.clear()
+        before = len(executions.calls)
+        payload = execute_chunk(pickle.loads(pickle.dumps(ctx)), 0, deployment.trials)
+        assert len(executions.calls) - before == deployment.trials
+        assert payload.records == inline.records
 
 
 def _golden(name: str):

@@ -102,6 +102,29 @@ class TestChunking:
     def test_no_trials_no_chunks(self):
         assert chunk_bounds(0, 4) == []
 
+    def test_small_campaign_is_one_chunk_per_worker(self):
+        # each worker then runs one full lane block
+        assert chunk_bounds(40, 2) == [(0, 20), (20, 40)]
+        assert chunk_bounds(30, 2) == [(0, 15), (15, 30)]
+
+    @pytest.mark.parametrize("trials, jobs", [
+        (7, 2), (40, 4), (101, 2), (200, 3), (201, 2), (1000, 16), (10_000, 2),
+    ])
+    def test_chunks_are_balanced_per_worker(self, trials, jobs):
+        chunks = chunk_bounds(trials, jobs)
+        sizes = [hi - lo for lo, hi in chunks]
+        assert len(chunks) % jobs == 0
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= MAX_CHUNK_TRIALS
+
+    @pytest.mark.parametrize("trials, jobs, max_size", [
+        (10, 2, 4), (40, 2, 3), (40, 2, 20), (200, 3, 7), (1000, 16, 60),
+    ])
+    def test_max_size_bounds_every_chunk(self, trials, jobs, max_size):
+        chunks = chunk_bounds(trials, jobs, max_size)
+        assert [t for lo, hi in chunks for t in range(lo, hi)] == list(range(trials))
+        assert all(hi - lo <= min(max_size, MAX_CHUNK_TRIALS) for lo, hi in chunks)
+
 
 class TestJobsResolution:
     def test_default_jobs_env(self, monkeypatch):

@@ -311,7 +311,7 @@ def _tree_digest(spans) -> str:
     (DEP, {"lanes": 1},
      "b4cec616be4702c643d4bff7451665a365b0fe93179568bc683ca0a331c086c6"),
     (DEP, {"lanes": 1, "jobs": 2, "checkpoint_every": 4},
-     "bebdf74ac52de831ba8c549108ed81fa5d0869631be7be05490f59700be3dc0a"),
+     "7efb38c79d6d2adf4d4afa2693fe252f00c32c2cefa9eda5e549a6389e3d720d"),
     (Deployment(nprocs=2, trials=120, seed=7, ci_halfwidth=0.12), {"lanes": 1},
      "e85ec708b69f0238dfa27f01021d06f8fa9e3497af1e766defa37fe0b4cc17b7"),
     (DEP, {}, "bedaedb98eb34086850e58ce153ab459272430b56665356bb7cbe71fcae86062"),
