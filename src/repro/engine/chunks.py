@@ -18,8 +18,9 @@ persisted payload was recovered from disk).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.fi.outcomes import Outcome, TrialRecord
 from repro.obs import MemorySink, ObsSnapshot, Recorder, get_recorder, recording
@@ -31,8 +32,8 @@ if TYPE_CHECKING:  # circular at runtime: campaign dispatches into here
     from repro.fi.scenarios.base import FaultFreeRun
 
 __all__ = [
-    "LANE_EJECT_SHARE", "MAX_CHUNK_TRIALS", "ChunkPayload", "EngineContext",
-    "chunk_bounds", "execute_chunk", "fold_record", "plan_chunks",
+    "LANE_CHILD_BLOCKS", "LANE_EJECT_SHARE", "MAX_CHUNK_TRIALS", "ChunkPayload",
+    "EngineContext", "chunk_bounds", "execute_chunk", "fold_record", "plan_chunks",
 ]
 
 #: Upper bound on trials per chunk: small enough that progress events
@@ -42,14 +43,21 @@ MAX_CHUNK_TRIALS = 50
 
 #: The lane pay rule: a lane block that ejected more than this share of
 #: its lanes paid for the batched pass and then re-ran those trials one
-#: at a time, so the rest of its chunk runs one trial at a time.  A
+#: at a time, so the rest of its process's blocks run one at a time.  A
 #: block of ``k`` lanes with ``e`` ejected costs about ``P + e`` scalar
 #: trials; on PENNANT, the one app that ejects, the pass ``P`` costs
 #: 0.13k to 0.29k, so its blocks pay while fewer than 71-87% of their
 #: lanes eject (see docs/performance.md, "The lane pay rule").
 #: Ejection depends on a trial alone, so the switch is as deterministic
-#: as the records, which do not depend on it.
+#: as the records, which do not depend on it, for a given slot count.
 LANE_EJECT_SHARE = 0.6
+
+#: Lane blocks each forked child runs at least.  A child's first touches
+#: of its parent's memory cost 30-45 ms, about half a 32-lane CG block at
+#: 4 ranks (80 ms): with one block per child two children gained 8% wall
+#: time for 24% more CPU, with two blocks each 42% for 5% (see
+#: docs/performance.md, "Lane blocks side by side").
+LANE_CHILD_BLOCKS = 2
 
 
 def chunk_bounds(
@@ -181,9 +189,12 @@ def execute_chunk(
     :data:`MAX_CHUNK_TRIALS` trials forked off one fault-free execution
     (a family that supports it, an unprofiled run, a process that may
     fork, and a block large enough that forking pays), lane blocks of
-    ``ctx.lanes`` trials, or one trial at a time.  After a lane block
-    that ejected more than :data:`LANE_EJECT_SHARE` of its lanes, the
-    rest of the chunk runs one trial at a time (``fi.lanes.unpaid``).
+    ``ctx.lanes`` trials, or one trial at a time.  Lane blocks run side
+    by side, block ``i`` in forked child ``i mod n``, where the process
+    may fork and ``n = fork_slots()`` children of at least two get
+    :data:`LANE_CHILD_BLOCKS` blocks each.  After a lane block that
+    ejected more than :data:`LANE_EJECT_SHARE` of its lanes, the rest of
+    its process's blocks run one trial at a time (``fi.lanes.unpaid``).
 
     ``capture=False`` records straight into the process-wide recorder —
     byte-for-byte the classic serial loop, used when the payload never
@@ -196,7 +207,7 @@ def execute_chunk(
     """
     from repro.fi.campaign import run_one_trial  # circular at import time
     from repro.fi.scenarios import resolve_model
-    from repro.fi.scenarios.base import fault_free_run, fork_pays, fork_safe
+    from repro.fi.scenarios.base import fault_free_run, fork_pays, fork_safe, fork_slots
 
     dep = ctx.deployment
     # a pool worker serves its parent's run instead of executing its own
@@ -205,7 +216,7 @@ def execute_chunk(
     # profiling meters per-trial op counts and times, which a shared
     # fault-free prefix cannot attribute
     fork = model.supports_fork and not ctx.profiling and fork_safe()
-    block_size = MAX_CHUNK_TRIALS if fork else max(1, ctx.lanes)
+    lanes = 1 if fork else max(1, ctx.lanes)
     mem: MemorySink | None = None
     if not capture:
         rec = get_recorder()
@@ -222,6 +233,13 @@ def execute_chunk(
         rec = Recorder(enabled=False)
     joint: dict[tuple[Outcome, int, bool], int] = {}
     records: list[TrialRecord] = []
+
+    def fold(block_records: list[TrialRecord]) -> None:
+        for record in block_records:
+            fold_record(joint, record)
+            if ctx.keep_records:
+                records.append(record)
+
     # the chunk span (causal tree only) parents the chunk's trials to the
     # driver's campaign/wave span; it reads clocks and nothing else
     with recording(rec), rec.span(
@@ -229,32 +247,95 @@ def execute_chunk(
         args={"start": start, "stop": stop, "trials": stop - start},
     ):
         args = (ctx.app, dep, ctx.golden.profile(), ctx.golden.reference())
+        if lanes > 1:
+            blocks = [(lo, min(lo + lanes, stop))
+                      for lo in range(start, stop, lanes)]
+            n = min(fork_slots(dep.jobs or 1), len(blocks) // LANE_CHILD_BLOCKS)
+            if n >= 2 and fork_safe():
+                _fork_lane_blocks(args, blocks, n, rec, fold)
+            else:
+                n = 0
+                for block_records, _ in _lane_blocks(args, blocks, lambda: rec):
+                    fold(block_records)
+            rec.counter("fi.lanes.children", n)
         trial = start
-        while trial < stop:
-            block_stop = min(stop, trial + block_size)
+        while lanes == 1 and trial < stop:  # forked blocks, or one by one
+            block_stop = min(stop, trial + (MAX_CHUNK_TRIALS if fork else 1))
             if fork and not fork_pays(ctx.app, dep, block_stop - trial):
                 block_stop = trial + 1
             if block_stop - trial == 1:
-                block_records = [run_one_trial(*args, trial, rec)]
-            elif fork:
-                block_records = model.run_block(*args, trial, block_stop, rec)
+                fold([run_one_trial(*args, trial, rec)])
             else:
-                from repro.fi.lanes import run_lane_block  # lanes > 1 only
-
-                block_records, ejected = run_lane_block(
-                    *args, trial, block_stop, rec
-                )
-                unpaid = (block_stop < stop and
-                          ejected > LANE_EJECT_SHARE * (block_stop - trial))
-                rec.counter("fi.lanes.unpaid", int(unpaid))
-                if unpaid:
-                    block_size = 1
-            for record in block_records:
-                fold_record(joint, record)
-                if ctx.keep_records:
-                    records.append(record)
+                fold(model.run_block(*args, trial, block_stop, rec))
             trial = block_stop
     snapshot = rec.snapshot(events=mem.events) if mem is not None else None
     return ChunkPayload(
         start=start, stop=stop, joint=joint, records=records, obs=snapshot
     )
+
+
+def _lane_blocks(
+    args: tuple, blocks: list[tuple[int, int]], recorder: Callable[[], Recorder],
+) -> Iterator[tuple[list[TrialRecord], Recorder]]:
+    """Each block's records and the ``recorder()`` it recorded into, in
+    block order: lane blocks until one does not pay, then one trial at a
+    time (the pay rule, per process)."""
+    from repro.fi.campaign import run_one_trial  # circular at import time
+    from repro.fi.lanes import run_lane_block
+
+    paid = True
+    for i, (lo, hi) in enumerate(blocks):
+        obs = recorder()
+        with recording(obs):
+            if not paid or hi - lo == 1:
+                block_records = [run_one_trial(*args, t, obs) for t in range(lo, hi)]
+            else:
+                block_records, ejected = run_lane_block(*args, lo, hi, obs)
+                paid = (i + 1 == len(blocks)
+                        or ejected <= LANE_EJECT_SHARE * (hi - lo))
+                obs.counter("fi.lanes.unpaid", int(not paid))
+        yield block_records, obs
+
+
+def _fork_lane_blocks(
+    args: tuple, blocks: list[tuple[int, int]], n: int, rec: Recorder,
+    fold: Callable[[list[TrialRecord]], None],
+) -> None:
+    """Run ``blocks`` in ``n`` forked children, block ``i`` in child
+    ``i mod n``, each block into a recorder derived from ``rec``; absorb
+    and ``fold`` their reports in block order, so live sinks see every
+    event in trial order.  A failure kills and reaps every live child
+    before it propagates."""
+    from repro.fi.scenarios.base import _Forker
+
+    forker = _Forker(n + 1)  # n children beside a parent that only folds
+    try:
+        for c in range(n):
+            if not forker.fork(c):
+                continue
+            status = 1
+            try:
+                for block_records, obs in _lane_blocks(
+                    args, blocks[c::n], lambda: rec.derive([MemorySink()])
+                ):
+                    forker.report((block_records, obs.snapshot(
+                        events=obs.sinks[0].events) if obs.enabled else None))
+                status = 0
+            except BaseException as exc:
+                # reported, not raised: unwinding would run a second copy
+                # of the campaign
+                forker.report((None, f"{type(exc).__name__}: {exc}"))
+            finally:
+                os._exit(status)  # never unwind into the caller's stack
+        for i, (lo, hi) in enumerate(blocks):
+            block_records, snapshot = forker.receive(
+                i % n, lo, hi, last=i + n >= len(blocks)
+            )
+            if snapshot is not None:
+                for span in snapshot.trace:
+                    span["pid"] = os.getpid()  # the chunk's lane, not the child's
+                rec.absorb(snapshot)
+            fold(block_records)
+    except BaseException:
+        forker.kill()
+        raise

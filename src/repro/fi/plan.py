@@ -80,16 +80,15 @@ class InjectionPlan:
 
 
 def _sample_region(
-    profile: InstructionProfile, rank: int, rng: np.random.Generator
+    space: dict[Region, int], rank: int, rng: np.random.Generator
 ) -> Region:
-    """Pick a region with probability proportional to its candidate count."""
-    weights = [(reg, profile.candidates(rank, reg)) for reg in Region]
-    total = sum(w for _, w in weights)
+    """Pick a region of ``space`` in proportion to its candidate count."""
+    total = sum(space.values())
     if total == 0:
         raise InjectionPlanError(f"rank {rank} executed no candidate instructions")
     u = int(rng.integers(0, total))
     acc = 0
-    for reg, w in weights:
+    for reg, w in space.items():
         acc += w
         if u < acc:
             return reg
@@ -148,6 +147,12 @@ def sample_plan(
             "multi-error plans require an explicit target_rank in parallel profiles"
         )
 
+    # the victim's candidates per region, counted once for every flip
+    space = dict.fromkeys(Region, 0)
+    for (r, reg, kind), count in profile.counts.items():
+        if r == victim and kind.is_candidate:
+            space[reg] += count
+
     flips: list[PlannedFlip] = []
     chosen: set[tuple[Region, int]] = set()
     attempts = 0
@@ -156,15 +161,14 @@ def sample_plan(
         if attempts > 100 * n_errors + 100:
             raise InjectionPlanError(
                 f"cannot sample {n_errors} distinct flips from rank {victim}'s "
-                f"{profile.candidates(victim)} candidate instructions"
+                f"{sum(space.values())} candidate instructions"
             )
-        reg = _sample_region(profile, victim, rng) if region is None else region
-        space = profile.candidates(victim, reg)
-        if space == 0:
+        reg = _sample_region(space, victim, rng) if region is None else region
+        if space[reg] == 0:
             raise InjectionPlanError(
                 f"rank {victim} has no candidate instructions in region {reg}"
             )
-        index = int(rng.integers(0, space))
+        index = int(rng.integers(0, space[reg]))
         if (reg, index) in chosen:
             continue  # never target the same dynamic instruction twice
         chosen.add((reg, index))

@@ -56,7 +56,6 @@ import struct
 import threading
 import time
 import warnings
-from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Protocol, Sequence
@@ -481,47 +480,28 @@ def _fork() -> int:
         return os.fork()
 
 
-def _reap(pid: int, fd: int, trial: int) -> tuple:
-    """Read a child's report to EOF and reap it; typed failure otherwise.
-
-    An interruption (``KeyboardInterrupt`` included) kills and reaps the
-    child before it propagates, so no child outlives its parent's wait.
-    """
-    status = None
-    try:
-        with open(fd, "rb") as pipe:
-            blob = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-    finally:
-        if status is None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    report = None
-    if len(blob) >= 8 and len(blob) == 8 + struct.unpack_from("<Q", blob)[0]:
-        report = pickle.loads(blob[8:])
-    if code == 0 and report is not None and report[0] is not None:
-        return report
-    if report is not None:
-        reason = f"raised {report[1]}"
-    elif code != 0:
-        reason = f"exited with status {code}"
-    else:
-        reason = "sent a short report"
-    raise WorkerCrashError(
-        f"forked trial {trial} {reason} before reporting its record",
-        chunk_start=trial, chunk_stop=trial + 1,
-    )
+def _read_report(pipe) -> tuple | None:
+    """One length-prefixed pickle off a child's pipe; None at EOF or on a
+    short one (the child died mid-report)."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = struct.unpack("<Q", head)[0]
+        blob = pipe.read(size)
+        if len(blob) == size:
+            return pickle.loads(blob)
+    return None
 
 
 def fork_slots(workers: int = 1) -> int:
-    """How many forked children a site-driven block keeps alive at once.
+    """How many processes of one campaign worker may compute at once.
 
     The usable CPUs (the affinity mask where the platform has one)
     shared among the campaign's ``workers`` processes — its ``jobs``,
     1 inline — and never below 1, so a pool whose workers all fork
-    does not oversubscribe the host.  A one-CPU host gets one slot:
-    each child is reaped before the parent continues.
+    does not oversubscribe the host.  A site-driven block keeps up to
+    one child fewer alive beside itself (a one-CPU host reaps each child
+    before the parent continues); a lane chunk forks that many children
+    and only folds their reports (:func:`repro.engine.chunks.execute_chunk`).
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -531,35 +511,35 @@ def fork_slots(workers: int = 1) -> int:
 
 
 class _Forker:
-    """Forks one child per reached fault site and collects its report.
+    """Forks children and collects their length-prefixed pickled reports.
 
-    Up to ``slots`` children are alive at once: the parent keeps running
-    the fault-free execution after each fork and reaps the oldest child
-    only when the FIFO of live children is full (:meth:`drain` reaps the
-    rest), so children are reaped in site order and the first failure in
-    site order is the one raised.  A child does no I/O except its pipe:
-    its report is a length-prefixed pickle of ``(record, obs snapshot)``
-    — or ``(None, error)`` when it failed — and it leaves via
-    ``os._exit`` (see :meth:`SiteFaultModel.run_block`).
+    A site-driven block forks a child per reached fault site, keeping up
+    to ``slots`` alive: it reaps the oldest only when they fill their
+    slots (:meth:`drain` reaps the rest), so the first failure in site
+    order is the one raised.  A lane chunk forks one child per slot, each
+    reporting once per lane block, and reads them in block order
+    (:meth:`receive`).  A child does no I/O except its pipe, reports a
+    failure as ``(None, error)`` and leaves via ``os._exit`` (see
+    :meth:`SiteFaultModel.run_block`).
     """
 
     def __init__(self, slots: int) -> None:
         self.slots = slots
-        #: the trial this process runs, once it is a forked child
+        #: the key (site trial or lane child) this process runs as a child
         self.child: int | None = None
-        #: trial -> (record, snapshot or None) of every reaped child
+        #: trial -> (record, snapshot or None) of every reaped site child
         self.results: dict[int, tuple] = {}
-        #: every trial forked so far, reaped or not
+        #: every key forked so far, reaped or not
         self.forked: set[int] = set()
-        #: seconds the parent spent blocked in each reap
+        #: seconds the parent spent blocked in each report
         self.waits: list[float] = []
-        #: (trial, pid, read end) of each live child, oldest first
-        self._live: deque[tuple[int, int, int]] = deque()
+        #: key -> (pid, read end) of each live child, oldest first
+        self._live: dict[int, tuple[int, Any]] = {}
         self._pipe = -1
 
-    def fork(self, trial: int) -> bool:
-        """Fork at ``trial``'s site: True in the child; False in the
-        parent, once the live children fit in their slots."""
+    def fork(self, key: int) -> bool:
+        """Fork child ``key``: True in the child; False in the parent,
+        once the live children fit in their slots."""
         read_fd, write_fd = os.pipe()
         try:
             pid = _fork()
@@ -569,15 +549,15 @@ class _Forker:
             raise
         if pid == 0:
             os.close(read_fd)
-            for _, _, fd in self._live:  # the older siblings' pipes
-                os.close(fd)
+            for _, pipe in self._live.values():  # the older siblings' pipes
+                pipe.close()
             self._live.clear()
-            self.child, self._pipe = trial, write_fd
+            self.child, self._pipe = key, write_fd
             warnings.simplefilter("ignore")  # no stderr: the pipe only
             return True
         os.close(write_fd)
-        self.forked.add(trial)
-        self._live.append((trial, pid, read_fd))
+        self.forked.add(key)
+        self._live[key] = (pid, open(read_fd, "rb"))
         while len(self._live) >= self.slots:
             self._reap_oldest()
         return False
@@ -590,16 +570,44 @@ class _Forker:
     def kill(self) -> None:
         """Parent: kill and reap every live child (on a failure)."""
         while self._live:
-            _, pid, fd = self._live.popleft()
-            os.close(fd)
+            _, (pid, pipe) = self._live.popitem()
+            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
     def _reap_oldest(self) -> None:
-        trial, pid, fd = self._live.popleft()  # _reap owns it from here
+        trial = next(iter(self._live))
+        self.results[trial] = self.receive(trial, trial, trial + 1)
+
+    def receive(self, key: int, start: int, stop: int, last: bool = True) -> tuple:
+        """Parent: child ``key``'s next report, on trials ``[start, stop)``.
+
+        The child is reaped after its ``last`` report.  One that sends
+        none instead (it raised, exited or died mid-report) is reaped and
+        raises a typed :class:`WorkerCrashError` naming ``start``.  An
+        interruption leaves the child live for :meth:`kill`.
+        """
+        pid, pipe = self._live[key]
         began = time.perf_counter()
-        self.results[trial] = _reap(pid, fd, trial)
+        report = _read_report(pipe)
+        failed, code = report is None or report[0] is None, 0
+        if last or failed:
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del self._live[key]
         self.waits.append(time.perf_counter() - began)
+        if not failed and code == 0:
+            return report
+        if report is not None:
+            reason = f"raised {report[1]}"
+        elif code != 0:
+            reason = f"exited with status {code}"
+        else:
+            reason = "sent a short report"
+        raise WorkerCrashError(
+            f"forked trial {start} {reason} before reporting its record",
+            chunk_start=start, chunk_stop=stop,
+        )
 
     def report(self, payload: tuple) -> None:
         """Child: send ``payload`` (a ``BrokenPipeError`` ends the child)."""

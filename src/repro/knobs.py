@@ -129,8 +129,9 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
         help="fault-injection trials batched per lane-vectorized pass "
              "through the application, bit-flip campaigns only (default: "
              "$REPRO_LANES or 32; 1 turns batching off). Once a pass sends "
-             "most of its trials back to run alone, the rest of that chunk "
-             "runs one trial at a time. Results are bit-identical for any "
+             "most of its trials back to run alone, the rest of that "
+             "process's passes run one trial at a time. Results are "
+             "bit-identical for any "
              "N; see docs/performance.md",
     ),
     Knob(

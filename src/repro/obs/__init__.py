@@ -55,12 +55,6 @@ from repro.obs.events import (
     ChunkRequeued,
     event_from_dict,
 )
-from repro.obs.live import (
-    LiveObsServer,
-    render_metrics_json,
-    render_prometheus,
-    start_live_server,
-)
 from repro.obs.profiler import (
     CampaignScope,
     merge_profile_events,
@@ -135,6 +129,17 @@ __all__ = [
     "timeline_path", "timeline_swimlane_svg", "validate_chrome_trace",
     "worker_utilization",
 ]
+
+
+def __getattr__(name: str):
+    """The live server's names, imported on first use (PEP 562): it pulls
+    in ``http.server`` and the dashboard, which no campaign needs."""
+    if name in ("LiveObsServer", "render_metrics_json", "render_prometheus",
+                "start_live_server"):
+        from repro.obs import live
+
+        return getattr(live, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def configure(

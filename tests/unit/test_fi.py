@@ -99,6 +99,31 @@ class TestPlanSampling:
         assert len({(f.rank, f.region, f.index, f.operand) for f in plan.flips}) == 1
         assert len({f.bit for f in plan.flips}) == 3
 
+    @pytest.mark.parametrize("nprocs, digest", [
+        (1, "a77f5b1e4574f38255ca83710c312a3b09e0ca2d6c692650ea1592f5119fc337"),
+        (4, "1b84bd00411357e742b13c0b4b0071c053fe41d304a162987a9fdbba1e5c3866"),
+    ])
+    def test_plans_pinned_on_cg_profiles(self, nprocs, digest):
+        """The same random draws in the same order give the same plans,
+        however the candidate counts are computed."""
+        import hashlib
+        import json
+
+        from repro.apps import get_app
+        from repro.fi.scenarios.base import fault_free_run
+
+        profile = fault_free_run(get_app("cg"), nprocs).profile()
+        payloads = [
+            sample_plan(
+                profile, spawn_rng(seed, "plan"), n_errors=x,
+                target_rank=0 if x > 1 and nprocs > 1 else None,
+                region=region, bits_per_error=bits,
+            ).to_payload()
+            for seed in range(20) for x in (1, 8, 64)
+            for region in (None, Region.COMMON) for bits in (1, 3)
+        ]
+        assert hashlib.sha256(json.dumps(payloads).encode()).hexdigest() == digest
+
     def test_multibit_validation(self):
         prof = make_profile(SIMPLE)
         with pytest.raises(InjectionPlanError):

@@ -406,3 +406,20 @@ class TestCliServeObs:
         stub_experiment.run = spy_run
         assert cli_module.main(["table1", "-q", "--profile"]) == 0
         assert seen == {"enabled": True, "profiling": True}
+
+
+def test_campaign_import_leaves_the_live_server_unloaded():
+    """``repro.obs`` loads the server (and ``http.server``) on first use."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    probe = ("import sys, repro.fi.campaign; print(sorted(m for m in "
+             "('http.server', 'repro.obs.live') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    assert obs.start_live_server is start_live_server
