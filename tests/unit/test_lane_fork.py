@@ -29,39 +29,15 @@ import subprocess
 import sys
 import textwrap
 import threading
-from pathlib import Path
-
 import pytest
 
 from repro import obs
 from repro.apps import get_app
 from repro.fi.campaign import Deployment, run_campaign
-from repro.fi.scenarios import base
 from repro.obs.timeline import spans_of
 from tests.ci_checks import strip
+from tests.unit.test_fork import SRC, _force_slots, forks  # noqa: F401
 from tests.unit.test_timeline import _tree_digest
-
-SRC = Path(__file__).resolve().parents[2] / "src"
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Count the forks a test makes."""
-    calls = []
-    real = base._fork
-
-    def counting():
-        pid = real()
-        if pid:
-            calls.append(pid)
-        return pid
-
-    monkeypatch.setattr(base, "_fork", counting)
-    return calls
-
-
-def _force_slots(monkeypatch, slots: int) -> None:
-    monkeypatch.setattr(base, "fork_slots", lambda workers=1: slots)
 
 
 def _traced(app, deployment, tmp_path, tag, lanes):
