@@ -32,8 +32,9 @@ if TYPE_CHECKING:  # circular at runtime: campaign dispatches into here
     from repro.fi.scenarios.base import FaultFreeRun
 
 __all__ = [
-    "LANE_CHILD_BLOCKS", "LANE_EJECT_SHARE", "MAX_CHUNK_TRIALS", "ChunkPayload",
-    "EngineContext", "chunk_bounds", "execute_chunk", "fold_record", "plan_chunks",
+    "LANE_CHILD_BLOCKS", "LANE_EJECT_SHARE", "MAX_CHUNK_TRIALS",
+    "SCALAR_CHILD_TRIALS", "ChunkPayload", "EngineContext", "chunk_bounds",
+    "execute_chunk", "fold_record", "plan_chunks",
 ]
 
 #: Upper bound on trials per chunk: small enough that progress events
@@ -56,8 +57,15 @@ LANE_EJECT_SHARE = 0.6
 #: of its parent's memory cost 30-45 ms, about half a 32-lane CG block at
 #: 4 ranks (80 ms): with one block per child two children gained 8% wall
 #: time for 24% more CPU, with two blocks each 42% for 5% (see
-#: docs/performance.md, "Lane blocks side by side").
+#: docs/performance.md, "Blocks side by side").
 LANE_CHILD_BLOCKS = 2
+
+#: Trials each forked child runs at least when a chunk's trials run one
+#: at a time.  A child's start costs a few CG trials at 4 ranks (about
+#: 7 ms each): with 8 trials each two children ran 0.81-1.56x as fast
+#: as the parent alone, with 32 each 1.33-1.78x (see
+#: docs/performance.md, "Blocks side by side").
+SCALAR_CHILD_TRIALS = 16
 
 
 def chunk_bounds(
@@ -189,12 +197,16 @@ def execute_chunk(
     :data:`MAX_CHUNK_TRIALS` trials forked off one fault-free execution
     (a family that supports it, an unprofiled run, a process that may
     fork, and a block large enough that forking pays), lane blocks of
-    ``ctx.lanes`` trials, or one trial at a time.  Lane blocks run side
-    by side, block ``i`` in forked child ``i mod n``, where the process
-    may fork and ``n = fork_slots()`` children of at least two get
-    :data:`LANE_CHILD_BLOCKS` blocks each.  After a lane block that
-    ejected more than :data:`LANE_EJECT_SHARE` of its lanes, the rest of
-    its process's blocks run one trial at a time (``fi.lanes.unpaid``).
+    ``ctx.lanes`` trials, or blocks of one trial.  Lane blocks and
+    blocks of one run side by side, block ``i`` in forked child
+    ``i mod n``, in an unprofiled run where the process may fork and
+    ``n = fork_slots()`` children of at least two get
+    :data:`LANE_CHILD_BLOCKS` lane blocks or :data:`SCALAR_CHILD_TRIALS`
+    trials each (``engine.chunk.children``).  The choice reads no clock:
+    it depends on the block count and the slots alone.  After a lane
+    block that ejected more than :data:`LANE_EJECT_SHARE` of its lanes,
+    the rest of its process's blocks run one trial at a time
+    (``fi.lanes.unpaid``).
 
     ``capture=False`` records straight into the process-wide recorder —
     byte-for-byte the classic serial loop, used when the payload never
@@ -205,7 +217,6 @@ def execute_chunk(
     event to the given sinks as it happens, keeping ``--progress`` and
     JSONL traces live while an inline checkpointed campaign runs.
     """
-    from repro.fi.campaign import run_one_trial  # circular at import time
     from repro.fi.scenarios import resolve_model
     from repro.fi.scenarios.base import fault_free_run, fork_pays, fork_safe, fork_slots
 
@@ -247,39 +258,35 @@ def execute_chunk(
         args={"start": start, "stop": stop, "trials": stop - start},
     ):
         args = (ctx.app, dep, ctx.golden.profile(), ctx.golden.reference())
-        if lanes > 1:
-            blocks = [(lo, min(lo + lanes, stop))
-                      for lo in range(start, stop, lanes)]
-            n = min(fork_slots(dep.jobs or 1), len(blocks) // LANE_CHILD_BLOCKS)
-            if n >= 2 and fork_safe():
-                _fork_lane_blocks(args, blocks, n, rec, fold)
-            else:
-                n = 0
-                for block_records, _ in _lane_blocks(args, blocks, lambda: rec):
-                    fold(block_records)
-            rec.counter("fi.lanes.children", n)
         trial = start
-        while lanes == 1 and trial < stop:  # forked blocks, or one by one
-            block_stop = min(stop, trial + (MAX_CHUNK_TRIALS if fork else 1))
-            if fork and not fork_pays(ctx.app, dep, block_stop - trial):
-                block_stop = trial + 1
-            if block_stop - trial == 1:
-                fold([run_one_trial(*args, trial, rec)])
-            else:
-                fold(model.run_block(*args, trial, block_stop, rec))
-            trial = block_stop
+        while fork and trial < stop:  # site blocks, while forking pays
+            size = min(stop - trial, MAX_CHUNK_TRIALS)
+            if size == 1 or not fork_pays(ctx.app, dep, size):
+                break
+            fold(model.run_block(*args, trial, trial + size, rec))
+            trial += size
+        blocks = [(lo, min(lo + lanes, stop)) for lo in range(trial, stop, lanes)]
+        per_child = LANE_CHILD_BLOCKS if lanes > 1 else SCALAR_CHILD_TRIALS
+        n = min(fork_slots(dep.jobs or 1), len(blocks) // per_child)
+        if n >= 2 and not ctx.profiling and fork_safe():
+            _fork_blocks(args, blocks, n, rec, fold)
+            rec.counter("engine.chunk.children", n)
+        else:
+            for block_records, _ in _blocks(args, blocks, lambda: rec):
+                fold(block_records)
     snapshot = rec.snapshot(events=mem.events) if mem is not None else None
     return ChunkPayload(
         start=start, stop=stop, joint=joint, records=records, obs=snapshot
     )
 
 
-def _lane_blocks(
+def _blocks(
     args: tuple, blocks: list[tuple[int, int]], recorder: Callable[[], Recorder],
 ) -> Iterator[tuple[list[TrialRecord], Recorder]]:
     """Each block's records and the ``recorder()`` it recorded into, in
-    block order: lane blocks until one does not pay, then one trial at a
-    time (the pay rule, per process)."""
+    block order: a block of one runs its trial alone, lane blocks run
+    batched until one does not pay, then one trial at a time (the pay
+    rule, per process)."""
     from repro.fi.campaign import run_one_trial  # circular at import time
     from repro.fi.lanes import run_lane_block
 
@@ -297,7 +304,7 @@ def _lane_blocks(
         yield block_records, obs
 
 
-def _fork_lane_blocks(
+def _fork_blocks(
     args: tuple, blocks: list[tuple[int, int]], n: int, rec: Recorder,
     fold: Callable[[list[TrialRecord]], None],
 ) -> None:
@@ -315,7 +322,7 @@ def _fork_lane_blocks(
                 continue
             status = 1
             try:
-                for block_records, obs in _lane_blocks(
+                for block_records, obs in _blocks(
                     args, blocks[c::n], lambda: rec.derive([MemorySink()])
                 ):
                     forker.report((block_records, obs.snapshot(

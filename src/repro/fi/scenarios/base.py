@@ -500,8 +500,9 @@ def fork_slots(workers: int = 1) -> int:
     1 inline — and never below 1, so a pool whose workers all fork
     does not oversubscribe the host.  A site-driven block keeps up to
     one child fewer alive beside itself (a one-CPU host reaps each child
-    before the parent continues); a lane chunk forks that many children
-    and only folds their reports (:func:`repro.engine.chunks.execute_chunk`).
+    before the parent continues); a chunk of lane blocks or of trials run
+    one at a time forks up to that many children and only folds their
+    reports (:func:`repro.engine.chunks.execute_chunk`).
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -516,16 +517,16 @@ class _Forker:
     A site-driven block forks a child per reached fault site, keeping up
     to ``slots`` alive: it reaps the oldest only when they fill their
     slots (:meth:`drain` reaps the rest), so the first failure in site
-    order is the one raised.  A lane chunk forks one child per slot, each
-    reporting once per lane block, and reads them in block order
-    (:meth:`receive`).  A child does no I/O except its pipe, reports a
+    order is the one raised.  A chunk run side by side forks one child
+    per slot, each reporting once per lane block or trial run alone, and
+    reads them in block order (:meth:`receive`).  A child does no I/O except its pipe, reports a
     failure as ``(None, error)`` and leaves via ``os._exit`` (see
     :meth:`SiteFaultModel.run_block`).
     """
 
     def __init__(self, slots: int) -> None:
         self.slots = slots
-        #: the key (site trial or lane child) this process runs as a child
+        #: the key (site trial or chunk child) this process runs as a child
         self.child: int | None = None
         #: trial -> (record, snapshot or None) of every reaped site child
         self.results: dict[int, tuple] = {}

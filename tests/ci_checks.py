@@ -27,8 +27,11 @@ span ids.
 at ``lanes=1``, 8 and 32, best of 2 after one ``lanes=1`` warm-up. It
 asserts the batched joints equal the ``lanes=1`` joint in values and
 key order, and that ``lanes=32`` reaches at least 4x the ``lanes=1``
-trials/sec. Lane batching is single-process numpy work, so the floor
-holds on any runner. It first asserts the same joint parity, untimed,
+trials/sec. Lane batching is single-process numpy work, so the timed
+runs are pinned to one CPU (the process's own affinity, restored
+afterwards): an inline chunk would otherwise run its trials side by
+side in forked children, one per usable CPU, and the ratio would
+measure the CPU count rather than lanes per CPU. It first asserts the same joint parity, untimed,
 for CG at 8 ranks (32 trials), the smallest scale at which numpy sums
 the per-rank scalars of a reduction pairwise rather than in order.
 
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import tempfile
 import time
@@ -154,20 +158,25 @@ def check_lanes_floor(args) -> None:
         )
     print(f"lanes parity OK at nprocs={wide.nprocs}: lanes {LANE_COUNTS} = lanes=1")
     deployment = Deployment(nprocs=4, trials=96, seed=123)
-    run_campaign(app, deployment, jobs=1, lanes=1)  # warm-up
     times: dict[int, float] = {}
     joints: dict[int, dict] = {}
-    for lanes in (1, *LANE_COUNTS):
-        best = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            result = run_campaign(app, deployment, jobs=1, lanes=lanes)
-            best = min(best, time.perf_counter() - t0)
-        times[lanes] = best
-        joints[lanes] = result.joint
-        print(f"lanes={lanes:<3d} {best:6.2f}s  "
-              f"{deployment.trials / best:7.1f} trials/s  "
-              f"speedup {times[1] / best:.2f}x")
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})  # fork_slots() = 1: in-process
+    try:
+        run_campaign(app, deployment, jobs=1, lanes=1)  # warm-up
+        for lanes in (1, *LANE_COUNTS):
+            best = float("inf")
+            for _ in range(2):
+                t0 = time.perf_counter()
+                result = run_campaign(app, deployment, jobs=1, lanes=lanes)
+                best = min(best, time.perf_counter() - t0)
+            times[lanes] = best
+            joints[lanes] = result.joint
+            print(f"lanes={lanes:<3d} {best:6.2f}s  "
+                  f"{deployment.trials / best:7.1f} trials/s  "
+                  f"speedup {times[1] / best:.2f}x")
+    finally:
+        os.sched_setaffinity(0, cpus)
     for lanes in LANE_COUNTS:  # values and key order
         assert list(joints[lanes].items()) == list(joints[1].items()), (
             f"lanes={lanes} joint diverged from lanes=1"

@@ -94,10 +94,11 @@ def _strip_times(line: str) -> dict:
 
 
 def _trial_counters(rec) -> dict:
-    """Counters without the lane-execution ones (``fi.lanes.*``), which
-    describe how trials ran, not what they did."""
+    """Counters without the lane-execution ones (``fi.lanes.*``) and the
+    chunk's forked children (``engine.chunk.children``), which describe
+    how trials ran, not what they did."""
     return {k: v for k, v in rec.counters.items()
-            if not k.startswith("fi.lanes.")}
+            if not k.startswith("fi.lanes.") and k != "engine.chunk.children"}
 
 
 def _run_traced(app, deployment, tmp_path, tag, *, lanes, jobs=1):
