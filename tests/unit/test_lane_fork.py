@@ -263,7 +263,7 @@ _CHILD_SCRIPT = textwrap.dedent("""
     start = time.monotonic()
     try:
         run_campaign(get_app("cg"),
-                     Deployment(nprocs=4, trials=48 // LANES * 2, seed=1),
+                     Deployment(nprocs=4, trials=24 if LANES > 1 else 48, seed=1),
                      jobs=1, lanes=LANES)
     except WorkerCrashError as exc:
         print("crash", exc.chunk_start, exc.chunk_stop, exc)
