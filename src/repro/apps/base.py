@@ -45,6 +45,20 @@ class AppSpec(abc.ABC):
 
     name: str = "app"
 
+    #: Per-(scale, rank) constant data filled lazily (dicts): a pickled
+    #: app leaves them out and arrives with them empty, so a campaign's
+    #: context stays small and a worker builds its own read-only,
+    #: layout-cacheable arrays (``taint.ops._csr_layout``).
+    _memos: tuple[str, ...] = ()
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k not in self._memos}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        for memo in self._memos:
+            setattr(self, memo, {})
+
     @abc.abstractmethod
     def program(
         self, rank: int, size: int, comm: Communicator, fp: FPOps

@@ -58,6 +58,7 @@ class CGApp(AppSpec):
     """The CG benchmark.  See module docstring."""
 
     name = "cg"
+    _memos = ("_blocks",)
 
     def __init__(
         self,

@@ -99,6 +99,7 @@ class FTApp(AppSpec):
     """The FT benchmark.  See module docstring."""
 
     name = "ft"
+    _memos = ("_local_tables", "_cross_tables")
 
     def __init__(
         self,

@@ -71,6 +71,7 @@ class MiniFEApp(AppSpec):
     """The MiniFE benchmark.  See module docstring."""
 
     name = "minife"
+    _memos = ("_rank_data",)
 
     def __init__(
         self,

@@ -39,7 +39,7 @@ from typing import Iterator, Protocol, Sequence
 
 from repro.engine.chunks import ChunkPayload, EngineContext, execute_chunk
 from repro.engine.distributed import dispatch, local_worker
-from repro.obs import get_recorder
+from repro.obs import get_recorder, reset
 
 __all__ = ["Backend", "InlineBackend", "ProcessPoolBackend"]
 
@@ -88,7 +88,7 @@ class InlineBackend:
 class _LocalPool:
     """Loopback workers, a 127.0.0.1 listener they queue on between
     campaigns, and the secret they prove membership with (passed in
-    their spawn arguments, never through a file or the environment)."""
+    their start arguments, never through a file or the environment)."""
 
     def __init__(self):
         self.server = socket.create_server(("127.0.0.1", 0))
@@ -104,17 +104,51 @@ class _LocalPool:
             self.spawn(local_worker)
 
     def spawn(self, target, *args) -> None:
-        """Start ``target(address, secret, *args)`` as a pool member."""
-        proc = multiprocessing.get_context("spawn").Process(
-            target=target,
-            args=(self.server.getsockname()[:2], self.secret, *args),
+        """Start ``target(address, secret, *args)`` as a pool member.
+
+        Forked from this warm process when it may fork
+        (:func:`~repro.fi.scenarios.base.fork_safe`), so the member skips
+        the interpreter start and imports; started from a fresh
+        interpreter (``spawn``) when another Python thread is alive.
+        """
+        from repro.fi.scenarios.base import fork_safe, quiet_fork
+
+        method = "fork" if fork_safe() else "spawn"
+        proc = multiprocessing.get_context(method).Process(
+            target=_member,
+            args=(target, self.server.getsockname()[:2], self.secret, *args),
             name="repro-pool-worker", daemon=True,
         )
-        proc.start()
+        with quiet_fork():
+            proc.start()
         self.procs.append(proc)
 
     def alive(self) -> bool:
         return any(proc.is_alive() for proc in self.procs)
+
+
+#: The driver's recorder as a forked member inherited it, set aside but
+#: kept referenced: its sinks may hold the driver's buffered lines, which
+#: flushing or closing them here would write a second time.
+_INHERITED = None
+
+
+def _member(target, *args) -> None:
+    """A pool member's entry point: shed what a fork inherited, then
+    serve as ``target(*args)``.
+
+    A spawned member starts with nothing to shed.  A forked one holds
+    copies of the driver's pool listener, which it closes (else its
+    reconnect would land on its own copy and never see the driver die),
+    and of the driver's recorder, which it sets aside for a fresh
+    disabled one, as a spawned member starts with.
+    """
+    global _POOL, _INHERITED
+    if _POOL is not None:  # forked: this is the driver's pool
+        _POOL.server.close()
+        _POOL = None
+        _INHERITED = reset()
+    target(*args)
 
 
 #: This process's pool, started by the first pooled campaign.
@@ -125,9 +159,9 @@ class ProcessPoolBackend:
     """Fan chunks out over this process's warm local worker pool.
 
     The pool starts on first use and lives as long as the process:
-    ``spawn``-started workers (they inherit ``sys.path`` and the working
-    directory) that keep recent campaign state warm and fork at fault
-    sites like an inline run.  It grows to the largest ``jobs``
+    workers forked from this process (``spawn``-started while another
+    Python thread is alive) that keep recent campaign state warm and
+    fork at fault sites like an inline run.  It grows to the largest ``jobs``
     requested and replaces dead workers when the next campaign starts.
     Dispatch and failure handling are
     :func:`~repro.engine.distributed.dispatch`'s (docs/distributed.md),

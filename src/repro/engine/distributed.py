@@ -567,17 +567,19 @@ def local_worker(address: tuple[str, int], secret: str) -> None:
     Between campaigns the worker waits in the pool listener's backlog.
     Once the parent exits or is killed its listener closes, so the
     session ends, the reconnect fails, and the worker returns when it
-    finds the parent gone.  No thread watches the parent, so the worker
-    forks at fault sites like an inline run.  Ctrl-C is the parent's to
-    handle.
+    finds itself re-parented.  (Its ``parent_process()`` sentinel would
+    tell late: every sibling forked after it holds a copy of the
+    parent's end, so it would fire only once they had all exited.)  No
+    thread watches the parent, so the worker forks at fault sites like
+    an inline run.  Ctrl-C is the parent's to handle.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent = multiprocessing.parent_process()
+    parent = multiprocessing.parent_process().pid
     while True:
         try:
             sock = socket.create_connection(address)
         except OSError:
-            if not parent.is_alive():
+            if os.getppid() != parent:
                 return
             time.sleep(0.05)
             continue

@@ -56,9 +56,11 @@ import struct
 import threading
 import time
 import warnings
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Iterator, Protocol, Sequence,
+)
 
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.fi.outcomes import Outcome, TrialRecord
@@ -90,6 +92,7 @@ __all__ = [
     "fork_safe",
     "fork_pays",
     "fork_slots",
+    "quiet_fork",
 ]
 
 #: The cost model behind :func:`fork_pays`, fitted to blocks of 1 to 24
@@ -449,7 +452,8 @@ def fork_safe() -> bool:
     Needs POSIX ``fork`` and no Python thread besides the caller's: a
     thread holding a lock at fork time (the ``--serve-obs`` server)
     would leave it held in the child.  Inline runs and local pool
-    workers both pass.
+    workers both pass; the local pool forks its members when it holds
+    (:meth:`repro.engine.backends._LocalPool.spawn`).
     """
     return hasattr(os, "fork") and threading.active_count() == 1
 
@@ -467,16 +471,22 @@ def fork_pays(app: "AppProtocol", deployment: "Deployment", trials: int) -> bool
     return trials * (FORK_PREFIX_SHARE * run_s - FORK_COST_S) > run_s
 
 
-def _fork() -> int:
+@contextmanager
+def quiet_fork() -> Iterator[None]:
+    """Silence Python 3.12+'s warning that ``fork()`` runs beside other
+    OS threads.  :func:`fork_safe` ruled out Python threads; what remains
+    are native pools such as OpenBLAS's, which stops its workers in a
+    ``pthread_atfork`` handler and restarts them on demand."""
     with warnings.catch_warnings():
-        # Python 3.12+ warns when fork() runs beside other OS threads.
-        # fork_safe() ruled out Python threads; what remains are native
-        # pools such as OpenBLAS's, which stops its workers in a
-        # pthread_atfork handler and restarts them on demand.
         warnings.filterwarnings(
             "ignore", message=r"This process .* is multi-threaded",
             category=DeprecationWarning,
         )
+        yield
+
+
+def _fork() -> int:
+    with quiet_fork():
         return os.fork()
 
 

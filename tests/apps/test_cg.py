@@ -1,5 +1,7 @@
 """CG benchmark: numerics vs scipy, scale consistency, fault behaviour."""
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -9,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.fi import Deployment, run_campaign
 from repro.fi.tracer import Tracer, TracerMode
 from repro.mpisim import execute_spmd
+from repro.taint.ops import _csr_layout
 from repro.taint.region import Region
 
 
@@ -52,6 +55,21 @@ class TestNumerics:
     def test_residual_small(self, app):
         out = app.reference_output(1)
         assert out["rnorm"] < 1e-2
+
+
+class TestPickle:
+    def test_column_blocks_stay_out_of_the_pickle(self, app):
+        app.reference_output(4)                  # fills the block memo
+        assert app._blocks
+        blob = pickle.dumps(app)
+        assert b"_blocks" not in blob
+        worker = pickle.loads(blob)
+        assert worker._blocks == {}
+        _, _, indptr = worker._column_block(4, 0)
+        # a worker's own blocks are read-only bases: layouts are cached
+        assert indptr.base is None and not indptr.flags.writeable
+        assert _csr_layout(indptr)[1] is _csr_layout(indptr)[1]
+        assert worker.reference_output(4) == app.reference_output(4)
 
 
 class TestStructure:

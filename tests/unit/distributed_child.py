@@ -27,11 +27,13 @@ its listener address and secret first.  Modes:
 ``idle``
     Never connects; lives until its parent exits.
 
-``pool-driver`` (run as ``python distributed_child.py pool-driver``;
-excluded from pytest collection via tests/conftest.py)
+``pool-driver`` (run as ``python distributed_child.py pool-driver
+fork|spawn``; excluded from pytest collection via tests/conftest.py)
     A driver that runs one ``jobs=2`` campaign on the local worker
-    pool, prints the pool's worker pids as JSON, then returns once its
-    stdin closes (or dies when killed).
+    pool, prints the pool's worker pids and process classes as JSON, then
+    returns once its stdin closes (or dies when killed).  With
+    ``spawn`` a second thread is alive while the pool starts, so its
+    members are spawned instead of forked.
 
 Tests order these members by marker files and controller events, never
 by sleeps.
@@ -129,15 +131,19 @@ def mode_idle(address, secret: str) -> None:
 
 
 def mode_pool_driver(argv: list[str]) -> int:
-    """Run one pooled campaign, print the worker pids, exit or hang."""
+    """Run one pooled campaign, print the workers, exit or hang."""
     import json
+    import threading
 
     import repro.engine.backends as backends
     from repro.apps import get_app
     from repro.fi.campaign import Deployment, run_campaign
 
+    if argv[0] == "spawn":              # a live thread rules out fork
+        threading.Thread(target=threading.Event().wait, daemon=True).start()
     run_campaign(get_app("cg"), Deployment(nprocs=2, trials=8, seed=1), jobs=2)
-    print(json.dumps([proc.pid for proc in backends._POOL.procs]), flush=True)
+    print(json.dumps([[proc.pid, type(proc).__name__]
+                      for proc in backends._POOL.procs]), flush=True)
     sys.stdin.readline()                # until the test closes stdin
     return 0
 

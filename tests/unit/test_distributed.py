@@ -12,8 +12,9 @@ Layers:
   join the pool with its address and secret, as its workers do, and
   die, stall, send garbage or never connect; the campaign requeues and
   completes identically, or fails with a typed, bounded error.
-* Local-pool lifetime: warm rejoin, authentication, and exit with the
-  driver.
+* Local-pool lifetime: warm rejoin, authentication, exit with the
+  driver, and members forked from the driver (what they shed) or
+  spawned while another thread is alive.
 
 Workers must be subprocesses, never threads: ``execute_chunk`` swaps
 the *process-global* recorder while a chunk runs, so an in-process
@@ -24,6 +25,7 @@ session whose controller emits nothing while a chunk runs.)
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -33,6 +35,7 @@ import subprocess
 import sys
 import threading
 import time
+from multiprocessing.context import ForkProcess, SpawnProcess
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +67,7 @@ from repro.engine.distributed import (
 )
 from repro.errors import DistributedProtocolError, WorkerCrashError
 from repro.fi.campaign import Deployment, Outcome, run_campaign
+from repro.fi.scenarios.base import fork_safe
 from repro.obs.provenance import provenance_path
 from repro.obs.report import worker_summary
 
@@ -761,18 +765,23 @@ class TestLocalPool:
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
                         reason="needs /proc")
-    @pytest.mark.parametrize("how", ["exit", "kill"])
-    def test_workers_exit_with_their_driver(self, how):
+    # the fork cases keep the ids they had before members were forked
+    @pytest.mark.parametrize("how, method", [
+        ("exit", "fork"), ("kill", "fork"), ("exit", "spawn"), ("kill", "spawn"),
+    ], ids=["exit", "kill", "exit-spawn", "kill-spawn"])
+    def test_workers_exit_with_their_driver(self, how, method):
         env = dict(os.environ, REPRO_CACHE="0")
         env["PYTHONPATH"] = os.pathsep.join(
             [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
         )
         driver = subprocess.Popen(
-            [sys.executable, CHILD, "pool-driver"],
+            [sys.executable, CHILD, "pool-driver", method],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
         )
         try:
-            pids = json.loads(driver.stdout.readline())
+            workers = json.loads(driver.stdout.readline())
+            pids = [pid for pid, _ in workers]
+            assert {kind for _, kind in workers} == {PROCESS_CLASS[method]}
             assert len(pids) == 2 and all(map(alive_pid, pids))
             if how == "kill":
                 driver.kill()
@@ -785,6 +794,104 @@ class TestLocalPool:
         while any(map(alive_pid, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(alive_pid, pids))
+
+    def test_members_fork_unless_a_thread_is_alive(self, fresh_local_pool):
+        deployment = Deployment(nprocs=1, trials=8, seed=2)
+        assert fork_safe()
+        run_campaign(DotApp(), deployment, jobs=2)
+        assert all(isinstance(proc, ForkProcess)
+                   for proc in backends._POOL.procs)
+        shut_down_local_pool()
+        with live_thread():
+            assert not fork_safe()
+            run_campaign(DotApp(), deployment, jobs=2)
+        assert len(backends._POOL.procs) == 2
+        assert all(isinstance(proc, SpawnProcess)
+                   for proc in backends._POOL.procs)
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").exists(),
+                        reason="needs /proc")
+    def test_forked_member_holds_no_listener(self, fresh_local_pool, tmp_path):
+        # the barrier makes both members serve, so both have shed
+        run_campaign(BarrierApp(tmp_path, parties=2),
+                     Deployment(nprocs=2, trials=24, seed=4), jobs=2)
+        pool = backends._POOL
+        listener = f"socket:[{os.fstat(pool.server.fileno()).st_ino}]"
+        for proc in pool.procs:
+            assert isinstance(proc, ForkProcess)
+            fds = Path(f"/proc/{proc.pid}/fd")
+            assert listener not in {os.readlink(fd) for fd in fds.iterdir()}
+
+    def test_pool_start_after_buffered_events_writes_each_line_once(
+        self, fresh_local_pool, tmp_path
+    ):
+        first = Deployment(nprocs=2, trials=10, seed=8)
+        second = Deployment(nprocs=2, trials=12, seed=9)
+        streams = {}
+        for jobs in (1, 2):
+            trace = tmp_path / f"jobs{jobs}.jsonl"
+            # the first campaign's lines sit in the sink's buffer when
+            # the second campaign forks the pool
+            previous = obs.set_recorder(obs.Recorder([obs.JsonlSink(trace)]))
+            try:
+                run_campaign(DotApp(), first, jobs=1)
+                run_campaign(DotApp(), second, jobs=jobs)
+                shut_down_local_pool()           # members exit
+            finally:
+                obs.set_recorder(previous).close()
+            streams[jobs] = stripped_events(trace)
+        assert streams[2] == streams[1]
+
+    def test_forked_member_never_flushes_the_drivers_sinks(
+        self, local_pool, tmp_path
+    ):
+        trace = tmp_path / "driver.jsonl"
+        # the global slot holds the only reference to the recorder, whose
+        # sink buffers the line while the members fork (in a campaign the
+        # driver's frames hold it too)
+        previous = obs.set_recorder(obs.Recorder([obs.JsonlSink(trace)]))
+        try:
+            obs.get_recorder().emit(obs.CacheMiss(path="entry"))
+            local_pool.ensure(2)
+            local_pool.server.settimeout(30)
+            for _ in range(2):          # a member connects once it has shed
+                local_pool.server.accept()[0].close()
+            shut_down_local_pool()
+        finally:
+            obs.set_recorder(previous).close()
+        assert len(trace.read_text().splitlines()) == 1
+
+    def test_spawned_members_match_inline(self, fresh_local_pool, tmp_path):
+        deployment = Deployment(nprocs=2, trials=24, seed=10)
+        inline_trace = tmp_path / "inline.jsonl"
+        pooled_trace = tmp_path / "pooled.jsonl"
+        with live_thread():
+            inline = traced(inline_trace, lambda: run_campaign(
+                DotApp(), deployment, keep_records=True, jobs=1))
+            pooled = traced(pooled_trace, lambda: run_campaign(
+                DotApp(), deployment, keep_records=True, jobs=2))
+        assert all(isinstance(proc, SpawnProcess)
+                   for proc in backends._POOL.procs)
+        assert_campaigns_identical(pooled, inline)
+        assert (provenance_path(pooled_trace).read_bytes()
+                == provenance_path(inline_trace).read_bytes())
+        assert stripped_events(pooled_trace) == stripped_events(inline_trace)
+
+
+PROCESS_CLASS = {"fork": "ForkProcess", "spawn": "SpawnProcess"}
+
+
+@contextlib.contextmanager
+def live_thread():
+    """A second Python thread, alive for the block (``fork_safe()`` false)."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join()
 
 
 class Tripwire:
